@@ -9,6 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "cfd/violation_index.h"
+#include "core/session.h"
 #include "sim/experiment.h"
 #include "util/stopwatch.h"
 
@@ -45,8 +46,11 @@ int main(int argc, char** argv) {
       engine_options.feedback_budget = budget;
       engine_options.seed = seed;
       engine_options.learner.forest.num_trees = k;
-      GdrEngine engine(&working, &dataset.rules, &oracle, engine_options);
-      if (!engine.Initialize().ok() || !engine.Run().ok()) continue;
+      GdrSession session(&working, &dataset.rules, engine_options);
+      if (!session.Start().ok() || !PumpSession(&session, &oracle).ok()) {
+        continue;
+      }
+      const GdrEngine& engine = session.engine();
       QualityEvaluator evaluator(dataset.clean, &dataset.rules,
                                  engine.rule_weights());
       Table initial = dataset.dirty;

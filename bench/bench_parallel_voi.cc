@@ -1,46 +1,36 @@
-// Serial-vs-parallel VOI ranking on the Dataset 1 workload.
+// VOI ranking hot path on the Dataset 1 workload, written to
+// BENCH_hotpath.json.
 //
 // Measures one full VoiRanker::Rank() pass (the Step-4 inner loop of
-// Procedure 1) over the engine's real candidate pool, ranking the same
-// groups with 1 worker (serial path) and with pools of 2/4/8 workers, and
-// verifies the parallel scores are bit-identical to the serial ones —
-// parallelism must only buy wall-clock, never change the chosen group.
+// Procedure 1) over the engine's real candidate pool, serially and with
+// pools of 2/4/8 workers, and verifies the parallel scores and order are
+// bit-identical to the serial ones — parallelism must only buy
+// wall-clock, never change the chosen group. Speedups are
+// hardware-dependent; `hardware_concurrency` is recorded in the JSON so a
+// 1-core result is not mistaken for a regression.
 //
-// Emits a machine-readable BENCH_voi.json next to the human-readable
-// table so the repo's bench trajectory is trackable across commits.
-// Speedups are hardware-dependent; `hardware_concurrency` is recorded in
-// the JSON so a 1-core CI result is not mistaken for a regression.
-//
-// Also emits BENCH_hotpath.json: the single-thread hot-path numbers
-// (index-build seconds, UpdateBenefit ns/update for the reusable scratch
-// delta, a fresh delta per update, and the group-batched closed-form
-// probes, full serial Rank() seconds) so the perf trajectory tracks
-// single-thread constant factors, not just parallel speedup — on 1-core
-// bench hardware the constant factors are the whole story. The three
-// benefit passes run interleaved within every repeat so old and new see
-// the same thermal/cache conditions; per-group-size buckets and a
-// group-size histogram localize where batching pays. `scores_match`
-// asserts all evaluation paths (and both Rank modes) score
-// bit-identically. Exit 2 = score mismatch; exit 3 = batched slower than
-// the scratch delta it replaced.
+// The single-thread section records the constant factors: index-build
+// seconds, UpdateBenefit ns/update through the group-batched closed-form
+// probes (per group-size bucket, plus a group-size histogram), and the
+// serial Rank() seconds.
 //
 // The `learner` section measures p~ with real trained committees: the
 // bank learns from ground-truth oracle feedback over the whole pool, then
 // ConfirmProbability per update and ConfirmProbabilities per group run
-// interleaved within each repeat (same flattened forests, same thermal
-// state), plus end-to-end Rank in both inference modes at 1..T threads
-// with scores_match/order_match flags. The bank's phase counters
-// (feature-encode / tree-walk seconds) land in the JSON so the learner's
-// share of ranking time is trackable. Exit 2 also covers any batched-vs-
-// scalar probability or ranking divergence; exit 3 also fires when the
-// batched learner path loses to the per-update path it replaces.
+// interleaved within each repeat (same forests, same thermal state), plus
+// Rank with the batched p~ installed at 1..T threads. The bank's phase
+// counters (feature-encode / tree-walk seconds) land in the JSON so the
+// learner's share of ranking time is trackable.
+//
+// Exit 2 = a mismatch: parallel vs serial scores or order, or batched vs
+// scalar probabilities. Exit 3 = batched ConfirmProbabilities slower than
+// the per-update calls.
 //
 // Flags: --workload=name:key=val,... (default dataset1, parameterized by
 //        the legacy flags below; the first workload is measured)
 //        --records=N (default 20000) --seed=S (default 42)
 //        --repeats=R (default 5, best-of) --threads-max=T (default 8)
-//        --out=PATH (default BENCH_voi.json)
-//        --hotpath-out=PATH (default BENCH_hotpath.json)
+//        --out=PATH (default BENCH_hotpath.json)
 #include <array>
 #include <cstdio>
 #include <map>
@@ -140,8 +130,7 @@ int RunBench(int argc, char** argv) {
   // Real engine state: Initialize() detects violations and seeds the pool
   // exactly as the interactive loop would see it on round one.
   Table working = dataset.dirty;
-  UserOracle oracle(&dataset.clean, {});
-  GdrEngine engine(&working, &dataset.rules, &oracle, {});
+  GdrEngine engine(&working, &dataset.rules);
   if (Status status = engine.Initialize(); !status.ok()) {
     std::printf("initialize: %s\n", status.ToString().c_str());
     return 1;
@@ -156,12 +145,12 @@ int RunBench(int argc, char** argv) {
       specs.front().c_str(), resolved_rows, groups.size(), updates, repeats,
       std::thread::hardware_concurrency());
 
-  // Serial reference (scratch-reusing hot path — what Rank always does).
+  // Serial reference.
   VoiRanker serial(&engine.index(), &engine.rule_weights());
   VoiRanker::Ranking reference;
   const double serial_seconds = TimeRank(serial, groups, repeats, &reference);
 
-  // ---- Single-thread hot-path section (BENCH_hotpath.json) ------------
+  // ---- Single-thread section ------------------------------------------
   // Index build: full scan over the dirty instance.
   double build_seconds = -1.0;
   for (int r = 0; r < repeats; ++r) {
@@ -178,18 +167,10 @@ int RunBench(int argc, char** argv) {
     }
   }
 
-  // UpdateBenefit over every pooled update, three ways: the reused scratch
-  // delta (the pre-batching ranking inner loop), a fresh delta per update
-  // (the pre-scratch contract), and the group-batched closed-form probes
-  // (the current inner loop). The three passes are interleaved within each
-  // repeat — back-to-back over the same groups — so frequency scaling or
-  // cache warm-up hits old and new equally, and all benefits must be
-  // bit-identical.
-  std::vector<Update> flat;
-  flat.reserve(updates);
-  for (const UpdateGroup& group : groups) {
-    flat.insert(flat.end(), group.updates.begin(), group.updates.end());
-  }
+  // UpdateBenefit over every pooled update through one HypotheticalBatch
+  // staged per group (the ranking inner loop), timed per group-size
+  // bucket: batching amortizes staging over group size, so the size-1
+  // bucket bounds the staging overhead.
   const std::array<Bucket, kNumBuckets> bucket_bounds = BucketBounds();
   std::array<std::size_t, kNumBuckets> bucket_groups{};
   std::array<std::size_t, kNumBuckets> bucket_updates{};
@@ -200,115 +181,48 @@ int RunBench(int argc, char** argv) {
     bucket_updates[b] += group.size();
     ++size_histogram[group.size()];
   }
-
-  std::vector<double> scratch_benefits(flat.size(), 0.0);
-  std::vector<double> fresh_benefits(flat.size(), 0.0);
-  std::vector<double> batched_benefits(flat.size(), 0.0);
-  double scratch_seconds = -1.0;
-  double fresh_seconds = -1.0;
   double batched_seconds = -1.0;
-  std::array<double, kNumBuckets> scratch_bucket_seconds{};
   std::array<double, kNumBuckets> batched_bucket_seconds{};
   for (int r = 0; r < repeats; ++r) {
-    {  // old: one reused ViolationDelta, per-update staging
-      ViolationDelta scratch(&engine.index());
-      std::array<double, kNumBuckets> buckets{};
-      double total = 0.0;
-      std::size_t i = 0;
-      for (const UpdateGroup& group : groups) {
-        Stopwatch watch;
-        for (const Update& update : group.updates) {
-          scratch_benefits[i++] = serial.UpdateBenefit(update, &scratch);
-        }
-        const double seconds = watch.ElapsedSeconds();
-        buckets[BucketOf(group.size())] += seconds;
-        total += seconds;
-      }
-      if (scratch_seconds < 0.0 || total < scratch_seconds) {
-        scratch_seconds = total;
-        scratch_bucket_seconds = buckets;
-      }
-    }
-    {  // older still: a fresh delta constructed per update
+    HypotheticalBatch batch(&engine.index());
+    std::array<double, kNumBuckets> buckets{};
+    double total = 0.0;
+    for (const UpdateGroup& group : groups) {
       Stopwatch watch;
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        fresh_benefits[i] = serial.UpdateBenefit(flat[i]);
+      for (const Update& update : group.updates) {
+        serial.UpdateBenefit(update, &batch);
       }
       const double seconds = watch.ElapsedSeconds();
-      if (fresh_seconds < 0.0 || seconds < fresh_seconds) {
-        fresh_seconds = seconds;
-      }
+      buckets[BucketOf(group.size())] += seconds;
+      total += seconds;
     }
-    {  // new: one HypotheticalBatch staged per group, closed-form probes
-      HypotheticalBatch batch(&engine.index());
-      std::array<double, kNumBuckets> buckets{};
-      double total = 0.0;
-      std::size_t i = 0;
-      for (const UpdateGroup& group : groups) {
-        Stopwatch watch;
-        for (const Update& update : group.updates) {
-          batched_benefits[i++] = serial.UpdateBenefit(update, &batch);
-        }
-        const double seconds = watch.ElapsedSeconds();
-        buckets[BucketOf(group.size())] += seconds;
-        total += seconds;
-      }
-      if (batched_seconds < 0.0 || total < batched_seconds) {
-        batched_seconds = total;
-        batched_bucket_seconds = buckets;
-      }
+    if (batched_seconds < 0.0 || total < batched_seconds) {
+      batched_seconds = total;
+      batched_bucket_seconds = buckets;
     }
   }
-  const bool benefits_match = scratch_benefits == fresh_benefits &&
-                              scratch_benefits == batched_benefits;
-  const double ns_per_update_reuse =
-      flat.empty() ? 0.0 : scratch_seconds / flat.size() * 1e9;
-  const double ns_per_update_construct =
-      flat.empty() ? 0.0 : fresh_seconds / flat.size() * 1e9;
   const double ns_per_update_batched =
-      flat.empty() ? 0.0 : batched_seconds / flat.size() * 1e9;
-  const double batched_speedup =
-      batched_seconds > 0.0 ? scratch_seconds / batched_seconds : 0.0;
+      updates == 0 ? 0.0 : batched_seconds / static_cast<double>(updates) * 1e9;
   std::printf(
-      "hotpath: build=%.4fs benefit-scratch=%.0fns benefit-fresh=%.0fns "
-      "benefit-batched=%.0fns (%.2fx vs scratch) serial-rank=%.4fs "
-      "benefits-match=%s\n",
-      build_seconds, ns_per_update_reuse, ns_per_update_construct,
-      ns_per_update_batched, batched_speedup, serial_seconds,
-      benefits_match ? "yes" : "NO");
-  std::printf("%10s %7s %8s %11s %11s %8s\n", "group-size", "groups",
-              "updates", "scratch-ns", "batched-ns", "speedup");
+      "hotpath: build=%.4fs benefit-batched=%.0fns serial-rank=%.4fs\n",
+      build_seconds, ns_per_update_batched, serial_seconds);
+  std::printf("%10s %7s %8s %11s\n", "group-size", "groups", "updates",
+              "batched-ns");
   for (std::size_t b = 0; b < kNumBuckets; ++b) {
     if (bucket_groups[b] == 0) continue;
     const double n = static_cast<double>(bucket_updates[b]);
-    const double scratch_ns = scratch_bucket_seconds[b] / n * 1e9;
-    const double batched_ns = batched_bucket_seconds[b] / n * 1e9;
-    std::printf("%10s %7zu %8zu %11.0f %11.0f %7.2fx\n",
-                bucket_bounds[b].label, bucket_groups[b], bucket_updates[b],
-                scratch_ns, batched_ns,
-                batched_ns > 0.0 ? scratch_ns / batched_ns : 0.0);
+    std::printf("%10s %7zu %8zu %11.0f\n", bucket_bounds[b].label,
+                bucket_groups[b], bucket_updates[b],
+                batched_bucket_seconds[b] / n * 1e9);
   }
 
-  // Batched Rank must also agree with the per-update-oracle mode end to
-  // end — same scores, same chosen order.
-  VoiRanker oracle_ranker(&engine.index(), &engine.rule_weights(), nullptr,
-                          VoiRanker::ScoringMode::kPerUpdateOracle);
-  VoiRanker::Ranking oracle_ranking;
-  const double oracle_rank_seconds =
-      TimeRank(oracle_ranker, groups, repeats, &oracle_ranking);
-  const bool rank_modes_match =
-      oracle_ranking.scores == reference.scores &&
-      oracle_ranking.order == reference.order;
-  std::printf("rank: batched=%.4fs oracle=%.4fs modes-match=%s\n",
-              serial_seconds, oracle_rank_seconds,
-              rank_modes_match ? "yes" : "NO");
-
-  // ---- Learner-inference section (BENCH_hotpath.json "learner") -------
+  // ---- Learner-inference section ("learner") --------------------------
   // Train the bank the way a real session would: the simulated user
   // answers every pooled update from ground truth, the bank retrains once
   // per attribute. Attributes below min_training_examples stay on the
   // score fallback — `trained_attrs` records how many actually predict.
   LearnerBank bank(&working, &engine.index(), {});
+  UserOracle oracle(&dataset.clean, {});
   for (const UpdateGroup& group : groups) {
     for (const Update& update : group.updates) {
       const Feedback feedback = oracle.GetFeedback(working, update);
@@ -329,12 +243,11 @@ int RunBench(int argc, char** argv) {
   }
 
   // p~ over the whole pool, both ways, interleaved within each repeat:
-  // one scalar ConfirmProbability call per update (the per-update oracle
-  // path) vs one ConfirmProbabilities matrix call per group (the batched
-  // path). Identical committees, so the probabilities must be
-  // bit-identical.
-  std::vector<double> per_update_probs(flat.size(), 0.0);
-  std::vector<double> batched_probs(flat.size(), 0.0);
+  // one scalar ConfirmProbability call per update vs one
+  // ConfirmProbabilities matrix call per group. Identical committees, so
+  // the probabilities must be bit-identical.
+  std::vector<double> per_update_probs(updates, 0.0);
+  std::vector<double> batched_probs(updates, 0.0);
   double per_update_prob_seconds = -1.0;
   double batched_prob_seconds = -1.0;
   std::vector<double> prob_out;
@@ -370,9 +283,12 @@ int RunBench(int argc, char** argv) {
   }
   const bool learner_scores_match = per_update_probs == batched_probs;
   const double ns_confirm_per_update =
-      flat.empty() ? 0.0 : per_update_prob_seconds / flat.size() * 1e9;
+      updates == 0
+          ? 0.0
+          : per_update_prob_seconds / static_cast<double>(updates) * 1e9;
   const double ns_confirm_batched =
-      flat.empty() ? 0.0 : batched_prob_seconds / flat.size() * 1e9;
+      updates == 0 ? 0.0
+                   : batched_prob_seconds / static_cast<double>(updates) * 1e9;
   const double learner_batched_speedup =
       batched_prob_seconds > 0.0
           ? per_update_prob_seconds / batched_prob_seconds
@@ -383,13 +299,11 @@ int RunBench(int argc, char** argv) {
       trained_attrs, ns_confirm_per_update, ns_confirm_batched,
       learner_batched_speedup, learner_scores_match ? "yes" : "NO");
 
-  // End-to-end Rank with the live learner in the loop, both inference
-  // modes at every thread count, interleaved within each repeat. Scores
-  // AND order must match the 1-thread per-update-oracle reference.
+  // Rank with the live learner's batched p~ installed, at every thread
+  // count. Scores AND order must match the 1-thread run.
   struct LearnerRank {
     std::size_t threads = 1;
-    double batched_seconds = 0.0;
-    double per_update_seconds = 0.0;
+    double seconds = 0.0;
     bool scores_match = true;
     bool order_match = true;
   };
@@ -402,60 +316,33 @@ int RunBench(int argc, char** argv) {
   for (std::size_t threads = 1; threads <= threads_max; threads *= 2) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    VoiRanker batched_ranker(&engine.index(), &engine.rule_weights(),
-                             pool.get());
-    batched_ranker.set_batch_probability_fn(
-        [&bank](std::span<const Update> updates, std::vector<double>* out) {
-          bank.ConfirmProbabilities(updates, out);
+    VoiRanker ranker(&engine.index(), &engine.rule_weights(), pool.get());
+    ranker.set_batch_probability_fn(
+        [&bank](std::span<const Update> batch, std::vector<double>* out) {
+          bank.ConfirmProbabilities(batch, out);
         });
-    VoiRanker per_update_ranker(&engine.index(), &engine.rule_weights(),
-                                pool.get());
-    per_update_ranker.set_inference_mode(
-        VoiRanker::InferenceMode::kPerUpdateOracle);
     LearnerRank lr;
     lr.threads = threads;
-    lr.batched_seconds = -1.0;
-    lr.per_update_seconds = -1.0;
-    VoiRanker::Ranking batched_ranking;
-    VoiRanker::Ranking per_update_ranking;
+    lr.seconds = -1.0;
+    VoiRanker::Ranking ranking;
     for (int r = 0; r < repeats; ++r) {
-      {
-        Stopwatch watch;
-        batched_ranking = batched_ranker.Rank(groups, learner_scalar);
-        const double seconds = watch.ElapsedSeconds();
-        if (lr.batched_seconds < 0.0 || seconds < lr.batched_seconds) {
-          lr.batched_seconds = seconds;
-        }
-      }
-      {
-        Stopwatch watch;
-        per_update_ranking = per_update_ranker.Rank(groups, learner_scalar);
-        const double seconds = watch.ElapsedSeconds();
-        if (lr.per_update_seconds < 0.0 ||
-            seconds < lr.per_update_seconds) {
-          lr.per_update_seconds = seconds;
-        }
-      }
+      Stopwatch watch;
+      ranking = ranker.Rank(groups, learner_scalar);
+      const double seconds = watch.ElapsedSeconds();
+      if (lr.seconds < 0.0 || seconds < lr.seconds) lr.seconds = seconds;
     }
-    if (threads == 1) learner_reference = per_update_ranking;
-    lr.scores_match = batched_ranking.scores == learner_reference.scores &&
-                      per_update_ranking.scores == learner_reference.scores;
-    lr.order_match = batched_ranking.order == learner_reference.order &&
-                     per_update_ranking.order == learner_reference.order;
+    if (threads == 1) learner_reference = ranking;
+    lr.scores_match = ranking.scores == learner_reference.scores;
+    lr.order_match = ranking.order == learner_reference.order;
     learner_rank_match =
         learner_rank_match && lr.scores_match && lr.order_match;
     learner_ranks.push_back(lr);
   }
-  std::printf("%8s %16s %19s %8s %13s %12s\n", "threads", "rank-batched-s",
-              "rank-per-update-s", "speedup", "scores-match", "order-match");
+  std::printf("%8s %14s %13s %12s\n", "threads", "learner-rank-s",
+              "scores-match", "order-match");
   for (const LearnerRank& lr : learner_ranks) {
-    std::printf("%8zu %16.4f %19.4f %7.2fx %13s %12s\n", lr.threads,
-                lr.batched_seconds, lr.per_update_seconds,
-                lr.batched_seconds > 0.0
-                    ? lr.per_update_seconds / lr.batched_seconds
-                    : 0.0,
-                lr.scores_match ? "yes" : "NO",
-                lr.order_match ? "yes" : "NO");
+    std::printf("%8zu %14.4f %13s %12s\n", lr.threads, lr.seconds,
+                lr.scores_match ? "yes" : "NO", lr.order_match ? "yes" : "NO");
   }
   // The bank's phase counters, accumulated over everything above — the
   // same numbers GdrStats::timings and the server `stats` reply surface.
@@ -485,41 +372,10 @@ int RunBench(int argc, char** argv) {
     all_match = all_match && m.scores_match;
   }
 
-  const std::string out_path = flags.GetString("out", "BENCH_voi.json");
+  const bool scores_match =
+      all_match && learner_scores_match && learner_rank_match;
+  const std::string out_path = flags.GetString("out", "BENCH_hotpath.json");
   if (FILE* out = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"parallel_voi\",\n"
-                 "  \"dataset\": \"%s\",\n"
-                 "  \"workload\": \"%s\",\n"
-                 "  \"records\": %zu,\n"
-                 "  \"groups\": %zu,\n"
-                 "  \"updates\": %zu,\n"
-                 "  \"repeats\": %d,\n"
-                 "  \"hardware_concurrency\": %u,\n"
-                 "  \"results\": [\n",
-                 dataset.name.c_str(), specs.front().c_str(), resolved_rows,
-                 groups.size(), updates, repeats,
-                 std::thread::hardware_concurrency());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const Measurement& m = results[i];
-      std::fprintf(out,
-                   "    {\"threads\": %zu, \"rank_seconds\": %.6f, "
-                   "\"speedup\": %.3f, \"scores_match\": %s}%s\n",
-                   m.threads, m.seconds, m.speedup,
-                   m.scores_match ? "true" : "false",
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::printf("could not write %s\n", out_path.c_str());
-  }
-
-  const std::string hotpath_path =
-      flags.GetString("hotpath-out", "BENCH_hotpath.json");
-  if (FILE* out = std::fopen(hotpath_path.c_str(), "w")) {
     std::fprintf(
         out,
         "{\n"
@@ -532,25 +388,27 @@ int RunBench(int argc, char** argv) {
         "  \"repeats\": %d,\n"
         "  \"hardware_concurrency\": %u,\n"
         "  \"index_build_seconds\": %.6f,\n"
-        "  \"update_benefit_ns_scratch_reuse\": %.1f,\n"
-        "  \"update_benefit_ns_fresh_delta\": %.1f,\n"
         "  \"update_benefit_ns_batched\": %.1f,\n"
-        "  \"batched_speedup_vs_scratch\": %.3f,\n"
         "  \"serial_rank_seconds\": %.6f,\n"
-        "  \"oracle_rank_seconds\": %.6f,\n"
-        "  \"scores_match\": %s,\n",
+        "  \"scores_match\": %s,\n"
+        "  \"rank_threads\": [\n",
         dataset.name.c_str(), specs.front().c_str(), resolved_rows,
         groups.size(), updates, repeats, std::thread::hardware_concurrency(),
-        build_seconds, ns_per_update_reuse, ns_per_update_construct,
-        ns_per_update_batched, batched_speedup, serial_seconds,
-        oracle_rank_seconds,
-        benefits_match && all_match && rank_modes_match &&
-                learner_scores_match && learner_rank_match
-            ? "true"
-            : "false");
+        build_seconds, ns_per_update_batched, serial_seconds,
+        scores_match ? "true" : "false");
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const Measurement& m = results[i];
+      std::fprintf(out,
+                   "    {\"threads\": %zu, \"rank_seconds\": %.6f, "
+                   "\"speedup\": %.3f, \"scores_match\": %s}%s\n",
+                   m.threads, m.seconds, m.speedup,
+                   m.scores_match ? "true" : "false",
+                   i + 1 < results.size() ? "," : "");
+    }
+    std::fprintf(out, "  ],\n");
     // The learner section: trained-committee p~ both ways (interleaved
-    // same-run numbers), the end-to-end Rank comparison per thread count,
-    // and the bank's phase counters.
+    // same-run numbers), Rank with batched p~ per thread count, and the
+    // bank's phase counters.
     std::fprintf(
         out,
         "  \"learner\": {\n"
@@ -572,11 +430,9 @@ int RunBench(int argc, char** argv) {
     for (std::size_t i = 0; i < learner_ranks.size(); ++i) {
       const LearnerRank& lr = learner_ranks[i];
       std::fprintf(out,
-                   "      {\"threads\": %zu, \"batched_seconds\": %.6f, "
-                   "\"per_update_seconds\": %.6f, \"scores_match\": %s, "
-                   "\"order_match\": %s}%s\n",
-                   lr.threads, lr.batched_seconds, lr.per_update_seconds,
-                   lr.scores_match ? "true" : "false",
+                   "      {\"threads\": %zu, \"seconds\": %.6f, "
+                   "\"scores_match\": %s, \"order_match\": %s}%s\n",
+                   lr.threads, lr.seconds, lr.scores_match ? "true" : "false",
                    lr.order_match ? "true" : "false",
                    i + 1 < learner_ranks.size() ? "," : "");
     }
@@ -588,11 +444,9 @@ int RunBench(int argc, char** argv) {
       const double n = static_cast<double>(bucket_updates[b]);
       std::fprintf(out,
                    "%s    {\"sizes\": \"%s\", \"groups\": %zu, "
-                   "\"updates\": %zu, \"scratch_ns\": %.1f, "
-                   "\"batched_ns\": %.1f}",
+                   "\"updates\": %zu, \"batched_ns\": %.1f}",
                    first_bucket ? "" : ",\n", bucket_bounds[b].label,
                    bucket_groups[b], bucket_updates[b],
-                   scratch_bucket_seconds[b] / n * 1e9,
                    batched_bucket_seconds[b] / n * 1e9);
       first_bucket = false;
     }
@@ -605,40 +459,18 @@ int RunBench(int argc, char** argv) {
     }
     std::fprintf(out, "]\n}\n");
     std::fclose(out);
-    std::printf("wrote %s\n", hotpath_path.c_str());
+    std::printf("wrote %s\n", out_path.c_str());
   } else {
-    std::printf("could not write %s\n", hotpath_path.c_str());
+    std::printf("could not write %s\n", out_path.c_str());
   }
-  if (!(all_match && benefits_match && rank_modes_match &&
-        learner_scores_match && learner_rank_match)) {
-    return 2;
-  }
-  // The perf gates: neither batched inner loop may lose to the per-item
-  // path it replaced at this workload's scale.
-  if (batched_seconds > scratch_seconds) {
-    std::fprintf(stderr,
-                 "FAIL: batched scoring slower than scratch-delta "
-                 "(%.0fns vs %.0fns per update)\n",
-                 ns_per_update_batched, ns_per_update_reuse);
-    return 3;
-  }
+  if (!scores_match) return 2;
+  // The perf gate: batched learner inference may not lose to the
+  // per-update calls it replaced at this workload's scale.
   if (trained_attrs > 0 && batched_prob_seconds > per_update_prob_seconds) {
     std::fprintf(stderr,
                  "FAIL: batched learner inference slower than per-update "
                  "(%.0fns vs %.0fns per update)\n",
                  ns_confirm_batched, ns_confirm_per_update);
-    return 3;
-  }
-  // End-to-end the learner is one phase of Rank, so allow 2% timer
-  // jitter before calling a loss a regression.
-  if (!learner_ranks.empty() &&
-      learner_ranks.front().batched_seconds >
-          learner_ranks.front().per_update_seconds * 1.02) {
-    std::fprintf(stderr,
-                 "FAIL: batched-inference Rank slower than per-update "
-                 "(%.4fs vs %.4fs serial)\n",
-                 learner_ranks.front().batched_seconds,
-                 learner_ranks.front().per_update_seconds);
     return 3;
   }
   return 0;

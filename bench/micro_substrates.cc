@@ -16,7 +16,6 @@
 #include "core/voi.h"
 #include "ml/random_forest.h"
 #include "repair/update_generator.h"
-#include "sim/oracle.h"
 #include "sim/stream_gen.h"
 #include "util/flat_table.h"
 #include "util/rng.h"
@@ -248,51 +247,6 @@ void BM_GroupRhsValueCount(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupRhsValueCount);
 
-// The scratch-delta contract, measured head-to-head: staging one
-// hypothetical write and reading a rule aggregate, constructing a fresh
-// ViolationDelta per evaluation (BM_DeltaConstruct) vs reusing one delta
-// and Discard()ing between evaluations (BM_DeltaReuse — the VOI ranking
-// inner loop). The gap is the per-hypothetical allocation cost the reuse
-// contract removes.
-void BM_DeltaConstruct(benchmark::State& state) {
-  const Dataset& dataset = SharedDataset();
-  Table table = dataset.dirty;
-  ViolationIndex index(&table, &dataset.rules);
-  AttrId zip = table.schema().FindAttr("Zip");
-  if (zip == kInvalidAttrId) zip = 0;
-  Rng rng(23);
-  for (auto _ : state) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(table.num_rows()));
-    const ValueId value =
-        static_cast<ValueId>(rng.NextBounded(table.DomainSize(zip)));
-    ViolationDelta delta(&index);
-    delta.SetCell(row, zip, value);
-    benchmark::DoNotOptimize(delta.TotalViolations());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DeltaConstruct);
-
-void BM_DeltaReuse(benchmark::State& state) {
-  const Dataset& dataset = SharedDataset();
-  Table table = dataset.dirty;
-  ViolationIndex index(&table, &dataset.rules);
-  AttrId zip = table.schema().FindAttr("Zip");
-  if (zip == kInvalidAttrId) zip = 0;
-  Rng rng(23);
-  ViolationDelta delta(&index);
-  for (auto _ : state) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(table.num_rows()));
-    const ValueId value =
-        static_cast<ValueId>(rng.NextBounded(table.DomainSize(zip)));
-    delta.SetCell(row, zip, value);
-    benchmark::DoNotOptimize(delta.TotalViolations());
-    delta.Discard();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DeltaReuse);
-
 void BM_UpdateGeneration(benchmark::State& state) {
   const Dataset& dataset = SharedDataset();
   Table table = dataset.dirty;
@@ -393,29 +347,26 @@ void BM_VoiUpdateBenefit(benchmark::State& state) {
     }
     if (updates.size() >= 512) break;
   }
-  // Scratch-reusing evaluation — the ranking inner loop's actual shape.
-  ViolationDelta scratch(&index);
+  // One reused batch, restaged whenever the next update's (attr, value)
+  // differs — the per-call cost without group amortization (the ranking
+  // pass below measures that).
+  HypotheticalBatch batch(&index);
   std::size_t cursor = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ranker.UpdateBenefit(updates[cursor++ % updates.size()], &scratch));
+        ranker.UpdateBenefit(updates[cursor++ % updates.size()], &batch));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VoiUpdateBenefit);
 
 // One full group-scoring pass over the engine's real round-one candidate
-// pool, batched closed-form probes vs the per-update delta oracle — the
-// ranking-layer view of the hot path BM_VoiUpdateBenefit measures per
-// call. Same groups, same scores (bit-identical by the voi_batched
-// suite); the gap is pure inner-loop cost.
+// pool — the ranking-layer view of the hot path BM_VoiUpdateBenefit
+// measures per call, with staging amortized over each group.
 struct RankFixture {
   explicit RankFixture(const Dataset& dataset)
-      : table(dataset.dirty),
-        oracle(&dataset.clean, {}),
-        engine(&table, &dataset.rules, &oracle, {}) {}
+      : table(dataset.dirty), engine(&table, &dataset.rules) {}
   Table table;
-  UserOracle oracle;
   GdrEngine engine;
   std::vector<UpdateGroup> groups;
   std::int64_t pooled_updates = 0;
@@ -437,10 +388,10 @@ RankFixture& SharedRankFixture() {
   return *fixture;
 }
 
-void TimeRankPass(benchmark::State& state, VoiRanker::ScoringMode mode) {
+void BM_ScoreGroupBatched(benchmark::State& state) {
   RankFixture& fixture = SharedRankFixture();
   const VoiRanker ranker(&fixture.engine.index(),
-                         &fixture.engine.rule_weights(), nullptr, mode);
+                         &fixture.engine.rule_weights());
   for (auto _ : state) {
     const VoiRanker::Ranking ranking =
         ranker.Rank(fixture.groups, [](const Update& u) { return u.score; });
@@ -448,16 +399,7 @@ void TimeRankPass(benchmark::State& state, VoiRanker::ScoringMode mode) {
   }
   state.SetItemsProcessed(state.iterations() * fixture.pooled_updates);
 }
-
-void BM_ScoreGroupBatched(benchmark::State& state) {
-  TimeRankPass(state, VoiRanker::ScoringMode::kBatched);
-}
 BENCHMARK(BM_ScoreGroupBatched)->Unit(benchmark::kMillisecond);
-
-void BM_ScoreGroupPerUpdate(benchmark::State& state) {
-  TimeRankPass(state, VoiRanker::ScoringMode::kPerUpdateOracle);
-}
-BENCHMARK(BM_ScoreGroupPerUpdate)->Unit(benchmark::kMillisecond);
 
 void BM_EditDistance(benchmark::State& state) {
   const std::string a = "Michigan City";

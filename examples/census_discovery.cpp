@@ -13,8 +13,8 @@
 #include <string>
 
 #include "cfd/violation_index.h"
-#include "core/gdr.h"
 #include "core/quality.h"
+#include "core/session.h"
 #include "sim/cfd_discovery.h"
 #include "sim/oracle.h"
 #include "util/strings.h"
@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
   engine_options.strategy = Strategy::kGdr;
   engine_options.feedback_budget =
       std::max<std::size_t>(1, dataset->dirty.num_rows() / 10);
-  GdrEngine engine(&working, &*rules, &oracle, engine_options);
-  if (!engine.Initialize().ok() || !engine.Run().ok()) return 1;
+  GdrSession session(&working, &*rules, engine_options);
+  if (!session.Start().ok() || !PumpSession(&session, &oracle).ok()) return 1;
+  const GdrEngine& engine = session.engine();
 
   QualityEvaluator evaluator(dataset->clean, &*rules, engine.rule_weights());
   Table initial = dataset->dirty;

@@ -12,8 +12,8 @@
 #include <map>
 #include <string>
 
-#include "core/gdr.h"
 #include "core/quality.h"
+#include "core/session.h"
 #include "sim/oracle.h"
 #include "util/strings.h"
 #include "workload/registry.h"
@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
   // The steward affords reviewing one suggestion per ~8 records.
   engine_options.feedback_budget =
       std::max<std::size_t>(1, dataset->dirty.num_rows() / 8);
-  GdrEngine engine(&working, &dataset->rules, &oracle, engine_options);
-  if (!engine.Initialize().ok()) return 1;
+  GdrSession session(&working, &dataset->rules, engine_options);
+  if (!session.Start().ok()) return 1;
+  const GdrEngine& engine = session.engine();
 
   QualityEvaluator evaluator(dataset->clean, &dataset->rules,
                              engine.rule_weights());
@@ -63,19 +64,15 @@ int main(int argc, char** argv) {
               engine.stats().initial_dirty, engine.pool().size());
 
   std::size_t next_report = 0;
-  if (!engine
-           .Run([&](const GdrEngine& e, std::size_t feedback) {
-             if (feedback < next_report) return;
-             next_report = feedback + engine_options.feedback_budget / 5;
-             std::printf("  after %5zu answers: %5.1f%% of quality loss "
-                         "recovered, %zu dirty tuples left\n",
-                         feedback,
-                         evaluator.ImprovementPct(e.index(), initial_loss),
-                         e.consistency().dirty_count());
-           })
-           .ok()) {
-    return 1;
-  }
+  session.SetProgressCallback([&](const GdrEngine& e, std::size_t feedback) {
+    if (feedback < next_report) return;
+    next_report = feedback + engine_options.feedback_budget / 5;
+    std::printf("  after %5zu answers: %5.1f%% of quality loss "
+                "recovered, %zu dirty tuples left\n",
+                feedback, evaluator.ImprovementPct(e.index(), initial_loss),
+                e.consistency().dirty_count());
+  });
+  if (!PumpSession(&session, &oracle).ok()) return 1;
 
   const GdrStats& stats = engine.stats();
   std::printf("\nSteward effort: %zu answers "

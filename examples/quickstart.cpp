@@ -4,7 +4,8 @@
 //   WorkloadRegistry    — resolve a named workload (or CSV files) into a
 //                         clean/dirty/rules Dataset
 //   FeedbackProvider    — supply user answers
-//   GdrEngine           — run the guided-repair loop
+//   GdrSession          — the guided-repair loop (PumpSession drives it
+//                         with a FeedbackProvider)
 //
 // Build & run:  ./build/examples/quickstart [--workload=SPEC]
 //   default SPEC is "figure1" (the paper's running example); try e.g.
@@ -12,7 +13,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/gdr.h"
+#include "core/session.h"
 #include "workload/registry.h"
 
 using namespace gdr;
@@ -76,11 +77,12 @@ int main(int argc, char** argv) {
   ScriptedUser user(&dataset->clean);
   GdrOptions options;
   options.strategy = Strategy::kGdrNoLearning;  // verify everything
-  GdrEngine engine(&dirty, &dataset->rules, &user, options);
-  if (!engine.Initialize().ok()) return 1;
+  GdrSession session(&dirty, &dataset->rules, options);
+  if (!session.Start().ok()) return 1;
+  const GdrEngine& engine = session.engine();
   std::printf("\nInitially dirty tuples: %zu, suggested updates: %zu\n\n",
               engine.stats().initial_dirty, engine.pool().size());
-  if (!engine.Run().ok()) return 1;
+  if (!PumpSession(&session, &user).ok()) return 1;
 
   std::printf("\nRepaired instance (%zu user answers, %zu forced repairs):\n",
               engine.stats().user_feedback, engine.stats().forced_repairs);

@@ -394,333 +394,16 @@ std::vector<RowId> ViolationIndex::GroupMembers(RowId row, RuleId rule) const {
 }
 
 // ---------------------------------------------------------------------------
-// ViolationDelta
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The delta's override state lives in flat (key, value) vectors that are
-// tiny at the one-or-two staged writes of a hypothetical; these two
-// helpers are the only lookup/update idiom used on them.
-template <typename K, typename V>
-const V* FindFlat(const std::vector<std::pair<K, V>>& entries, K key) {
-  for (const auto& [k, v] : entries) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-template <typename K, typename V>
-void SetFlat(std::vector<std::pair<K, V>>& entries, K key, V value) {
-  for (auto& [k, v] : entries) {
-    if (k == key) {
-      v = value;
-      return;
-    }
-  }
-  entries.emplace_back(key, value);
-}
-
-}  // namespace
-
-ViolationDelta::ViolationDelta(const ViolationIndex* base)
-    : base_(base), base_version_(base->version()) {
-  rules_.resize(base_->stats_.size());
-}
-
-ValueId ViolationDelta::ValueAt(RowId row, AttrId attr) const {
-  const ValueId* pending = FindFlat(writes_, PackCell(row, attr));
-  return pending != nullptr ? *pending : base_->table().id_at(row, attr);
-}
-
-ViolationDelta::RuleDelta& ViolationDelta::EnsureDelta(RuleId rule) {
-  RuleDelta& rd = rules_[static_cast<std::size_t>(rule)];
-  if (!rd.touched) {
-    rd.touched = true;
-    touched_.push_back(rule);
-  }
-  return rd;
-}
-
-bool ViolationDelta::MatchesContext(const RuleStats& rs, RowId row) const {
-  for (std::size_t i = 0; i < rs.lhs_attrs.size(); ++i) {
-    if (rs.lhs_consts[i] != kInvalidValueId &&
-        ValueAt(row, rs.lhs_attrs[i]) != rs.lhs_consts[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ViolationDelta::RowViolates(const RuleStats& rs, const RuleDelta& rd,
-                                 RowId row) const {
-  const std::uint8_t* over = FindFlat(rd.row_violates, row);
-  return over != nullptr ? *over != 0 : rs.ViolatesFlag(row);
-}
-
-void ViolationDelta::SetRowViolates(RuleDelta& rd, RowId row,
-                                    std::uint8_t flag) {
-  SetFlat(rd.row_violates, row, flag);
-}
-
-std::uint64_t ViolationDelta::ResolveRowGroup(const RuleStats& rs,
-                                              const RuleDelta& rd,
-                                              RowId row) const {
-  const std::uint64_t* over = FindFlat(rd.row_group, row);
-  if (over != nullptr) return *over;
-  const GroupId gid = rs.GroupIdOf(row);
-  return gid == kNoGroup ? kDeltaNoGroup : static_cast<std::uint64_t>(gid);
-}
-
-void ViolationDelta::SetRowGroup(RuleDelta& rd, RowId row, std::uint64_t id) {
-  SetFlat(rd.row_group, row, id);
-}
-
-std::uint64_t ViolationDelta::ResolveKeyGroup(const RuleStats& rs,
-                                              RuleDelta& rd, RowId row) {
-  key_scratch_.resize(rs.lhs_attrs.size());
-  for (std::size_t i = 0; i < rs.lhs_attrs.size(); ++i) {
-    key_scratch_[i] = ValueAt(row, rs.lhs_attrs[i]);
-  }
-  if (const GroupId* found = rs.key_to_group.Find(key_scratch_)) {
-    return static_cast<std::uint64_t>(*found);
-  }
-  // A key the base has never interned: give it a delta-local novel id.
-  for (std::size_t i = 0; i < rd.novel_live; ++i) {
-    if (rd.novel_keys[i] == key_scratch_) return kNovelBit | i;
-  }
-  if (rd.novel_live < rd.novel_keys.size()) {
-    rd.novel_keys[rd.novel_live].assign(key_scratch_.begin(),
-                                        key_scratch_.end());
-  } else {
-    rd.novel_keys.push_back(key_scratch_);
-  }
-  return kNovelBit | rd.novel_live++;
-}
-
-const ViolationDelta::GroupCounts* ViolationDelta::FindGroup(
-    const RuleStats& rs, const RuleDelta& rd, std::uint64_t id) const {
-  for (std::size_t i = 0; i < rd.groups_live; ++i) {
-    if (rd.groups[i].id == id) return &rd.groups[i].counts;
-  }
-  if ((id & kNovelBit) == 0) {
-    return &rs.groups[static_cast<std::size_t>(id)];
-  }
-  return nullptr;  // novel groups always have a slot once referenced
-}
-
-ViolationDelta::GroupCounts& ViolationDelta::EnsureGroup(const RuleStats& rs,
-                                                         RuleDelta& rd,
-                                                         std::uint64_t id) {
-  for (std::size_t i = 0; i < rd.groups_live; ++i) {
-    if (rd.groups[i].id == id) return rd.groups[i].counts;
-  }
-  if (rd.groups_live == rd.groups.size()) rd.groups.emplace_back();
-  GroupSlot& slot = rd.groups[rd.groups_live++];
-  slot.id = id;
-  if ((id & kNovelBit) == 0) {
-    // Copy-on-write from the base's dense storage; assign() into the
-    // recycled slot reuses its counts capacity.
-    slot.counts.CopyFrom(rs.groups[static_cast<std::size_t>(id)]);
-  } else {
-    slot.counts.Reset();
-  }
-  return slot.counts;
-}
-
-void ViolationDelta::RemoveRow(RuleId rule, RowId row,
-                               std::uint64_t* prev_group) {
-  *prev_group = kDeltaNoGroup;
-  const RuleStats& rs = base_->stats_[static_cast<std::size_t>(rule)];
-  RuleDelta& rd = EnsureDelta(rule);
-
-  if (rs.is_constant) {
-    if (!MatchesContext(rs, row)) return;
-    *prev_group = 1;  // context signal for AddRow's key_unchanged path
-    --rd.context_count;
-    if (RowViolates(rs, rd, row)) {
-      --rd.violations;
-      --rd.violating_tuples;
-    }
-    SetRowViolates(rd, row, 0);
-    return;
-  }
-
-  const std::uint64_t id = ResolveRowGroup(rs, rd, row);
-  if (id == kDeltaNoGroup) return;  // out of context under the overlay
-  --rd.context_count;
-
-  GroupCounts& g = EnsureGroup(rs, rd, id);
-  rd.violations -= g.PairViolations();
-  rd.violating_tuples -= g.ViolatingTuples();
-  g.Decrement(ValueAt(row, rs.rhs_attr));
-  rd.violations += g.PairViolations();
-  rd.violating_tuples += g.ViolatingTuples();
-
-  SetRowGroup(rd, row, kDeltaNoGroup);
-  *prev_group = id;
-}
-
-void ViolationDelta::AddRow(RuleId rule, RowId row, std::uint64_t prev_group,
-                            bool key_unchanged) {
-  const RuleStats& rs = base_->stats_[static_cast<std::size_t>(rule)];
-  RuleDelta& rd = EnsureDelta(rule);
-
-  if (rs.is_constant) {
-    // key_unchanged ⇒ the written attr is outside X, so the context is
-    // whatever RemoveRow just observed (signalled through prev_group).
-    const bool in_context = key_unchanged ? prev_group != kDeltaNoGroup
-                                          : MatchesContext(rs, row);
-    if (!in_context) return;
-    ++rd.context_count;
-    const bool violates = ValueAt(row, rs.rhs_attr) != rs.rhs_const;
-    SetRowViolates(rd, row, violates ? 1 : 0);
-    if (violates) {
-      ++rd.violations;
-      ++rd.violating_tuples;
-    }
-    return;
-  }
-
-  std::uint64_t id;
-  if (key_unchanged) {
-    // The written attribute is outside X, so neither the context nor the
-    // LHS key moved: the row re-enters the group RemoveRow took it from.
-    if (prev_group == kDeltaNoGroup) return;  // was and stays out of context
-    id = prev_group;
-  } else {
-    if (!MatchesContext(rs, row)) {
-      // Record the departure explicitly so queries do not fall back to
-      // the base's (possibly in-context) group mapping.
-      SetRowGroup(rd, row, kDeltaNoGroup);
-      return;
-    }
-    id = ResolveKeyGroup(rs, rd, row);
-  }
-  ++rd.context_count;
-
-  GroupCounts& g = EnsureGroup(rs, rd, id);
-  rd.violations -= g.PairViolations();
-  rd.violating_tuples -= g.ViolatingTuples();
-  g.Increment(ValueAt(row, rs.rhs_attr));
-  rd.violations += g.PairViolations();
-  rd.violating_tuples += g.ViolatingTuples();
-
-  SetRowGroup(rd, row, id);
-}
-
-ValueId ViolationDelta::SetCell(RowId row, AttrId attr, ValueId value) {
-  const ValueId old = ValueAt(row, attr);
-  if (old == value) return old;
-  const std::vector<RuleId>& affected = base_->rules().RulesMentioning(attr);
-  // Same discipline as the base: retire the row's contribution under its
-  // old values, land the write, re-add under the new values. RemoveRow
-  // reports each rule's group so AddRow can skip re-resolving it when the
-  // written attribute cannot change that rule's LHS key.
-  group_hints_.resize(affected.size());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    RemoveRow(affected[i], row, &group_hints_[i]);
-  }
-
-  const std::uint64_t cell = PackCell(row, attr);
-  if (value == base_->table().id_at(row, attr)) {
-    // Writing the base value back cancels the pending write (swap-remove;
-    // per-cell entries are independent, so order is free).
-    for (std::size_t i = 0; i < writes_.size(); ++i) {
-      if (writes_[i].first == cell) {
-        writes_[i] = writes_.back();
-        writes_.pop_back();
-        break;
-      }
-    }
-  } else {
-    SetFlat(writes_, cell, value);
-  }
-
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    const RuleStats& rs = base_->stats_[static_cast<std::size_t>(affected[i])];
-    AddRow(affected[i], row, group_hints_[i],
-           /*key_unchanged=*/
-           rs.attr_in_lhs[static_cast<std::size_t>(attr)] == 0);
-  }
-  return old;
-}
-
-void ViolationDelta::Merge(const ViolationDelta& other) {
-  assert(other.base_ == base_);
-  // Reserve up front so replaying a large overlay does not reallocate the
-  // write list mid-merge (an upper bound: cancelling writes shrink it).
-  writes_.reserve(writes_.size() + other.writes_.size());
-  for (const auto& [cell, value] : other.writes_) {
-    SetCell(static_cast<RowId>(cell >> 32),
-            static_cast<AttrId>(cell & 0xFFFFFFFFULL), value);
-  }
-}
-
-void ViolationDelta::Discard() {
-  // The reusable-scratch contract: reset to transparent, keep every
-  // allocation. clear() on the flat override vectors retains capacity;
-  // group and novel-key slots are retired by live-count so their inner
-  // vectors survive for the next staging round.
-  writes_.clear();
-  for (RuleId rule : touched_) {
-    RuleDelta& rd = rules_[static_cast<std::size_t>(rule)];
-    rd.violations = 0;
-    rd.violating_tuples = 0;
-    rd.context_count = 0;
-    rd.touched = false;
-    rd.row_violates.clear();
-    rd.row_group.clear();
-    rd.groups_live = 0;
-    rd.novel_live = 0;
-  }
-  touched_.clear();
-}
-
-std::int64_t ViolationDelta::TotalViolations() const {
-  std::int64_t total = base_->TotalViolations();
-  for (RuleId rule : touched_) {
-    total += rules_[static_cast<std::size_t>(rule)].violations;
-  }
-  return total;
-}
-
-std::int64_t ViolationDelta::TupleViolation(RowId row, RuleId rule) const {
-  const RuleStats& rs = base_->stats_[static_cast<std::size_t>(rule)];
-  const RuleDelta& rd = rules_[static_cast<std::size_t>(rule)];
-  if (rs.is_constant) return RowViolates(rs, rd, row) ? 1 : 0;
-  const std::uint64_t id = ResolveRowGroup(rs, rd, row);
-  if (id == kDeltaNoGroup) return 0;
-  const GroupCounts* g = FindGroup(rs, rd, id);
-  if (g == nullptr) return 0;
-  return g->total - g->CountOf(ValueAt(row, rs.rhs_attr));
-}
-
-bool ViolationDelta::IsDirty(RowId row) const {
-  for (std::size_t i = 0; i < base_->stats_.size(); ++i) {
-    if (TupleViolation(row, static_cast<RuleId>(i)) > 0) return true;
-  }
-  return false;
-}
-
-std::vector<RowId> ViolationDelta::DirtyRows() const {
-  std::vector<RowId> out;
-  for (std::size_t r = 0; r < base_->table().num_rows(); ++r) {
-    if (IsDirty(static_cast<RowId>(r))) out.push_back(static_cast<RowId>(r));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // HypotheticalBatch
 // ---------------------------------------------------------------------------
 //
-// Every formula below is the closed form of what ViolationDelta::SetCell
-// computes by mutation: remove the row's contribution under its base
-// values, land the write, re-add under the hypothetical values. The
-// intermediates are the same integers the delta's Increment/Decrement
-// bookkeeping produces, which is what makes the resulting benefit doubles
-// bit-identical to the oracle path.
+// Every formula below is the closed form of what ApplyCellChange would do
+// to the affected rule's aggregates: remove the row's contribution under
+// its base values, land the write, re-add under the hypothetical values.
+// The intermediates are the same integers the group tallies'
+// Increment/Decrement bookkeeping would produce, so a probe agrees exactly
+// with mutating a copy of the table and rebuilding its index (the
+// brute-force oracle the VOI suites pin it against).
 
 HypotheticalBatch::HypotheticalBatch(const ViolationIndex* base)
     : base_(base) {}

@@ -53,9 +53,10 @@ inline constexpr GroupId kNoGroup = -1;
 ///
 /// Mutations go through ApplyCellChange, which updates the table cell and
 /// all affected per-rule structures. Hypothetical databases D^rj are *not*
-/// evaluated by mutating this index: ViolationDelta (below) overlays
-/// pending cell writes on a read-only base, so VOI ranking can score many
-/// hypotheticals concurrently against one shared immutable index.
+/// evaluated by mutating this index: HypotheticalBatch (below) answers a
+/// single-cell write's per-rule effect in closed form from the read-only
+/// base, so VOI ranking can score many hypotheticals concurrently against
+/// one shared immutable index.
 ///
 /// The index holds a non-owning pointer to the table; the table must
 /// outlive the index, and all mutations while the index is alive must go
@@ -90,7 +91,7 @@ class ViolationIndex {
   /// table size; aggregates are maintained exactly, so the result is
   /// bit-identical to rebuilding the index over the grown table (the
   /// streaming differential suite pins this). Returns the new RowId.
-  /// Bumps version(): outstanding ViolationDeltas become stale.
+  /// Bumps version(): staged HypotheticalBatches restage on next use.
   Result<RowId> AppendRow(const std::vector<std::string>& values);
 
   /// Batch variant: appends and indexes `rows` in order, returning the
@@ -210,8 +211,8 @@ class ViolationIndex {
   // auto-vectorizer handles, and copies/resets are flat array runs.
   // Groups overwhelmingly hold 1–3 distinct RHS values, so the layout wins
   // on scan shape, not size. GroupCounts is the tally core shared with
-  // ViolationDelta's overlay groups and HypotheticalBatch's closed-form
-  // probes (neither has use for the owning key).
+  // HypotheticalBatch's closed-form probes (which have no use for the
+  // owning key).
   struct GroupCounts {
     std::int64_t total = 0;
     std::int64_t sum_sq = 0;  // sum over a of c_a^2
@@ -281,13 +282,6 @@ class ViolationIndex {
       values.clear();  // clear() keeps capacity for slot reuse
       counts.clear();
     }
-
-    void CopyFrom(const GroupCounts& other) {
-      total = other.total;
-      sum_sq = other.sum_sq;
-      values.assign(other.values.begin(), other.values.end());
-      counts.assign(other.counts.begin(), other.counts.end());
-    }
   };
 
   struct Group : GroupCounts {
@@ -300,8 +294,8 @@ class ViolationIndex {
     std::vector<AttrId> lhs_attrs;
     // Interned constants aligned with lhs_attrs; kInvalidValueId = wildcard.
     std::vector<ValueId> lhs_consts;
-    // Flat attr → "in X" flags (sized to the schema) so the overlay's
-    // write path can test LHS membership without scanning lhs_attrs.
+    // Flat attr → "in X" flags (sized to the schema) so hypothetical
+    // probes can test LHS membership without scanning lhs_attrs.
     std::vector<std::uint8_t> attr_in_lhs;
     AttrId rhs_attr = kInvalidAttrId;
     ValueId rhs_const = kInvalidValueId;  // constant rules only
@@ -320,8 +314,8 @@ class ViolationIndex {
     // by GroupId and recycled via free_groups; key_to_group serves the
     // mutation path and hypothetical-key lookups only. It is a flat
     // open-addressing table rather than std::unordered_map because the
-    // hypothetical-key path (HypotheticalViolatedRuleCount, the delta's
-    // ResolveKeyGroup, and every batched LHS-moving probe) makes it hot:
+    // hypothetical-key path (HypotheticalViolatedRuleCount and every
+    // batched LHS-moving probe) makes it hot:
     // one contiguous probe run per lookup instead of a node chase.
     std::vector<GroupId> row_group;  // row -> GroupId, kNoGroup = no context
     std::vector<Group> groups;
@@ -356,7 +350,6 @@ class ViolationIndex {
   void RemoveRow(RuleStats& rs, RowId row);
   void AddRow(RuleStats& rs, RowId row);
 
-  friend class ViolationDelta;
   friend class HypotheticalBatch;
 
   Table* table_;
@@ -416,216 +409,11 @@ class ViolationIndex {
   }
 };
 
-/// A cheap, copyable overlay over an immutable ViolationIndex: pending
-/// cell writes plus per-rule violation-count adjustments resolved against
-/// the base. This is how hypothetical databases D^rj are evaluated —
-/// staging a cell write into a delta never touches the base index or its
-/// table, so any number of deltas can be evaluated concurrently against
-/// one shared base (the parallel-VOI contract).
-///
-/// Resolution semantics: every query answers as if the pending writes had
-/// been applied to the base table. The arithmetic mirrors the base's
-/// incremental maintenance exactly (remove-with-old-values /
-/// add-with-new-values per affected rule), with variable-rule LHS groups
-/// copied on first touch, so delta aggregates are bit-identical to an
-/// index rebuilt from scratch over the overlaid table.
-///
-/// Layout mirrors the base's flattening: overlay group state is keyed by
-/// integer delta-group ids (the base's dense GroupId, or a novel id for
-/// LHS keys the base has never seen) instead of materialized key vectors,
-/// and per-row overrides live in small unsorted vectors — at the one-or-
-/// two staged writes of a VOI hypothetical these probe faster than any
-/// hash map and copy as flat memcpy-able runs.
-///
-/// Reusable-scratch contract: Discard() resets the delta to transparent
-/// while *keeping every allocation* (override vectors, copied group
-/// tallies, novel-key slots). A loop that stages one hypothetical, reads
-/// it, and Discard()s — the VOI ranking inner loop — therefore allocates
-/// only on its first few iterations and is allocation-free at steady
-/// state. Construct one delta per worker and reuse it; do not construct
-/// per hypothetical.
-///
-/// The base must outlive the delta and must not be mutated while deltas
-/// derived from it are in use (a base ApplyCellChange invalidates them;
-/// `base_version()` records the version the delta was resolved against).
-class ViolationDelta {
- public:
-  explicit ViolationDelta(const ViolationIndex* base);
-
-  ViolationDelta(const ViolationDelta&) = default;
-  ViolationDelta& operator=(const ViolationDelta&) = default;
-  ViolationDelta(ViolationDelta&&) = default;
-  ViolationDelta& operator=(ViolationDelta&&) = default;
-
-  const ViolationIndex& base() const { return *base_; }
-
-  /// ViolationIndex::version() of the base at construction; a differing
-  /// live value means this delta is stale.
-  std::uint64_t base_version() const { return base_version_; }
-
-  /// Overlay-aware cell read: the pending write when one exists, the base
-  /// table cell otherwise.
-  ValueId ValueAt(RowId row, AttrId attr) const;
-
-  /// Stages `value` into cell (row, attr) and updates every affected
-  /// rule's adjustments. Returns the previous overlay value. Staging a
-  /// cell back to its base value cancels the pending write.
-  ValueId SetCell(RowId row, AttrId attr, ValueId value);
-
-  /// Replays `other`'s pending writes on top of this overlay (both deltas
-  /// must share the same base). Cell-state semantics: after the merge,
-  /// every cell `other` has a pending write for reads `other`'s value.
-  /// Cost note: the flat overlay layout is designed for the few-write
-  /// hypotheticals of VOI scoring, so Merge is O(W_other × W_merged) in
-  /// pending writes — fine for combining small overlays, quadratic if
-  /// both sides carry thousands of writes (re-sort the layout before
-  /// reaching for it at that scale).
-  void Merge(const ViolationDelta& other);
-
-  /// Drops all pending state; the delta reads as the base again. Keeps
-  /// every allocation (the reusable-scratch contract above).
-  void Discard();
-
-  /// Number of cells with a pending write.
-  std::size_t pending_writes() const { return writes_.size(); }
-  bool empty() const { return writes_.empty(); }
-
-  // -- Aggregate queries, all resolved against base + adjustments. ------
-
-  /// vio(D', {φ}) of the overlaid database.
-  std::int64_t RuleViolations(RuleId rule) const {
-    return base_->RuleViolations(rule) +
-           rules_[static_cast<std::size_t>(rule)].violations;
-  }
-  /// vio(D', {φ}) − vio(D, {φ}): the overlay's adjustment alone. Lets the
-  /// VOI hot loop test "did this rule's count move at all" with one read.
-  std::int64_t RuleViolationAdjustment(RuleId rule) const {
-    return rules_[static_cast<std::size_t>(rule)].violations;
-  }
-  /// Tuples currently violating φ in the overlaid database.
-  std::int64_t ViolatingCount(RuleId rule) const {
-    return base_->ViolatingCount(rule) +
-           rules_[static_cast<std::size_t>(rule)].violating_tuples;
-  }
-  /// |D'(φ)| of the overlaid database.
-  std::int64_t ContextCount(RuleId rule) const {
-    return base_->ContextCount(rule) +
-           rules_[static_cast<std::size_t>(rule)].context_count;
-  }
-  /// |D' ⊨ φ| (in-context satisfying tuples) of the overlaid database.
-  std::int64_t SatisfyingCount(RuleId rule) const {
-    return ContextCount(rule) - ViolatingCount(rule);
-  }
-  /// vio(D', Σ).
-  std::int64_t TotalViolations() const;
-
-  /// vio(t, {φ}) under the overlay.
-  std::int64_t TupleViolation(RowId row, RuleId rule) const;
-  bool Violates(RowId row, RuleId rule) const {
-    return TupleViolation(row, rule) > 0;
-  }
-  bool IsDirty(RowId row) const;
-  /// All dirty rows of the overlaid database, ascending (O(rows × rules);
-  /// diagnostic/testing use).
-  std::vector<RowId> DirtyRows() const;
-
- private:
-  using RuleStats = ViolationIndex::RuleStats;
-  using GroupKey = ViolationIndex::GroupKey;
-  using GroupCounts = ViolationIndex::GroupCounts;
-
-  // Delta-group id: the base's dense GroupId widened to uint64, or — for
-  // LHS keys the base has never interned — kNovelBit | per-rule local id.
-  static constexpr std::uint64_t kNovelBit = 1ull << 63;
-  static constexpr std::uint64_t kDeltaNoGroup = ~0ull;
-
-  // Copy-on-write overlay of one group's tallies. Slots are recycled by
-  // live-count (not erased) so their counts vectors keep capacity across
-  // Discard().
-  struct GroupSlot {
-    std::uint64_t id = kDeltaNoGroup;
-    GroupCounts counts;
-  };
-
-  // Per-rule overlay state: adjustments relative to the base aggregates
-  // plus small-vector overrides. `touched` gates the Discard() sweep.
-  struct RuleDelta {
-    std::int64_t violations = 0;
-    std::int64_t violating_tuples = 0;
-    std::int64_t context_count = 0;
-    bool touched = false;
-    // Constant rules: sparse per-row violation-flag overrides.
-    std::vector<std::pair<RowId, std::uint8_t>> row_violates;
-    // Variable rules: per-row delta-group override (kDeltaNoGroup = out of
-    // context under the overlay). Rows without an entry resolve via the
-    // base's row → GroupId vector.
-    std::vector<std::pair<RowId, std::uint64_t>> row_group;
-    // Copy-on-write group tallies; first groups_live slots are active.
-    std::vector<GroupSlot> groups;
-    std::size_t groups_live = 0;
-    // Interned novel LHS keys; first novel_live slots are active.
-    std::vector<GroupKey> novel_keys;
-    std::size_t novel_live = 0;
-  };
-
-  static std::uint64_t PackCell(RowId row, AttrId attr) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row))
-            << 32) |
-           static_cast<std::uint32_t>(attr);
-  }
-
-  RuleDelta& EnsureDelta(RuleId rule);
-
-  bool MatchesContext(const RuleStats& rs, RowId row) const;
-  bool RowViolates(const RuleStats& rs, const RuleDelta& rd, RowId row) const;
-  void SetRowViolates(RuleDelta& rd, RowId row, std::uint8_t flag);
-
-  // Delta-group id of `row` under the overlay; kDeltaNoGroup when out of
-  // context. Falls back to the base's row → GroupId vector for rows the
-  // overlay never touched.
-  std::uint64_t ResolveRowGroup(const RuleStats& rs, const RuleDelta& rd,
-                                RowId row) const;
-  void SetRowGroup(RuleDelta& rd, RowId row, std::uint64_t id);
-
-  // Delta-group id for `row`'s overlay LHS key (interning a novel id if
-  // the base has never seen the key).
-  std::uint64_t ResolveKeyGroup(const RuleStats& rs, RuleDelta& rd, RowId row);
-
-  const GroupCounts* FindGroup(const RuleStats& rs, const RuleDelta& rd,
-                               std::uint64_t id) const;
-  GroupCounts& EnsureGroup(const RuleStats& rs, RuleDelta& rd,
-                           std::uint64_t id);
-
-  // Mirror ViolationIndex::{Remove,Add}Row against the overlay state;
-  // RemoveRow must run before the pending write lands, AddRow after.
-  // RemoveRow reports through `prev_group` the group the row left
-  // (variable rules) or whether the row was in context (constant rules:
-  // 1 / kDeltaNoGroup); AddRow reuses the signal — skipping the context
-  // test and key hash — when `key_unchanged` says the written attribute
-  // sits outside the rule's LHS and so can move neither context nor key.
-  void RemoveRow(RuleId rule, RowId row, std::uint64_t* prev_group);
-  void AddRow(RuleId rule, RowId row, std::uint64_t prev_group,
-              bool key_unchanged);
-
-  const ViolationIndex* base_;
-  std::uint64_t base_version_ = 0;
-  // Pending writes as a flat (packed cell, value) list: at the one or two
-  // staged writes of a hypothetical, scanning beats hashing.
-  std::vector<std::pair<std::uint64_t, ValueId>> writes_;
-  std::vector<RuleDelta> rules_;  // dense, one slot per rule
-  std::vector<RuleId> touched_;   // rules with touched=true
-  GroupKey key_scratch_;          // mutation-path scratch
-  std::vector<std::uint64_t> group_hints_;  // SetCell Remove→Add handoff
-};
-
 /// Closed-form evaluator for batches of single-cell hypotheticals that
 /// share one (attr, value) write target — exactly the shape of a VOI
-/// update group, whose members differ only by row. Where ViolationDelta
-/// answers "what does the overlaid database look like" by replaying the
-/// base's incremental maintenance (copy-on-write group tallies, override
-/// vectors, a Discard() sweep — all per update), HypotheticalBatch stages
-/// the *shared* part once and answers each row's per-rule effect with pure
-/// integer reads against the immutable base:
+/// update group, whose members differ only by row. HypotheticalBatch
+/// stages the *shared* part once and answers each row's per-rule effect
+/// with pure integer reads against the immutable base:
 ///
 ///   Stage(attr, value)   resolves the affected rules and their per-rule
 ///                        invariants (attr ∈ X?, attr = A?) — once per
@@ -636,14 +424,14 @@ class ViolationDelta {
 ///                        tallies. No state is written (besides the key
 ///                        scratch), so nothing needs discarding.
 ///
-/// The arithmetic mirrors ViolationDelta::SetCell's remove-then-add
-/// discipline exactly — same integer intermediates, hence bit-identical
-/// benefit doubles — and the differential suites pin it against that
-/// oracle at every thread count.
+/// The arithmetic is ApplyCellChange's remove-then-add discipline in
+/// closed form, so each probe equals what mutating a copy of the table and
+/// rebuilding its index would report; the VOI suites pin it against
+/// exactly that brute-force oracle.
 ///
 /// Contract: Probe assumes the write is effective at the probed row
 /// (base value ≠ staged value); callers test IsNoOp(row) first and short-
-/// circuit to a zero benefit, matching the oracle's SetCell early return.
+/// circuit to a zero benefit (writing a cell's own value changes nothing).
 /// The base must outlive the batch and must not be mutated mid-probe;
 /// Stage() revalidates against base->version(), so a stale staging is
 /// refreshed on the next call. One batch per worker thread (the key

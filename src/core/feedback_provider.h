@@ -10,13 +10,12 @@ namespace gdr {
 
 /// The user of the GDR loop, as a synchronous (push-model) callback: the
 /// loop blocks inside GetFeedback until an answer exists. This is the
-/// legacy integration surface, kept for harnesses whose "user" can answer
-/// inline — experiments implement it with a ground-truth oracle
-/// (src/sim/oracle.h), and `GdrEngine::Run()` / `PumpSession()` pump a
-/// pull-based GdrSession through it. Production deployments, where
-/// feedback arrives asynchronously (a UI, a review queue, a network),
-/// should drive `GdrSession` (core/session.h) directly instead of
-/// implementing this interface.
+/// integration surface for harnesses whose "user" can answer inline —
+/// experiments implement it with a ground-truth oracle (src/sim/oracle.h),
+/// and `PumpSession()` pumps a pull-based GdrSession through it.
+/// Production deployments, where feedback arrives asynchronously (a UI, a
+/// review queue, a network), should drive `GdrSession` (core/session.h)
+/// directly instead of implementing this interface.
 class FeedbackProvider {
  public:
   virtual ~FeedbackProvider() = default;

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "core/quality.h"
-#include "core/session.h"
 #include "util/stopwatch.h"
 
 namespace gdr {
@@ -46,9 +45,8 @@ Result<Strategy> StrategyFromName(std::string_view name) {
                                  "' (expected one of: " + known + ")");
 }
 
-GdrEngine::GdrEngine(Table* table, const RuleSet* rules,
-                     FeedbackProvider* user, GdrOptions options)
-    : table_(table), rules_(rules), user_(user), options_(options) {
+GdrEngine::GdrEngine(Table* table, const RuleSet* rules, GdrOptions options)
+    : table_(table), rules_(rules), options_(options) {
   rng_.Seed(options_.seed);
 }
 
@@ -76,9 +74,7 @@ Status GdrEngine::Initialize() {
     if (threads > 1) workers_ = std::make_unique<ThreadPool>(threads);
     ranking_pool = workers_.get();
   }
-  voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_, ranking_pool,
-                                     options_.voi_scoring);
-  voi_->set_inference_mode(options_.learner_inference);
+  voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_, ranking_pool);
   voi_->set_batch_probability_fn(
       [bank = bank_.get()](std::span<const Update> updates,
                            std::vector<double>* out) {
@@ -343,24 +339,6 @@ Status GdrEngine::LearnerSweep(const ProgressCallback& callback) {
   stats_.timings.learner_sweep_seconds += sweep_watch.ElapsedSeconds();
   if (callback) callback(*this, stats_.user_feedback);
   return Status::OK();
-}
-
-Status GdrEngine::Run(const ProgressCallback& callback) {
-  // Compatibility shim: the loop itself lives in GdrSession; this entry
-  // point pumps one against the blocking FeedbackProvider, which restores
-  // the paper's Procedure 1 call shape (and is bit-identical to it).
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Initialize() first");
-  }
-  if (user_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine has no FeedbackProvider; construct a GdrSession over it "
-        "and drive the session directly");
-  }
-  GdrSession session(this);
-  session.SetProgressCallback(callback);
-  GDR_RETURN_NOT_OK(session.Start());
-  return PumpSession(&session, user_);
 }
 
 }  // namespace gdr

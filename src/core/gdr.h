@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cfd/violation_index.h"
-#include "core/feedback_provider.h"
 #include "core/grouping.h"
 #include "core/learner_bank.h"
 #include "core/voi.h"
@@ -96,19 +95,6 @@ struct GdrOptions {
   /// threads. The pool must outlive the engine. Scores stay bit-identical:
   /// pool size never affects ranking output, only wall-clock time.
   ThreadPool* shared_pool = nullptr;
-  /// VOI scoring implementation: the group-batched closed-form path
-  /// (default) or the per-update delta oracle it is differentially pinned
-  /// against. Both produce bit-identical scores and ranking order — the
-  /// oracle exists for differential suites and perf comparison, never as a
-  /// correctness escape hatch.
-  VoiRanker::ScoringMode voi_scoring = VoiRanker::ScoringMode::kBatched;
-  /// Learner inference implementation, the p̃ side of the same split:
-  /// group-batched matrix encoding + tree-at-a-time forest evaluation
-  /// (default) or the scalar per-update oracle it is differentially
-  /// pinned against. Bit-identical probabilities, scores, and ranking
-  /// order either way.
-  VoiRanker::InferenceMode learner_inference =
-      VoiRanker::InferenceMode::kBatched;
 };
 
 /// Per-phase wall-clock timings (seconds), accumulated by the engine.
@@ -163,29 +149,22 @@ class GdrSession;
 /// The GDR framework of Figure 2: the component container (violation
 /// index, update pool, consistency manager, learner bank, VOI ranker) plus
 /// the per-strategy *step functions* of Procedure 1. The interactive loop
-/// itself lives in GdrSession (core/session.h), which sequences these
-/// steps between feedback pulls; `Run()` survives as a compatibility shim
-/// that pumps a session with a blocking FeedbackProvider.
+/// itself lives in GdrSession (core/session.h), which owns an engine and
+/// sequences these steps between feedback pulls:
 ///
-/// Legacy (push) use:
-///   GdrEngine engine(&table, &rules, &user, options);
-///   GDR_RETURN_NOT_OK(engine.Initialize());
-///   GDR_RETURN_NOT_OK(engine.Run(callback));
-///
-/// Pull use (production shape — see core/session.h):
 ///   GdrSession session(&table, &rules, options);
 ///   GDR_RETURN_NOT_OK(session.Start());
 ///   while (session.state() != SessionState::kDone) { ... NextBatch ... }
+///
+/// or, with a blocking FeedbackProvider, PumpSession(&session, &user).
 ///
 /// The table is repaired in place. The engine never reads ground truth;
 /// experiment metrics are computed by the caller against engine.index().
 class GdrEngine {
  public:
-  /// All pointers are non-owning and must outlive the engine. `table` is
-  /// the dirty instance to repair. `user` may be nullptr when the engine
-  /// is driven through a GdrSession (only the Run() shim needs it).
-  GdrEngine(Table* table, const RuleSet* rules, FeedbackProvider* user,
-            GdrOptions options = {});
+  /// Both pointers are non-owning and must outlive the engine. `table` is
+  /// the dirty instance to repair.
+  GdrEngine(Table* table, const RuleSet* rules, GdrOptions options = {});
 
   GdrEngine(const GdrEngine&) = delete;
   GdrEngine& operator=(const GdrEngine&) = delete;
@@ -218,16 +197,6 @@ class GdrEngine {
   /// so far. Used by harnesses to record quality curves.
   using ProgressCallback =
       std::function<void(const GdrEngine& engine, std::size_t user_feedback)>;
-
-  /// Steps 3–10 of Procedure 1: the interactive loop, as a compatibility
-  /// shim. Constructs a GdrSession over this engine and pumps it against
-  /// the FeedbackProvider passed at construction (which must be non-null
-  /// for this entry point). Behavior, stats, and repairs are bit-identical
-  /// to driving the session by hand with the same answers. Terminates when
-  /// the database is clean, the candidate pool is exhausted, the feedback
-  /// budget is spent (after the final learner sweep, for learning
-  /// strategies), or an iteration makes no progress.
-  Status Run(const ProgressCallback& callback = nullptr);
 
   const Table& table() const { return *table_; }
   const ViolationIndex& index() const { return *index_; }
@@ -297,7 +266,6 @@ class GdrEngine {
 
   Table* table_;
   const RuleSet* rules_;
-  FeedbackProvider* user_;
   GdrOptions options_;
 
   std::unique_ptr<ViolationIndex> index_;

@@ -200,13 +200,7 @@ Result<SessionSnapshot> SessionSnapshot::Deserialize(std::string_view text) {
 // ---------------------------------------------------------------------------
 
 GdrSession::GdrSession(Table* table, const RuleSet* rules, GdrOptions options)
-    : engine_(nullptr) {
-  owned_engine_ =
-      std::make_unique<GdrEngine>(table, rules, nullptr, std::move(options));
-  engine_ = owned_engine_.get();
-}
-
-GdrSession::GdrSession(GdrEngine* engine) : engine_(engine) {}
+    : engine_(std::make_unique<GdrEngine>(table, rules, std::move(options))) {}
 
 GdrSession::~GdrSession() = default;
 
@@ -272,7 +266,7 @@ Result<FeedbackOutcome> GdrSession::SubmitFeedback(
   FeedbackOutcome outcome;
   if (!engine_->pool_->IsLive(entry->suggestion.update)) {
     // Retired or replaced by a cascade from an earlier answer in this
-    // batch: the legacy loop skipped these without consuming feedback.
+    // batch: nothing is consumed and the user is never asked about it.
     outcome = FeedbackOutcome::kStale;
   } else {
     const Status applied = engine_->ApplyUserFeedback(
@@ -630,7 +624,7 @@ Status GdrSession::StepAlRoundEnd() {
   // away from it (pulled again without answering) — it must be
   // re-presented, not treated as the all-stale termination signal. A
   // pumped session never leaves live suggestions unresolved, so this
-  // branch cannot affect the Run() shim.
+  // branch cannot affect PumpSession.
   bool abandoned_live = false;
   for (const OutstandingEntry& entry : outstanding_) {
     if (!entry.resolved && engine.pool_->IsLive(entry.suggestion.update)) {
@@ -753,15 +747,12 @@ Status GdrSession::Restore(const SessionSnapshot& snapshot) {
   // subsequent Start() runs it as if the restore was never attempted).
   Table* table = engine_->table_;
   const RuleSet* rules = engine_->rules_;
-  FeedbackProvider* user = engine_->user_;
   const GdrOptions saved_options = engine_->options_;
   Table pristine = *table;
   const Status replayed = ReplaySnapshot(snapshot);
   if (!replayed.ok()) {
     *table = std::move(pristine);
-    owned_engine_ =
-        std::make_unique<GdrEngine>(table, rules, user, saved_options);
-    engine_ = owned_engine_.get();
+    engine_ = std::make_unique<GdrEngine>(table, rules, saved_options);
     ResetToNotStarted();
   }
   return replayed;

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/feedback_provider.h"
 #include "core/gdr.h"
 #include "util/result.h"
 
@@ -36,8 +37,8 @@ enum class FeedbackOutcome {
   kApplied,
   /// The suggestion was retired or replaced (by a consistency cascade from
   /// an earlier answer) between delivery and submission. Nothing was
-  /// consumed — in particular no budget — matching the legacy loop, which
-  /// skipped stale suggestions without consulting the user.
+  /// consumed — in particular no budget — and a pumped session never asks
+  /// the user about it.
   kStale,
   /// This update_id was already resolved; the call was a no-op.
   kDuplicate,
@@ -144,16 +145,15 @@ struct SessionAppendOutcome {
   bool revived = false;
 };
 
-/// The pull-based interactive loop of Procedure 1, inverted: instead of
-/// GdrEngine::Run() owning the loop and calling *out* to a blocking
-/// FeedbackProvider, the caller pulls the next batch of machine-ranked
-/// suggestions and pushes feedback whenever it arrives — per update, in
-/// any order, at any later time. All machine steps (retrain, reorder,
-/// learner take-over, consistency cascades, group transitions, the final
-/// learner sweep) run inside NextBatch()/SubmitFeedback(); between calls
-/// the session holds an explicit loop position, so one process can
-/// multiplex many sessions and a snapshot can move a session across
-/// process restarts.
+/// The interactive loop of Procedure 1 (Steps 3–10), inverted: instead of
+/// the loop calling *out* to a blocking user, the caller pulls the next
+/// batch of machine-ranked suggestions and pushes feedback whenever it
+/// arrives — per update, in any order, at any later time. All machine
+/// steps (retrain, reorder, learner take-over, consistency cascades, group
+/// transitions, the final learner sweep) run inside
+/// NextBatch()/SubmitFeedback(); between calls the session holds an
+/// explicit loop position, so one process can multiplex many sessions and
+/// a snapshot can move a session across process restarts.
 ///
 ///   GdrSession session(&table, &rules, options);
 ///   GDR_RETURN_NOT_OK(session.Start());
@@ -166,19 +166,15 @@ struct SessionAppendOutcome {
 ///     }
 ///   }
 ///
-/// Pumping a session with a FeedbackProvider (PumpSession below) is
-/// bit-identical to the legacy GdrEngine::Run() — same stats, same
-/// repairs, every seed, every strategy, every thread count.
+/// The loop terminates when the database is clean, the candidate pool is
+/// exhausted, the feedback budget is spent (after the final learner sweep,
+/// for learning strategies), or an iteration makes no progress. Harnesses
+/// whose user answers inline drive it with PumpSession below.
 class GdrSession {
  public:
   /// Owns its engine: `table` and `rules` are non-owning and must outlive
   /// the session; the table is repaired in place.
   GdrSession(Table* table, const RuleSet* rules, GdrOptions options = {});
-
-  /// Wraps an existing engine (non-owning; must outlive the session).
-  /// Used by the Run() shim; also lets harnesses inspect engine internals
-  /// while driving the session.
-  explicit GdrSession(GdrEngine* engine);
 
   ~GdrSession();
 
@@ -235,7 +231,8 @@ class GdrSession {
   std::vector<SuggestedUpdate> Outstanding() const;
 
   /// Invoked after every applied label and after every learner batch, with
-  /// the engine in a consistent state — the same hook Run() exposes.
+  /// the engine in a consistent state (experiments record quality curves
+  /// here).
   /// Suppressed while Restore() replays history (the events already fired
   /// in the original session).
   void SetProgressCallback(GdrEngine::ProgressCallback callback);
@@ -261,9 +258,7 @@ class GdrSession {
   /// engine) is fully rolled back: the table is returned to its pre-call
   /// contents, the engine is rebuilt pristine over it, and the session is
   /// reset to not-started — Start() afterwards runs it exactly like a
-  /// fresh session. For sessions wrapping an external engine, the rollback
-  /// re-owns a *new* engine; the caller's original engine object is
-  /// abandoned mid-replay and must not be reused.
+  /// fresh session.
   Status Restore(const SessionSnapshot& snapshot);
 
  private:
@@ -323,8 +318,7 @@ class GdrSession {
   // Returns every loop member to its freshly-constructed value.
   void ResetToNotStarted();
 
-  GdrEngine* engine_;                     // the components + step functions
-  std::unique_ptr<GdrEngine> owned_engine_;  // set by the owning ctor
+  std::unique_ptr<GdrEngine> engine_;  // the components + step functions
   GdrEngine::ProgressCallback callback_;
 
   SessionState state_ = SessionState::kRanking;
@@ -362,8 +356,7 @@ class GdrSession {
 /// Drives `session` to completion with a blocking FeedbackProvider: pull a
 /// batch, ask `user` about each still-live suggestion (collecting a
 /// volunteered value after a reject), push the answer, repeat until done.
-/// This is the whole legacy loop — GdrEngine::Run() is this function plus
-/// a session constructed over the engine.
+/// Procedure 1's original call shape, for users that answer inline.
 Status PumpSession(GdrSession* session, FeedbackProvider* user);
 
 }  // namespace gdr

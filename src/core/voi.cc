@@ -8,60 +8,28 @@
 namespace gdr {
 
 VoiRanker::VoiRanker(const ViolationIndex* index,
-                     const std::vector<double>* weights, ThreadPool* workers,
-                     ScoringMode mode)
-    : index_(index), weights_(weights), workers_(workers), mode_(mode) {}
-
-double VoiRanker::UpdateBenefit(const Update& update,
-                                ViolationDelta* scratch) const {
-  const std::vector<RuleId>& affected =
-      index_->rules().RulesMentioning(update.attr);
-  if (affected.empty()) return 0.0;
-
-  // D^rj as an overlay: stage the write into the caller's scratch delta,
-  // read the affected aggregates, discard (keeping the scratch's
-  // allocations for the next hypothetical). The shared index is never
-  // touched, so concurrent evaluations with distinct scratches are safe.
-  scratch->SetCell(update.row, update.attr, update.value);
-
-  double benefit = 0.0;
-  for (RuleId rule : affected) {
-    // drop = vio(D) − vio(D^rj) = −adjustment. A zero adjustment
-    // contributes exactly +0.0, so skipping it leaves the accumulated
-    // double bit-identical.
-    const std::int64_t adjustment = scratch->RuleViolationAdjustment(rule);
-    if (adjustment == 0) continue;
-    const std::int64_t satisfying = scratch->SatisfyingCount(rule);
-    if (satisfying <= 0) {
-      continue;  // no denominator: rule fully violated
-    }
-    benefit += (*weights_)[static_cast<std::size_t>(rule)] *
-               static_cast<double>(-adjustment) /
-               static_cast<double>(satisfying);
-  }
-  scratch->Discard();
-  return benefit;
-}
+                     const std::vector<double>* weights, ThreadPool* workers)
+    : index_(index), weights_(weights), workers_(workers) {}
 
 double VoiRanker::UpdateBenefit(const Update& update) const {
-  ViolationDelta scratch(index_);
-  return UpdateBenefit(update, &scratch);
+  HypotheticalBatch batch(index_);
+  return UpdateBenefit(update, &batch);
 }
 
 double VoiRanker::UpdateBenefit(const Update& update,
                                 HypotheticalBatch* batch) const {
   // Within one group every update shares (attr, value), so this Stage is
-  // a cheap no-op after the group's first update — the staging cost the
-  // delta path pays per update is paid once per group here.
+  // a cheap no-op after the group's first update: staging is paid once
+  // per group, not per update.
   batch->Stage(update.attr, update.value);
   const std::size_t affected = batch->num_affected();
   if (affected == 0) return 0.0;
-  if (batch->IsNoOp(update.row)) return 0.0;  // oracle: SetCell early return
+  if (batch->IsNoOp(update.row)) return 0.0;  // writing the cell's own value
 
   double benefit = 0.0;
   for (std::size_t k = 0; k < affected; ++k) {
-    // Same rule order, same skip conditions, same integer inputs as the
-    // delta path — hence bit-identical accumulated doubles.
+    // drop = vio(D) − vio(D^rj) = −adjustment. A zero adjustment would
+    // contribute exactly +0.0, so skipping it leaves the sum unchanged.
     const HypotheticalBatch::Effect effect = batch->Probe(k, update.row);
     if (effect.adjustment == 0) continue;
     if (effect.satisfying <= 0) {
@@ -84,27 +52,20 @@ double VoiRanker::ScoreGroupTerms(const UpdateGroup& group,
   const std::size_t n = group.updates.size();
   ScopedPhaseTimer timer(&scratch->perf, PerfPhase::kVoiProbe, n);
   double score = 0.0;
-  if (mode_ == ScoringMode::kBatched) {
-    if (n != 0) {
-      // Stage the group's shared (attr, value) context up front so the
-      // per-update prefetch below can resolve the affected rules before
-      // the first probe. Every update of a group shares the target, so
-      // this is the same single Stage the loop would have paid.
-      scratch->batch.Stage(group.updates.front().attr,
-                           group.updates.front().value);
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      // Pull the next update's per-rule row→group slots toward the cache
-      // while the current update's closed forms execute.
-      if (j + 1 < n) scratch->batch.PrefetchRow(group.updates[j + 1].row);
-      score +=
-          probabilities[j] * UpdateBenefit(group.updates[j], &scratch->batch);
-    }
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      score +=
-          probabilities[j] * UpdateBenefit(group.updates[j], &scratch->delta);
-    }
+  if (n != 0) {
+    // Stage the group's shared (attr, value) context up front so the
+    // per-update prefetch below can resolve the affected rules before the
+    // first probe. Every update of a group shares the target, so this is
+    // the same single Stage the loop would have paid.
+    scratch->batch.Stage(group.updates.front().attr,
+                         group.updates.front().value);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    // Pull the next update's per-rule row→group slots toward the cache
+    // while the current update's closed forms execute.
+    if (j + 1 < n) scratch->batch.PrefetchRow(group.updates[j + 1].row);
+    score +=
+        probabilities[j] * UpdateBenefit(group.updates[j], &scratch->batch);
   }
   return score;
 }
@@ -112,7 +73,7 @@ double VoiRanker::ScoreGroupTerms(const UpdateGroup& group,
 void VoiRanker::FillProbabilities(
     const UpdateGroup& group, const ConfirmProbabilityFn& confirm_probability,
     std::vector<double>* out) const {
-  if (inference_ == InferenceMode::kBatched && batch_probability_) {
+  if (batch_probability_) {
     batch_probability_(std::span<const Update>(group.updates), out);
     return;
   }

@@ -22,8 +22,8 @@ using ConfirmProbabilityFn = std::function<double(const Update&)>;
 /// Group-batched form of the same contract: fills `out` (resized to the
 /// span's length) with each update's p̃_j. Wired to
 /// LearnerBank::ConfirmProbabilities in the engine; must be bit-identical
-/// to calling the scalar fn per update — the learner_batch differential
-/// suite enforces exactly that.
+/// to calling the scalar fn per update — the learner_batch suite enforces
+/// exactly that.
 using ConfirmProbabilityBatchFn =
     std::function<void(std::span<const Update>, std::vector<double>*)>;
 
@@ -33,26 +33,18 @@ using ConfirmProbabilityBatchFn =
 ///   E[g(c)] = Σ_φ w_φ  Σ_{r_j ∈ c}  p̃_j ·
 ///             (vio(D, {φ}) − vio(D^{r_j}, {φ})) / |D^{r_j} ⊨ φ|
 ///
-/// D^{r_j} (the hypothetical database with r_j applied) is evaluated on a
-/// ViolationDelta — an overlay staging the cell write against the
-/// read-only shared index — so scoring never mutates shared state and any
+/// D^{r_j} (the hypothetical database with r_j applied) is never
+/// materialized. All updates of one group share an (attr, value) write
+/// target, so the group's context is staged once into a HypotheticalBatch
+/// and each update's effect is a closed-form integer probe against the
+/// read-only shared index — scoring never mutates shared state, and any
 /// number of hypotheticals can be evaluated concurrently. Rules not
 /// mentioning the update's attribute contribute zero (their violation
 /// counts cannot change) and are skipped.
 ///
-/// A ranking pass evaluates one hypothetical per pooled update — tens of
-/// thousands per Rank() on paper-scale workloads. Two implementations
-/// exist behind ScoringMode:
-///
-///   kBatched (default)  all updates of one group share an (attr, value)
-///       write target, so the group's context is staged once into a
-///       HypotheticalBatch and each update's benefit is a closed-form
-///       integer probe — no per-update delta staging, no copy-on-write
-///       group tallies, no Discard() sweep.
-///   kPerUpdateOracle    the PR 5 path: each hypothetical staged into a
-///       reusable-scratch ViolationDelta. Kept as the oracle the batched
-///       path is differentially pinned against (bit-identical scores AND
-///       ranking order at every thread count).
+/// p̃_j comes from the group-batched ConfirmProbabilityBatchFn when one is
+/// installed (the engine installs the learner bank's), otherwise from the
+/// scalar fn passed to Rank/ScoreGroup.
 ///
 /// When constructed with a ThreadPool, Rank() fans group evaluations out
 /// across the workers. Scores are reduced into per-group slots and each
@@ -60,64 +52,34 @@ using ConfirmProbabilityBatchFn =
 /// ranking output is bit-identical for every thread count.
 class VoiRanker {
  public:
-  enum class ScoringMode {
-    kBatched,          // group-batched closed-form probes (production)
-    kPerUpdateOracle,  // per-update delta staging (differential oracle)
-  };
-
-  /// How the learner's p̃_j is obtained — the inference-side mirror of
-  /// ScoringMode. kBatched routes each group through the
-  /// ConfirmProbabilityBatchFn (one feature matrix + tree-at-a-time forest
-  /// pass per group); kPerUpdateOracle calls the scalar fn per update.
-  /// Both produce bit-identical probabilities, scores, and ranking order —
-  /// the oracle exists for the differential suites and perf comparison.
-  enum class InferenceMode {
-    kBatched,
-    kPerUpdateOracle,
-  };
-
   /// `index` is read-only; `weights` must have one entry per rule (Eq. 3
   /// weights); `workers` of nullptr means serial ranking. Non-owning
   /// pointers.
   VoiRanker(const ViolationIndex* index, const std::vector<double>* weights,
-            ThreadPool* workers = nullptr,
-            ScoringMode mode = ScoringMode::kBatched);
+            ThreadPool* workers = nullptr);
 
-  ScoringMode scoring_mode() const { return mode_; }
-  void set_scoring_mode(ScoringMode mode) { mode_ = mode; }
-
-  InferenceMode inference_mode() const { return inference_; }
-  void set_inference_mode(InferenceMode mode) { inference_ = mode; }
-
-  /// Installs the group-batched p̃ supplier used when inference_mode() is
-  /// kBatched. Without one, every mode falls back to the scalar fn passed
-  /// to Rank/ScoreGroup (so a ranker with no learner wiring behaves
-  /// exactly as before this knob existed).
+  /// Installs the group-batched p̃ supplier (one feature matrix and one
+  /// tree-at-a-time forest pass per group). Once installed it replaces the
+  /// scalar fn passed to Rank/ScoreGroup; without one, that scalar fn is
+  /// called per update.
   void set_batch_probability_fn(ConfirmProbabilityBatchFn fn) {
     batch_probability_ = std::move(fn);
   }
 
-  /// E[g(c)] for one group. Uses one internal scratch (delta or batch, per
-  /// the scoring mode) across the group's updates.
+  /// E[g(c)] for one group, staged into one internal batch.
   double ScoreGroup(const UpdateGroup& group,
                     const ConfirmProbabilityFn& confirm_probability) const;
 
   /// The benefit term of a single update r_j:
   ///   Σ_φ w_φ (vio(D,{φ}) − vio(D^rj,{φ})) / |D^rj ⊨ φ|
-  /// (without the p̃_j factor). Pure read: safe to call concurrently.
+  /// (without the p̃_j factor). Pure read: stages a local batch, so it is
+  /// safe to call concurrently.
   double UpdateBenefit(const Update& update) const;
 
-  /// Scratch-reusing variant: stages the hypothetical into `scratch`
-  /// (which must be empty and derived from this ranker's index) and
-  /// Discard()s it before returning. Callers evaluating many updates keep
-  /// one delta alive and pass it here — zero allocations at steady state.
-  /// Safe to call concurrently with distinct scratch deltas.
-  double UpdateBenefit(const Update& update, ViolationDelta* scratch) const;
-
-  /// Batched variant: restages `batch` when the update's (attr, value)
-  /// differs from what it holds (a no-op within one group) and probes the
-  /// closed forms. Bit-identical to the delta variants. Safe to call
-  /// concurrently with distinct batches.
+  /// Batch-reusing variant: restages `batch` when the update's (attr,
+  /// value) differs from what it holds (a no-op within one group) and
+  /// probes the closed forms. Safe to call concurrently with distinct
+  /// batches.
   double UpdateBenefit(const Update& update, HypotheticalBatch* batch) const;
 
   /// Scores all groups; returns indices into `groups` sorted by descending
@@ -130,8 +92,8 @@ class VoiRanker {
     std::vector<double> scores;      // aligned with `groups`
 
     /// Score of group `i`, or 0.0 when out of range — e.g. an empty
-    /// ranking produced by a strategy that does not rank by VOI. Both the
-    /// Run() shim and GdrSession read per-group scores through this.
+    /// ranking produced by a strategy that does not rank by VOI. GdrSession
+    /// reads per-group scores through this.
     double ScoreOf(std::size_t i) const {
       return i < scores.size() ? scores[i] : 0.0;
     }
@@ -147,22 +109,17 @@ class VoiRanker {
   void ResetPerfCounters() { perf_.Reset(); }
 
  private:
-  // Per-worker scoring state: the batched evaluator plus the delta the
-  // oracle mode stages into, and the slot's probe counters (merged into
-  // perf_ after the fan-out barrier). Constructing both evaluators is
-  // cheap (vector resizes); only the active mode's half is touched on the
-  // hot path.
+  // Per-worker scoring state: the batched evaluator and the slot's probe
+  // counters (merged into perf_ after the fan-out barrier).
   struct Scratch {
-    explicit Scratch(const ViolationIndex* index)
-        : delta(index), batch(index) {}
-    ViolationDelta delta;
+    explicit Scratch(const ViolationIndex* index) : batch(index) {}
     HypotheticalBatch batch;
     PerfCounters perf;
   };
 
   // The one canonical per-group accumulation (terms in update order);
   // serial and parallel ranking and ScoreGroup all funnel through it,
-  // which is what keeps scores bit-identical across paths and modes.
+  // which is what keeps scores bit-identical across thread counts.
   double ScoreGroupTerms(const UpdateGroup& group,
                          const std::vector<double>& probabilities,
                          Scratch* scratch) const;
@@ -173,8 +130,6 @@ class VoiRanker {
   const ViolationIndex* index_;
   const std::vector<double>* weights_;
   ThreadPool* workers_;
-  ScoringMode mode_;
-  InferenceMode inference_ = InferenceMode::kBatched;
   ConfirmProbabilityBatchFn batch_probability_;
   mutable PerfCounters perf_;
 };

@@ -58,40 +58,24 @@ Status DecisionTree::Train(const TrainingSet& data,
     return Status::InvalidArgument(
         "feature subsampling requires an Rng");
   }
-  nodes_.clear();
+  *this = DecisionTree();
   num_classes_ = data.num_classes();
   std::vector<std::size_t> items = indices;
   Build(data, items, /*depth=*/0, options, rng);
-  Flatten();
   return Status::OK();
 }
 
-void DecisionTree::Flatten() {
-  const std::size_t n = nodes_.size();
-  flat_feature_.resize(n);
-  flat_categorical_.resize(n);
-  flat_threshold_.resize(n);
-  flat_left_.resize(n);
-  flat_right_.resize(n);
-  flat_majority_.resize(n);
-  flat_dist_offset_.resize(n);
-  dist_pool_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Node& node = nodes_[i];
-    flat_feature_[i] = node.feature;
-    flat_categorical_[i] = node.categorical ? 1 : 0;
-    flat_threshold_[i] = node.threshold;
-    flat_left_[i] = node.left;
-    flat_right_[i] = node.right;
-    flat_majority_[i] = node.majority;
-    if (node.feature < 0) {
-      flat_dist_offset_[i] = static_cast<std::int32_t>(dist_pool_.size());
-      dist_pool_.insert(dist_pool_.end(), node.distribution.begin(),
-                        node.distribution.end());
-    } else {
-      flat_dist_offset_[i] = -1;
-    }
-  }
+std::int32_t DecisionTree::AppendNode(std::int32_t feature, bool categorical,
+                                      double threshold, std::int32_t majority,
+                                      std::int32_t dist_offset) {
+  flat_feature_.push_back(feature);
+  flat_categorical_.push_back(categorical ? 1 : 0);
+  flat_threshold_.push_back(threshold);
+  flat_left_.push_back(-1);
+  flat_right_.push_back(-1);
+  flat_majority_.push_back(majority);
+  flat_dist_offset_.push_back(dist_offset);
+  return static_cast<std::int32_t>(flat_feature_.size() - 1);
 }
 
 Status DecisionTree::Train(const TrainingSet& data,
@@ -103,21 +87,19 @@ Status DecisionTree::Train(const TrainingSet& data,
 
 std::int32_t DecisionTree::MakeLeaf(const TrainingSet& data,
                                     const std::vector<std::size_t>& items) {
-  Node leaf;
   std::vector<std::size_t> counts(static_cast<std::size_t>(num_classes_), 0);
   for (std::size_t i : items) {
     counts[static_cast<std::size_t>(data.example(i).label)]++;
   }
-  leaf.distribution.resize(counts.size());
+  const std::int32_t offset = static_cast<std::int32_t>(dist_pool_.size());
   std::size_t best = 0;
   for (std::size_t c = 0; c < counts.size(); ++c) {
-    leaf.distribution[c] =
-        static_cast<double>(counts[c]) / static_cast<double>(items.size());
+    dist_pool_.push_back(static_cast<double>(counts[c]) /
+                         static_cast<double>(items.size()));
     if (counts[c] > counts[best]) best = c;
   }
-  leaf.majority = static_cast<std::int32_t>(best);
-  nodes_.push_back(std::move(leaf));
-  return static_cast<std::int32_t>(nodes_.size() - 1);
+  return AppendNode(/*feature=*/-1, /*categorical=*/false, /*threshold=*/0.0,
+                    static_cast<std::int32_t>(best), offset);
 }
 
 std::int32_t DecisionTree::Build(const TrainingSet& data,
@@ -217,37 +199,17 @@ std::int32_t DecisionTree::Build(const TrainingSet& data,
   items.clear();
   items.shrink_to_fit();
 
-  const std::int32_t node_index = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(node_index)].feature = best.feature;
-  nodes_[static_cast<std::size_t>(node_index)].categorical = best.categorical;
-  nodes_[static_cast<std::size_t>(node_index)].threshold = best.threshold;
-
+  // Pre-order: the node takes its index before its subtrees are built.
+  const std::int32_t node_index =
+      AppendNode(best.feature, best.categorical, best.threshold,
+                 /*majority=*/0, /*dist_offset=*/-1);
   const std::int32_t left_index =
       Build(data, left_items, depth + 1, options, rng);
   const std::int32_t right_index =
       Build(data, right_items, depth + 1, options, rng);
-  nodes_[static_cast<std::size_t>(node_index)].left = left_index;
-  nodes_[static_cast<std::size_t>(node_index)].right = right_index;
+  flat_left_[static_cast<std::size_t>(node_index)] = left_index;
+  flat_right_[static_cast<std::size_t>(node_index)] = right_index;
   return node_index;
-}
-
-const DecisionTree::Node& DecisionTree::Descend(
-    const std::vector<double>& features) const {
-  const Node* node = &nodes_[0];
-  while (node->feature >= 0) {
-    const double x = features[static_cast<std::size_t>(node->feature)];
-    const bool goes_left =
-        node->categorical ? (x == node->threshold) : (x <= node->threshold);
-    node = &nodes_[static_cast<std::size_t>(goes_left ? node->left
-                                                      : node->right)];
-  }
-  return *node;
-}
-
-std::vector<double> DecisionTree::PredictDistribution(
-    const std::vector<double>& features) const {
-  return Descend(features).distribution;
 }
 
 void DecisionTree::PredictDistributionInto(const double* features,

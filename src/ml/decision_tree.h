@@ -29,19 +29,12 @@ struct DecisionTreeOptions {
 /// uses via WEKA. One-vs-rest equality splits keep high-cardinality
 /// categorical attributes (city names, zip codes) tractable.
 ///
-/// Two representations coexist after Train():
-///  * the recursive `nodes_` vector the builder produces — each node a
-///    struct with its own per-leaf distribution vector. Kept as the
-///    differential oracle (`PredictDistribution` walks it).
-///  * a flattened SoA mirror — feature / threshold / left / right /
-///    majority as parallel arrays, every leaf distribution packed into one
-///    contiguous pool indexed by offset — built once at the end of Train.
-///    `Predict` and `PredictDistributionInto` descend the flat arrays:
-///    batch evaluation touches a handful of dense arrays instead of
-///    chasing 48-byte nodes with heap-allocated payloads, and returning a
-///    distribution is a pool memcpy instead of a vector copy-construct.
-/// The learner_batch differential suite pins the flat walk to the
-/// recursive oracle on fuzzed inputs.
+/// Nodes are stored structure-of-arrays — feature / threshold / left /
+/// right / majority as parallel arrays in Build's pre-order, every leaf
+/// distribution packed into one contiguous pool indexed by offset — and
+/// Build appends to them directly. Batch evaluation touches a
+/// handful of dense arrays instead of chasing per-node structs with
+/// heap-allocated payloads, and returning a distribution is a pool copy.
 ///
 /// Deterministic given the training data, options, and Rng state.
 class DecisionTree {
@@ -60,7 +53,7 @@ class DecisionTree {
   Status Train(const TrainingSet& data, const DecisionTreeOptions& options,
                Rng* rng = nullptr);
 
-  bool trained() const { return !nodes_.empty(); }
+  bool trained() const { return !flat_feature_.empty(); }
 
   /// Majority class at the reached leaf (flat-array descent).
   int Predict(const std::vector<double>& features) const {
@@ -73,15 +66,8 @@ class DecisionTree {
     return flat_majority_[static_cast<std::size_t>(DescendFlat(features))];
   }
 
-  /// Class-frequency distribution at the reached leaf (sums to 1).
-  /// Recursive-representation walk, kept as the oracle the flat paths are
-  /// differentially pinned against; allocates the result.
-  std::vector<double> PredictDistribution(
-      const std::vector<double>& features) const;
-
-  /// No-alloc variant: copies the reached leaf's distribution out of the
-  /// contiguous pool into `out` (resized to num_classes). Bit-identical to
-  /// PredictDistribution.
+  /// Class-frequency distribution at the reached leaf (sums to 1): copies
+  /// it out of the contiguous pool into `out` (resized to num_classes).
   void PredictDistributionInto(const std::vector<double>& features,
                                std::vector<double>* out) const {
     PredictDistributionInto(features.data(), out);
@@ -90,24 +76,10 @@ class DecisionTree {
                                std::vector<double>* out) const;
 
   /// Number of nodes (diagnostics / tests).
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const { return flat_feature_.size(); }
   int num_classes() const { return num_classes_; }
 
  private:
-  struct Node {
-    // Internal node: test sends an example left when
-    //   numeric:      features[feature] <= threshold
-    //   categorical:  features[feature] == threshold
-    std::int32_t feature = -1;  // -1 marks a leaf
-    bool categorical = false;
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    // Leaf payload.
-    std::int32_t majority = 0;
-    std::vector<double> distribution;
-  };
-
   // Recursive builder; returns the index of the created node.
   std::int32_t Build(const TrainingSet& data, std::vector<std::size_t>& items,
                      int depth, const DecisionTreeOptions& options, Rng* rng);
@@ -115,12 +87,12 @@ class DecisionTree {
   std::int32_t MakeLeaf(const TrainingSet& data,
                         const std::vector<std::size_t>& items);
 
-  const Node& Descend(const std::vector<double>& features) const;
+  // Appends one node to every array; returns its index.
+  std::int32_t AppendNode(std::int32_t feature, bool categorical,
+                          double threshold, std::int32_t majority,
+                          std::int32_t dist_offset);
 
-  // Mirrors nodes_ into the SoA arrays + distribution pool (end of Train).
-  void Flatten();
-
-  // Flat-array descent to a leaf's node index.
+  // Descent to a leaf's node index.
   std::int32_t DescendFlat(const double* features) const {
     std::int32_t i = 0;
     std::int32_t f = flat_feature_[0];
@@ -136,11 +108,13 @@ class DecisionTree {
     return i;
   }
 
-  std::vector<Node> nodes_;
   int num_classes_ = 0;
 
-  // SoA mirror, parallel to nodes_. flat_dist_offset_ indexes dist_pool_
-  // (num_classes_ doubles per leaf; -1 for internal nodes).
+  // One entry per node. An internal node sends an example left when
+  //   numeric:      features[feature] <= threshold
+  //   categorical:  features[feature] == threshold
+  // flat_dist_offset_ indexes dist_pool_ (num_classes_ doubles per leaf;
+  // -1 for internal nodes).
   std::vector<std::int32_t> flat_feature_;     // -1 marks a leaf
   std::vector<std::uint8_t> flat_categorical_;
   std::vector<double> flat_threshold_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace gdr {
 
@@ -9,9 +10,6 @@ Status RandomForest::Train(const TrainingSet& data) {
   if (data.empty()) {
     return Status::InvalidArgument("cannot train a forest on zero examples");
   }
-  trees_.clear();
-  num_classes_ = data.num_classes();
-
   DecisionTreeOptions tree_options = options_.tree;
   const std::size_t num_features = data.schema().num_features();
   tree_options.feature_subsample =
@@ -26,8 +24,10 @@ Status RandomForest::Train(const TrainingSet& data) {
       1, static_cast<std::size_t>(options_.bootstrap_fraction *
                                   static_cast<double>(n)));
 
-  trees_.resize(static_cast<std::size_t>(options_.num_trees));
-  for (DecisionTree& tree : trees_) {
+  // Trained aside and swapped in only on success, so a failed retrain
+  // keeps the previous committee (or leaves the forest untrained).
+  std::vector<DecisionTree> trees(static_cast<std::size_t>(options_.num_trees));
+  for (DecisionTree& tree : trees) {
     // Bootstrap bag: sample with replacement.
     std::vector<std::size_t> bag(bag_size);
     for (std::size_t& index : bag) {
@@ -35,6 +35,8 @@ Status RandomForest::Train(const TrainingSet& data) {
     }
     GDR_RETURN_NOT_OK(tree.Train(data, bag, tree_options, &rng));
   }
+  trees_ = std::move(trees);
+  num_classes_ = data.num_classes();
   return Status::OK();
 }
 

@@ -35,7 +35,8 @@ class RandomForest {
       : options_(options) {}
 
   /// (Re)trains the committee on `data`. Deterministic given options.seed.
-  /// Fails on an empty training set.
+  /// Fails on an empty training set or an empty feature schema; a failed
+  /// call leaves the forest as it was.
   Status Train(const TrainingSet& data);
 
   bool trained() const { return !trees_.empty(); }

@@ -24,12 +24,11 @@ Result<ExperimentResult> RunStrategyExperiment(
   options.seed = config.seed;
   options.num_threads = config.num_threads;
   options.shared_pool = config.shared_pool;
-  options.voi_scoring = config.voi_scoring;
-  options.learner_inference = config.learner_inference;
 
   const Stopwatch wall_watch;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  GDR_RETURN_NOT_OK(engine.Initialize());
+  GdrSession session(&working, &dataset.rules, options);
+  GDR_RETURN_NOT_OK(session.Start());
+  const GdrEngine& engine = session.engine();
 
   // The evaluator shares the engine's rule weights so that measured loss
   // and the engine's internal VOI estimates refer to the same Eq. 3.
@@ -53,17 +52,8 @@ Result<ExperimentResult> RunStrategyExperiment(
             {feedback,
              evaluator.ImprovementPct(e.index(), result.initial_loss), loss});
       };
-  if (config.driver == ExperimentDriver::kSessionPump) {
-    // Drive the pull API directly: same oracle, same callback, same
-    // results — but through NextBatch()/SubmitFeedback() instead of the
-    // Run() shim.
-    GdrSession session(&engine);
-    session.SetProgressCallback(record_point);
-    GDR_RETURN_NOT_OK(session.Start());
-    GDR_RETURN_NOT_OK(PumpSession(&session, &oracle));
-  } else {
-    GDR_RETURN_NOT_OK(engine.Run(record_point));
-  }
+  session.SetProgressCallback(record_point);
+  GDR_RETURN_NOT_OK(PumpSession(&session, &oracle));
 
   result.wall_seconds = wall_watch.ElapsedSeconds();
   result.stats = engine.stats();

@@ -20,16 +20,6 @@ struct CurvePoint {
   double loss = 0.0;             // L(D) (Eq. 3) at this point
 };
 
-/// Which entry point RunStrategyExperiment drives. Both produce
-/// bit-identical results (the session differential tests enforce it);
-/// exercising both keeps the legacy shim and the pull API equally honest.
-enum class ExperimentDriver {
-  /// Legacy push loop: GdrEngine::Run() with the oracle as provider.
-  kEngineRun,
-  /// Pull loop: a GdrSession pumped batch-by-batch against the oracle.
-  kSessionPump,
-};
-
 struct ExperimentConfig {
   Strategy strategy = Strategy::kGdr;
   /// User label budget F; unlimited runs until convergence/exhaustion.
@@ -48,20 +38,6 @@ struct ExperimentConfig {
   /// harness run many experiments against one pool instead of paying a
   /// pool construction per run. Must outlive the call.
   ThreadPool* shared_pool = nullptr;
-  /// Entry point under test; results are identical either way.
-  ExperimentDriver driver = ExperimentDriver::kEngineRun;
-  /// VOI scoring implementation (GdrOptions::voi_scoring): batched
-  /// closed-form probes (default) or the per-update delta oracle. Results
-  /// are bit-identical either way — the voi_batched differential suite
-  /// runs whole experiments under both to enforce exactly that.
-  VoiRanker::ScoringMode voi_scoring = VoiRanker::ScoringMode::kBatched;
-  /// Learner inference implementation (GdrOptions::learner_inference):
-  /// group-batched matrix encoding + tree-at-a-time forest passes
-  /// (default) or the scalar per-update oracle. Results are bit-identical
-  /// either way — the learner_batch differential suite runs whole
-  /// experiments under both to enforce exactly that.
-  VoiRanker::InferenceMode learner_inference =
-      VoiRanker::InferenceMode::kBatched;
 };
 
 struct ExperimentResult {
@@ -78,9 +54,10 @@ struct ExperimentResult {
   double wall_seconds = 0.0;
 };
 
-/// Runs one strategy on a copy of `dataset.dirty` against the ground-truth
-/// oracle and records the quality curve (the common skeleton of the
-/// Figure 3/4/5 experiments). The dataset itself is not mutated.
+/// Runs one strategy on a copy of `dataset.dirty` — a GdrSession pumped
+/// against the ground-truth oracle — and records the quality curve (the
+/// common skeleton of the Figure 3/4/5 experiments). The dataset itself is
+/// not mutated.
 Result<ExperimentResult> RunStrategyExperiment(const Dataset& dataset,
                                                const ExperimentConfig& config);
 

@@ -83,7 +83,7 @@ class ThreadPool {
   /// As ParallelFor, but fn also receives the executor slot: slots
   /// [0, size()) are the pool workers, slot size() is the calling thread.
   /// Each slot is driven by exactly one thread for the duration of the
-  /// call, so per-slot scratch state (e.g. a reusable ViolationDelta)
+  /// call, so per-slot scratch state (e.g. a reusable HypotheticalBatch)
   /// needs no synchronization. Slot-to-chunk assignment is dynamic; only
   /// the slot's single-threadedness is guaranteed, not which indices land
   /// on which slot.

@@ -111,7 +111,8 @@ TEST(DecisionTreeTest, PredictDistributionSumsToOne) {
   }
   DecisionTree tree;
   ASSERT_TRUE(tree.Train(set, {}, nullptr).ok());
-  const std::vector<double> dist = tree.PredictDistribution({1.0, 5.0});
+  std::vector<double> dist;
+  tree.PredictDistributionInto({1.0, 5.0}, &dist);
   ASSERT_EQ(dist.size(), 3u);
   double sum = 0.0;
   for (double d : dist) {

@@ -125,10 +125,10 @@ TEST(ExperimentTest, PhaseTimingsArePopulated) {
   EXPECT_GT(timings.ranking_seconds, 0.0);  // VOI strategies rank each round
   EXPECT_GT(timings.session_seconds, 0.0);
   EXPECT_GT(timings.total_seconds, 0.0);
-  // Run() contains the ranking and session phases.
+  // The pumped session contains the ranking and session phases.
   EXPECT_GE(timings.total_seconds,
             timings.ranking_seconds + timings.session_seconds);
-  // The experiment wall clock wraps Initialize() + Run().
+  // The experiment wall clock wraps Start() and the whole pump.
   EXPECT_GT(result->wall_seconds, 0.0);
   EXPECT_GE(result->wall_seconds, timings.total_seconds);
 }

@@ -3,7 +3,7 @@
 // to exactly the true database with zero residual violations.
 #include <gtest/gtest.h>
 
-#include "core/gdr.h"
+#include "core/session.h"
 #include "sim/oracle.h"
 
 namespace gdr {
@@ -69,11 +69,11 @@ TEST_F(Figure1EndToEnd, RepairsToExactGroundTruth) {
   UserOracle oracle(&truth_);
   GdrOptions options;
   options.strategy = Strategy::kGdrNoLearning;
-  GdrEngine engine(&working, &rules_, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
+  GdrSession session(&working, &rules_, options);
+  ASSERT_TRUE(session.Start().ok());
+  ASSERT_TRUE(PumpSession(&session, &oracle).ok());
 
-  EXPECT_EQ(engine.index().TotalViolations(), 0);
+  EXPECT_EQ(session.engine().index().TotalViolations(), 0);
   auto diff = working.CountDifferingCells(truth_);
   ASSERT_TRUE(diff.ok());
   EXPECT_EQ(*diff, 0u);
@@ -83,8 +83,7 @@ TEST_F(Figure1EndToEnd, GroupingMatchesNarrative) {
   // Section 1.1: one group suggests CT := 'Michigan City' (t2, t3 here);
   // grouping is by (attribute, suggested value).
   Table working = dirty_;
-  UserOracle oracle(&truth_);
-  GdrEngine engine(&working, &rules_, &oracle);
+  GdrEngine engine(&working, &rules_);
   ASSERT_TRUE(engine.Initialize().ok());
   const std::vector<UpdateGroup> groups = GroupUpdates(engine.pool());
   const AttrId ct = schema_.FindAttr("CT");
@@ -104,13 +103,13 @@ TEST_F(Figure1EndToEnd, ConsultingUserCostsAtMostPoolSize) {
   UserOracle oracle(&truth_);
   GdrOptions options;
   options.strategy = Strategy::kGdrNoLearning;
-  GdrEngine engine(&working, &rules_, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
+  GdrSession session(&working, &rules_, options);
+  ASSERT_TRUE(session.Start().ok());
+  ASSERT_TRUE(PumpSession(&session, &oracle).ok());
   // Every user answer concerned a distinct suggested update; rejects can
   // trigger replacements, so the bound is loose but must stay small.
-  EXPECT_LE(engine.stats().user_feedback, 24u);
-  EXPECT_GE(engine.stats().user_confirms, 4u);  // the four seeded errors
+  EXPECT_LE(session.stats().user_feedback, 24u);
+  EXPECT_GE(session.stats().user_confirms, 4u);  // the four seeded errors
 }
 
 }  // namespace

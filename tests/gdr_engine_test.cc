@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/quality.h"
+#include "core/session.h"
 #include "sim/oracle.h"
 #include "workload/registry.h"
 
@@ -13,19 +14,25 @@ Dataset SmallDataset() {
   return *WorkloadRegistry::Global().Resolve("dataset1:records=800,seed=21");
 }
 
-TEST(GdrEngineTest, RunRequiresInitialize) {
+// Start + PumpSession: the one way to run a repair to completion.
+Status RunToCompletion(GdrSession* session, UserOracle* oracle) {
+  GDR_RETURN_NOT_OK(session->Start());
+  return PumpSession(session, oracle);
+}
+
+TEST(GdrEngineTest, PumpRequiresStart) {
   Dataset dataset = SmallDataset();
   Table working = dataset.dirty;
   UserOracle oracle(&dataset.clean);
-  GdrEngine engine(&working, &dataset.rules, &oracle);
-  EXPECT_EQ(engine.Run().code(), StatusCode::kFailedPrecondition);
+  GdrSession session(&working, &dataset.rules);
+  EXPECT_EQ(PumpSession(&session, &oracle).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(GdrEngineTest, InitializeIsSingleShot) {
   Dataset dataset = SmallDataset();
   Table working = dataset.dirty;
-  UserOracle oracle(&dataset.clean);
-  GdrEngine engine(&working, &dataset.rules, &oracle);
+  GdrEngine engine(&working, &dataset.rules);
   ASSERT_TRUE(engine.Initialize().ok());
   EXPECT_EQ(engine.Initialize().code(), StatusCode::kFailedPrecondition);
 }
@@ -33,8 +40,7 @@ TEST(GdrEngineTest, InitializeIsSingleShot) {
 TEST(GdrEngineTest, InitializeReportsDirtyCountAndWeights) {
   Dataset dataset = SmallDataset();
   Table working = dataset.dirty;
-  UserOracle oracle(&dataset.clean);
-  GdrEngine engine(&working, &dataset.rules, &oracle);
+  GdrEngine engine(&working, &dataset.rules);
   ASSERT_TRUE(engine.Initialize().ok());
   EXPECT_GT(engine.stats().initial_dirty, 0u);
   EXPECT_EQ(engine.rule_weights().size(), dataset.rules.size());
@@ -51,10 +57,9 @@ TEST(GdrEngineTest, RespectsFeedbackBudget) {
   UserOracle oracle(&dataset.clean);
   GdrOptions options;
   options.feedback_budget = 60;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
-  EXPECT_LE(engine.stats().user_feedback, 60u);
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
+  EXPECT_LE(session.stats().user_feedback, 60u);
 }
 
 TEST(GdrEngineTest, StatsAreInternallyConsistent) {
@@ -63,10 +68,9 @@ TEST(GdrEngineTest, StatsAreInternallyConsistent) {
   UserOracle oracle(&dataset.clean);
   GdrOptions options;
   options.feedback_budget = 150;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
-  const GdrStats& stats = engine.stats();
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
+  const GdrStats& stats = session.stats();
   EXPECT_EQ(stats.user_feedback,
             stats.user_confirms + stats.user_rejects + stats.user_retains);
   EXPECT_GE(stats.learner_decisions, stats.learner_confirms);
@@ -79,16 +83,14 @@ TEST(GdrEngineTest, CallbackSeesMonotoneFeedbackCounts) {
   UserOracle oracle(&dataset.clean);
   GdrOptions options;
   options.feedback_budget = 100;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
+  GdrSession session(&working, &dataset.rules, options);
   std::size_t last = 0;
-  ASSERT_TRUE(engine
-                  .Run([&last](const GdrEngine&, std::size_t feedback) {
-                    EXPECT_GE(feedback, last);
-                    last = feedback;
-                  })
-                  .ok());
-  EXPECT_EQ(last, engine.stats().user_feedback);
+  session.SetProgressCallback([&last](const GdrEngine&, std::size_t feedback) {
+    EXPECT_GE(feedback, last);
+    last = feedback;
+  });
+  ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
+  EXPECT_EQ(last, session.stats().user_feedback);
 }
 
 TEST(GdrEngineTest, QualityImprovesUnderOracle) {
@@ -97,13 +99,13 @@ TEST(GdrEngineTest, QualityImprovesUnderOracle) {
   UserOracle oracle(&dataset.clean);
   GdrOptions options;
   options.feedback_budget = 300;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(session.Start().ok());
   QualityEvaluator evaluator(dataset.clean, &dataset.rules,
-                             engine.rule_weights());
-  const double initial = evaluator.Loss(engine.index());
-  ASSERT_TRUE(engine.Run().ok());
-  EXPECT_LT(evaluator.Loss(engine.index()), initial);
+                             session.engine().rule_weights());
+  const double initial = evaluator.Loss(session.engine().index());
+  ASSERT_TRUE(PumpSession(&session, &oracle).ok());
+  EXPECT_LT(evaluator.Loss(session.engine().index()), initial);
 }
 
 TEST(GdrEngineTest, DeterministicForSameSeed) {
@@ -114,10 +116,9 @@ TEST(GdrEngineTest, DeterministicForSameSeed) {
 
   auto run = [&](Table* working) {
     UserOracle oracle(&dataset.clean);
-    GdrEngine engine(working, &dataset.rules, &oracle, options);
-    EXPECT_TRUE(engine.Initialize().ok());
-    EXPECT_TRUE(engine.Run().ok());
-    return engine.stats();
+    GdrSession session(working, &dataset.rules, options);
+    EXPECT_TRUE(RunToCompletion(&session, &oracle).ok());
+    return session.stats();
   };
   Table wa = dataset.dirty;
   Table wb = dataset.dirty;
@@ -136,10 +137,9 @@ TEST(GdrEngineTest, NoLearningNeverUsesLearner) {
   GdrOptions options;
   options.strategy = Strategy::kGdrNoLearning;
   options.feedback_budget = 200;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
-  EXPECT_EQ(engine.stats().learner_decisions, 0u);
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
+  EXPECT_EQ(session.stats().learner_decisions, 0u);
 }
 
 TEST(GdrEngineTest, UserOnlyStrategiesApplyOnlyConfirmedValues) {
@@ -153,9 +153,8 @@ TEST(GdrEngineTest, UserOnlyStrategiesApplyOnlyConfirmedValues) {
     GdrOptions options;
     options.strategy = strategy;
     options.feedback_budget = 150;
-    GdrEngine engine(&working, &dataset.rules, &oracle, options);
-    ASSERT_TRUE(engine.Initialize().ok());
-    ASSERT_TRUE(engine.Run().ok());
+    GdrSession session(&working, &dataset.rules, options);
+    ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
     auto acc = ComputeRepairAccuracy(dataset.dirty, working, dataset.clean);
     ASSERT_TRUE(acc.ok());
     EXPECT_DOUBLE_EQ(acc->Precision(), 1.0) << StrategyName(strategy);

@@ -1,38 +1,35 @@
-// Differential suite for batched learner inference: the group-batched
-// ConfirmProbabilities path (row-major feature matrix + tree-at-a-time
-// forest evaluation over flattened SoA trees) must be bit-identical to
-// the per-update ConfirmProbability oracle — probabilities, scores, AND
-// ranking order — across random groups, retrain boundaries, untrained
-// attributes, and 1/2/4/8 threads, through whole experiments and
-// mid-session appends. Also pins the flattened tree representation to
-// the recursive oracle on fuzzed inputs.
+// Batched learner inference: the group-batched ConfirmProbabilities path
+// (row-major feature matrix + tree-at-a-time forest evaluation over SoA
+// trees) must be bit-identical to the scalar ConfirmProbability —
+// probabilities, scores, AND ranking order — across random groups,
+// retrain boundaries, untrained attributes, and 1/2/4/8 threads. Also
+// pins the tree's own invariants on fuzzed trees and inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/learner_bank.h"
-#include "core/session.h"
 #include "core/voi.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
-#include "sim/experiment.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "workload/registry.h"
 
 namespace gdr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Flattened tree ≡ recursive tree on fuzzed trees and inputs.
+// Tree and forest invariants on fuzzed trees and inputs.
 
+// Labels follow the first two features; `noisy` flips in random
+// disagreement, otherwise equal feature vectors always share a label.
 TrainingSet FuzzedTrainingSet(Rng* rng, std::size_t num_features,
-                              int num_classes, std::size_t num_examples) {
+                              int num_classes, std::size_t num_examples,
+                              bool noisy = true) {
   std::vector<FeatureDesc> descs;
   for (std::size_t f = 0; f < num_features; ++f) {
     const bool categorical = rng->NextBounded(2) == 0;
@@ -49,10 +46,10 @@ TrainingSet FuzzedTrainingSet(Rng* rng, std::size_t num_features,
               ? static_cast<double>(rng->NextBounded(5))
               : rng->NextDouble() * 10.0);
     }
-    // Learnable-but-noisy labels so trees grow real split structure.
+    // Learnable labels so trees grow real split structure.
     const double signal = example.features[0] + example.features[1 % num_features];
     example.label = static_cast<int>(
-        (static_cast<std::size_t>(signal) + rng->NextBounded(2)) %
+        (static_cast<std::size_t>(signal) + (noisy ? rng->NextBounded(2) : 0)) %
         static_cast<std::size_t>(num_classes));
     EXPECT_TRUE(set.Add(std::move(example)).ok());
   }
@@ -69,9 +66,33 @@ std::vector<double> FuzzedInput(Rng* rng, const FeatureSchema& schema) {
   return features;
 }
 
-class FlattenedTreeTest : public ::testing::TestWithParam<int> {};
+class FlatTreeTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(FlattenedTreeTest, FlatWalkMatchesRecursiveOracleOnFuzzedInputs) {
+// On consistent labels, a tree grown with every feature and no depth
+// limit separates its training set: every example is predicted as its own
+// label.
+TEST_P(FlatTreeTest, UnlimitedTreeFitsConsistentLabels) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 7);
+  const std::size_t num_features = 2 + rng.NextBounded(6);
+  const int num_classes = 2 + static_cast<int>(rng.NextBounded(3));
+  const TrainingSet set =
+      FuzzedTrainingSet(&rng, num_features, num_classes,
+                        40 + rng.NextBounded(120), /*noisy=*/false);
+
+  DecisionTreeOptions options;
+  options.max_depth = 1 << 20;
+  options.min_samples_split = 2;
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Train(set, options).ok());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(tree.Predict(set.example(i).features), set.example(i).label)
+        << "example " << i;
+  }
+}
+
+// Every reachable leaf distribution sums to 1, and its first maximum (the
+// tie-break MakeLeaf uses) is the class Predict returns.
+TEST_P(FlatTreeTest, LeafDistributionsSumToOneAndArgmaxIsPredict) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
   const std::size_t num_features = 2 + rng.NextBounded(6);
   const int num_classes = 2 + static_cast<int>(rng.NextBounded(3));
@@ -83,22 +104,24 @@ TEST_P(FlattenedTreeTest, FlatWalkMatchesRecursiveOracleOnFuzzedInputs) {
   DecisionTree tree;
   ASSERT_TRUE(tree.Train(set, options, &rng).ok());
 
-  std::vector<double> flat_dist;
+  std::vector<double> dist;
   for (int probe = 0; probe < 200; ++probe) {
     const std::vector<double> input = FuzzedInput(&rng, set.schema());
-    // Recursive oracle vs flat SoA walk: same leaf, bit-identical payload.
-    const std::vector<double> recursive = tree.PredictDistribution(input);
-    tree.PredictDistributionInto(input, &flat_dist);
-    EXPECT_EQ(flat_dist, recursive);
-    // The flat majority must be the first-max of the recursive
-    // distribution (the builder's tie-break).
-    const auto max_it = std::max_element(recursive.begin(), recursive.end());
+    tree.PredictDistributionInto(input, &dist);
+    ASSERT_EQ(dist.size(), static_cast<std::size_t>(num_classes));
+    double sum = 0.0;
+    for (double p : dist) {
+      EXPECT_GE(p, 0.0);
+      sum += p;
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+    const auto max_it = std::max_element(dist.begin(), dist.end());
     EXPECT_EQ(tree.Predict(input),
-              static_cast<int>(std::distance(recursive.begin(), max_it)));
+              static_cast<int>(std::distance(dist.begin(), max_it)));
   }
 }
 
-TEST_P(FlattenedTreeTest, ForestBatchMatchesPerRowFractions) {
+TEST_P(FlatTreeTest, ForestBatchMatchesPerRowFractions) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
   const std::size_t num_features = 3 + rng.NextBounded(4);
   const TrainingSet set = FuzzedTrainingSet(&rng, num_features, 3, 120);
@@ -127,10 +150,10 @@ TEST_P(FlattenedTreeTest, ForestBatchMatchesPerRowFractions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FlattenedTreeTest, ::testing::Range(1, 7));
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatTreeTest, ::testing::Range(1, 7));
 
 // ---------------------------------------------------------------------------
-// Batched p̃ ≡ per-update oracle over a live bank.
+// Batched p̃ ≡ scalar p̃ over a live bank.
 
 // Randomized instance mirroring voi_batched_test, plus a learner bank the
 // tests feed synthetic-but-deterministic feedback into.
@@ -288,9 +311,9 @@ TEST_P(LearnerBatchTest, MixedAttrSpanMatchesOracle) {
   }
 }
 
-// The tentpole gate: Rank under batched inference is bit-identical —
-// scores AND order — to the per-update oracle mode at 1/2/4/8 threads,
-// with trained models in the loop.
+// Rank with the batch p̃ function installed is bit-identical — scores AND
+// order — to a ranker calling the scalar function per update, at 1/2/4/8
+// threads, with trained models in the loop.
 TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalAcrossThreads) {
   RandomLearnerInstance inst(static_cast<std::uint64_t>(GetParam()));
   inst.TrainAttrs({static_cast<AttrId>(0), static_cast<AttrId>(2)});
@@ -303,9 +326,8 @@ TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalAcrossThreads) {
         inst.bank->ConfirmProbabilities(updates, out);
       };
 
-  VoiRanker oracle(inst.index.get(), &inst.weights);
-  oracle.set_inference_mode(VoiRanker::InferenceMode::kPerUpdateOracle);
-  const VoiRanker::Ranking reference = oracle.Rank(inst.groups, scalar);
+  const VoiRanker per_update(inst.index.get(), &inst.weights);
+  const VoiRanker::Ranking reference = per_update.Rank(inst.groups, scalar);
   ASSERT_EQ(reference.scores.size(), inst.groups.size());
 
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -352,246 +374,6 @@ TEST_P(LearnerBatchTest, PerfCountersAccumulate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LearnerBatchTest, ::testing::Range(1, 7));
-
-// ---------------------------------------------------------------------------
-// Whole experiments and the pull API across inference modes.
-
-void ExpectResultsIdentical(const ExperimentResult& a,
-                            const ExperimentResult& b) {
-  EXPECT_EQ(a.stats.initial_dirty, b.stats.initial_dirty);
-  EXPECT_EQ(a.stats.user_feedback, b.stats.user_feedback);
-  EXPECT_EQ(a.stats.user_confirms, b.stats.user_confirms);
-  EXPECT_EQ(a.stats.user_rejects, b.stats.user_rejects);
-  EXPECT_EQ(a.stats.user_retains, b.stats.user_retains);
-  EXPECT_EQ(a.stats.learner_decisions, b.stats.learner_decisions);
-  EXPECT_EQ(a.stats.forced_repairs, b.stats.forced_repairs);
-  EXPECT_EQ(a.stats.outer_iterations, b.stats.outer_iterations);
-  EXPECT_EQ(a.final_loss, b.final_loss);
-  EXPECT_EQ(a.remaining_violations, b.remaining_violations);
-  EXPECT_EQ(a.accuracy.updated_cells, b.accuracy.updated_cells);
-  EXPECT_EQ(a.accuracy.correctly_updated_cells,
-            b.accuracy.correctly_updated_cells);
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].feedback, b.curve[i].feedback);
-    EXPECT_EQ(a.curve[i].improvement_pct, b.curve[i].improvement_pct);
-    EXPECT_EQ(a.curve[i].loss, b.curve[i].loss);
-  }
-}
-
-// Whole experiments — interactive loop, learner retrains, repairs, curve —
-// are bit-identical whether p̃ is evaluated batched or per update, for the
-// learning strategies whose ranking actually consults trained models.
-TEST(LearnerBatchExperimentTest, ExperimentsIdenticalAcrossInferenceModes) {
-  const Dataset dataset =
-      *WorkloadRegistry::Global().Resolve("dataset1:records=600,seed=21");
-
-  for (const Strategy strategy :
-       {Strategy::kGdr, Strategy::kGdrSLearning}) {
-    auto run = [&](VoiRanker::InferenceMode mode) {
-      ExperimentConfig config;
-      config.strategy = strategy;
-      config.feedback_budget = 120;
-      config.seed = 9;
-      config.sample_every = 10;
-      config.learner_inference = mode;
-      auto result = RunStrategyExperiment(dataset, config);
-      EXPECT_TRUE(result.ok());
-      return *result;
-    };
-    const ExperimentResult batched = run(VoiRanker::InferenceMode::kBatched);
-    const ExperimentResult oracle =
-        run(VoiRanker::InferenceMode::kPerUpdateOracle);
-    ExpectResultsIdentical(batched, oracle);
-  }
-}
-
-// The same through the pull API at several thread counts.
-TEST(LearnerBatchExperimentTest, SessionPumpIdenticalAcrossInferenceModes) {
-  const Dataset dataset =
-      *WorkloadRegistry::Global().Resolve("dataset1:records=400,seed=7");
-
-  auto run = [&](VoiRanker::InferenceMode mode, std::size_t threads) {
-    ExperimentConfig config;
-    config.strategy = Strategy::kGdr;
-    config.feedback_budget = 80;
-    config.seed = 5;
-    config.sample_every = 10;
-    config.num_threads = threads;
-    config.driver = ExperimentDriver::kSessionPump;
-    config.learner_inference = mode;
-    auto result = RunStrategyExperiment(dataset, config);
-    EXPECT_TRUE(result.ok());
-    return *result;
-  };
-  const ExperimentResult reference =
-      run(VoiRanker::InferenceMode::kPerUpdateOracle, 1);
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ExpectResultsIdentical(run(VoiRanker::InferenceMode::kBatched, threads),
-                           reference);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Mid-session append differential: two sessions differing only in
-// learner_inference must deliver identical suggestion traces through an
-// AppendDirtyRows in the middle (streaming admission rescores groups via
-// ScoreGroup, the other FillProbabilities consumer).
-
-Schema SessionSchema() { return *Schema::Make({"City", "Zip", "State"}); }
-
-RuleSet SessionRules() {
-  RuleSet rules(SessionSchema());
-  EXPECT_TRUE(rules.AddRuleFromString("v1", "City -> Zip").ok());
-  EXPECT_TRUE(rules.AddRuleFromString("v2", "Zip -> City").ok());
-  EXPECT_TRUE(
-      rules.AddRuleFromString("c1", "City=Springfield -> State=IL").ok());
-  return rules;
-}
-
-using Truth = std::vector<std::vector<std::string>>;
-
-Truth BaseTruth() {
-  return {{"Springfield", "Z0", "IL"},
-          {"Springfield", "Z0", "IL"},
-          {"Shelby", "Z1", "IN"},
-          {"Shelby", "Z1", "IN"},
-          {"Dalton", "Z2", "OH"},
-          {"Dalton", "Z2", "OH"}};
-}
-
-Table BaseDirty() {
-  Table table(SessionSchema());
-  Truth rows = BaseTruth();
-  rows[1][1] = "Zx";
-  rows[0][2] = "XX";
-  for (const auto& row : rows) EXPECT_TRUE(table.AppendRow(row).ok());
-  return table;
-}
-
-struct PolicyAnswer {
-  Feedback feedback;
-  std::optional<std::string> volunteered;
-};
-
-PolicyAnswer Answer(const Table& table, const Truth& truth,
-                    const SuggestedUpdate& s) {
-  const std::string& expected =
-      truth[static_cast<std::size_t>(s.update.row)]
-           [static_cast<std::size_t>(s.update.attr)];
-  const std::string& suggested =
-      table.dict(s.update.attr).ToString(s.update.value);
-  if (suggested == expected) return {Feedback::kConfirm, std::nullopt};
-  if (table.at(s.update.row, s.update.attr) == expected) {
-    return {Feedback::kRetain, std::nullopt};
-  }
-  return {Feedback::kReject, expected};
-}
-
-std::string TraceLine(const GdrSession& session, const SuggestedUpdate& s) {
-  return std::to_string(s.update_id) + "|r" + std::to_string(s.update.row) +
-         "|a" + std::to_string(s.update.attr) + "|" +
-         session.table().dict(s.update.attr).ToString(s.update.value) + "|" +
-         std::to_string(s.voi_score);
-}
-
-void Drive(GdrSession* session, const Truth& truth,
-           std::vector<std::string>* trace) {
-  while (session->state() != SessionState::kDone) {
-    const auto batch = session->NextBatch();
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    if (batch->empty() && session->state() == SessionState::kDone) break;
-    for (const SuggestedUpdate& s : *batch) {
-      if (!session->IsLive(s.update_id)) continue;
-      trace->push_back(TraceLine(*session, s));
-      const PolicyAnswer answer = Answer(session->table(), truth, s);
-      const auto outcome = session->SubmitFeedback(
-          s.update_id, answer.feedback, answer.volunteered);
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    }
-  }
-}
-
-std::vector<std::string> TableCells(const Table& table) {
-  std::vector<std::string> cells;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    for (std::size_t a = 0; a < table.num_attrs(); ++a) {
-      cells.push_back(table.at(static_cast<RowId>(r), static_cast<AttrId>(a)));
-    }
-  }
-  return cells;
-}
-
-TEST(LearnerBatchSessionTest, AppendMidSessionIdenticalAcrossInferenceModes) {
-  const RuleSet rules = SessionRules();
-  Truth truth = BaseTruth();
-
-  GdrOptions batched_options;
-  batched_options.strategy = Strategy::kGdr;
-  batched_options.ns = 2;
-  batched_options.seed = 42;
-  batched_options.feedback_budget = 100;
-  // A tiny threshold so the bank actually trains (and retrains) inside
-  // this small session — the inference modes then diverge unless batched
-  // evaluation is truly bit-identical.
-  batched_options.learner.min_training_examples = 4;
-  batched_options.learner_inference = VoiRanker::InferenceMode::kBatched;
-  GdrOptions oracle_options = batched_options;
-  oracle_options.learner_inference = VoiRanker::InferenceMode::kPerUpdateOracle;
-
-  Table table_a = BaseDirty();
-  GdrSession a(&table_a, &rules, batched_options);
-  Table table_b = BaseDirty();
-  GdrSession b(&table_b, &rules, oracle_options);
-  ASSERT_TRUE(a.Start().ok());
-  ASSERT_TRUE(b.Start().ok());
-
-  std::vector<std::string> trace_a;
-  std::vector<std::string> trace_b;
-  const auto batch_a = a.NextBatch();
-  const auto batch_b = b.NextBatch();
-  ASSERT_TRUE(batch_a.ok() && batch_b.ok());
-  ASSERT_FALSE(batch_a->empty());
-  ASSERT_EQ(batch_a->size(), batch_b->size());
-  {
-    const SuggestedUpdate& sa = batch_a->front();
-    const SuggestedUpdate& sb = batch_b->front();
-    EXPECT_EQ(TraceLine(a, sa), TraceLine(b, sb));
-    trace_a.push_back(TraceLine(a, sa));
-    trace_b.push_back(TraceLine(b, sb));
-    const PolicyAnswer pa = Answer(a.table(), truth, sa);
-    const PolicyAnswer pb = Answer(b.table(), truth, sb);
-    ASSERT_TRUE(a.SubmitFeedback(sa.update_id, pa.feedback, pa.volunteered)
-                    .ok());
-    ASSERT_TRUE(b.SubmitFeedback(sb.update_id, pb.feedback, pb.volunteered)
-                    .ok());
-  }
-
-  const std::vector<std::vector<std::string>> arrivals = {
-      {"Springfield", "Z9", "IL"},
-      {"Evanston", "Z5", "IL"},
-      {"Evanston", "Z5", "IL"}};
-  truth.push_back({"Springfield", "Z0", "IL"});
-  truth.push_back({"Evanston", "Z5", "IL"});
-  truth.push_back({"Evanston", "Z5", "IL"});
-  const auto out_a = a.AppendDirtyRows(arrivals);
-  const auto out_b = b.AppendDirtyRows(arrivals);
-  ASSERT_TRUE(out_a.ok() && out_b.ok());
-  EXPECT_GE(out_a->newly_dirty, 1u);
-  EXPECT_EQ(out_a->rows_appended, out_b->rows_appended);
-  EXPECT_EQ(out_a->newly_dirty, out_b->newly_dirty);
-  EXPECT_EQ(out_a->pool_delta, out_b->pool_delta);
-  EXPECT_EQ(out_a->groups_rescored, out_b->groups_rescored);
-
-  Drive(&a, truth, &trace_a);
-  Drive(&b, truth, &trace_b);
-  EXPECT_EQ(trace_a, trace_b);
-  EXPECT_EQ(TableCells(table_a), TableCells(table_b));
-  EXPECT_EQ(a.stats().user_feedback, b.stats().user_feedback);
-  EXPECT_EQ(a.stats().appended_rows, b.stats().appended_rows);
-  EXPECT_EQ(a.stats().admitted_dirty, b.stats().admitted_dirty);
-  EXPECT_EQ(a.Snapshot().Serialize(), b.Snapshot().Serialize());
-}
 
 }  // namespace
 }  // namespace gdr

@@ -27,6 +27,32 @@ TEST(RandomForestTest, RejectsEmptyTraining) {
   EXPECT_FALSE(forest.Train(set).ok());
 }
 
+// A training set whose examples have no features: every tree fails.
+TrainingSet ZeroWidthSet() {
+  TrainingSet set(FeatureSchema{}, 3);
+  EXPECT_TRUE(set.Add({{}, 0}).ok());
+  return set;
+}
+
+TEST(RandomForestTest, FailedTrainLeavesForestUntrained) {
+  RandomForest forest;
+  EXPECT_EQ(forest.Train(ZeroWidthSet()).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(forest.trained());
+  EXPECT_EQ(forest.num_trees(), 0);
+  EXPECT_EQ(forest.Predict({}), 0);  // no committee: no tree is walked
+}
+
+TEST(RandomForestTest, FailedRetrainKeepsPreviousCommittee) {
+  RandomForest forest;
+  ASSERT_TRUE(forest.Train(SeparableSet(100, 5)).ok());
+  const std::vector<double> before = forest.VoteFractions({2.0, 6.5});
+  EXPECT_FALSE(forest.Train(ZeroWidthSet()).ok());
+  EXPECT_TRUE(forest.trained());
+  EXPECT_EQ(forest.num_trees(), 10);
+  EXPECT_EQ(forest.num_classes(), 2);
+  EXPECT_EQ(forest.VoteFractions({2.0, 6.5}), before);
+}
+
 TEST(RandomForestTest, TrainsTenTreesByDefault) {
   TrainingSet set = SeparableSet(100, 1);
   RandomForest forest;

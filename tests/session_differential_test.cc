@@ -1,8 +1,8 @@
-// The acceptance contract of the session redesign: GdrEngine::Run() (the
-// compatibility shim) and a hand-pumped GdrSession produce bit-identical
-// GdrStats, repaired tables, and quality curves for every strategy at
-// fixed seeds — and a Snapshot() taken mid-session (mid-group, mid-batch,
-// post-retrain) Restore()s to the identical final result.
+// Session driving contracts: PumpSession and a hand-pumped GdrSession
+// produce bit-identical GdrStats, repaired tables, and progress callbacks
+// for every strategy at fixed seeds — and a Snapshot() taken mid-session
+// (mid-group, mid-batch, post-retrain) Restore()s to the identical final
+// result.
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,9 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "core/session.h"
-#include "workload/registry.h"
-#include "sim/experiment.h"
 #include "sim/oracle.h"
+#include "workload/registry.h"
 
 namespace gdr {
 namespace {
@@ -42,7 +41,7 @@ void ExpectSameStats(const GdrStats& a, const GdrStats& b,
 }
 
 // Answers one suggestion with the oracle (collecting a volunteered value
-// after a reject, like the shim does). Returns false on session error.
+// after a reject, as PumpSession does).
 void AnswerOne(GdrSession* session, const SuggestedUpdate& s,
                UserOracle* oracle) {
   if (!session->IsLive(s.update_id)) return;
@@ -55,7 +54,7 @@ void AnswerOne(GdrSession* session, const SuggestedUpdate& s,
       session->SubmitFeedback(s.update_id, feedback, volunteered).ok());
 }
 
-TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
+TEST(SessionDifferentialTest, PumpAndHandPumpedSessionAreBitIdentical) {
   const Dataset dataset = SmallDataset();
   for (Strategy strategy : kAllStrategies) {
     GdrOptions options;
@@ -67,17 +66,17 @@ TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
     oracle_options.volunteer_probability = 0.3;
     oracle_options.seed = 91;
 
-    // A: the legacy push loop through the Run() shim.
+    // A: the blocking-provider loop through PumpSession.
     Table table_a = dataset.dirty;
     UserOracle oracle_a(&dataset.clean, oracle_options);
-    GdrEngine engine_a(&table_a, &dataset.rules, &oracle_a, options);
-    ASSERT_TRUE(engine_a.Initialize().ok());
+    GdrSession pumped(&table_a, &dataset.rules, options);
     std::vector<std::size_t> callbacks_a;
-    ASSERT_TRUE(engine_a
-                    .Run([&callbacks_a](const GdrEngine&, std::size_t f) {
-                      callbacks_a.push_back(f);
-                    })
-                    .ok());
+    pumped.SetProgressCallback(
+        [&callbacks_a](const GdrEngine&, std::size_t f) {
+          callbacks_a.push_back(f);
+        });
+    ASSERT_TRUE(pumped.Start().ok());
+    ASSERT_TRUE(PumpSession(&pumped, &oracle_a).ok());
 
     // B: the pull API, hand-pumped batch by batch.
     Table table_b = dataset.dirty;
@@ -98,54 +97,17 @@ TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
     }
 
     const std::string label = StrategyName(strategy);
-    ExpectSameStats(engine_a.stats(), session.stats(), label);
+    ExpectSameStats(pumped.stats(), session.stats(), label);
     EXPECT_EQ(*table_a.CountDifferingCells(table_b), 0u) << label;
     EXPECT_EQ(callbacks_a, callbacks_b) << label;
-    EXPECT_EQ(engine_a.index().TotalViolations(),
+    EXPECT_EQ(pumped.engine().index().TotalViolations(),
               session.engine().index().TotalViolations())
         << label;
-    EXPECT_EQ(engine_a.pool().size(), session.engine().pool().size())
+    EXPECT_EQ(pumped.engine().pool().size(), session.engine().pool().size())
         << label;
     EXPECT_EQ(oracle_a.feedback_given(), oracle_b.feedback_given()) << label;
     EXPECT_EQ(oracle_a.values_volunteered(), oracle_b.values_volunteered())
         << label;
-  }
-}
-
-TEST(SessionDifferentialTest, ExperimentDriversAreBitIdentical) {
-  const Dataset dataset = SmallDataset();
-  for (Strategy strategy : kAllStrategies) {
-    ExperimentConfig config;
-    config.strategy = strategy;
-    config.feedback_budget = 80;
-    config.seed = 5;
-    config.sample_every = 10;
-    config.volunteer_probability = 0.2;
-
-    config.driver = ExperimentDriver::kEngineRun;
-    auto via_run = RunStrategyExperiment(dataset, config);
-    config.driver = ExperimentDriver::kSessionPump;
-    auto via_session = RunStrategyExperiment(dataset, config);
-    ASSERT_TRUE(via_run.ok());
-    ASSERT_TRUE(via_session.ok());
-
-    const std::string label = StrategyName(strategy);
-    ExpectSameStats(via_run->stats, via_session->stats, label);
-    EXPECT_EQ(via_run->final_loss, via_session->final_loss) << label;
-    EXPECT_EQ(via_run->remaining_violations,
-              via_session->remaining_violations)
-        << label;
-    EXPECT_EQ(via_run->accuracy.Precision(), via_session->accuracy.Precision())
-        << label;
-    EXPECT_EQ(via_run->accuracy.Recall(), via_session->accuracy.Recall())
-        << label;
-    ASSERT_EQ(via_run->curve.size(), via_session->curve.size()) << label;
-    for (std::size_t i = 0; i < via_run->curve.size(); ++i) {
-      EXPECT_EQ(via_run->curve[i].feedback, via_session->curve[i].feedback);
-      EXPECT_EQ(via_run->curve[i].loss, via_session->curve[i].loss);
-      EXPECT_EQ(via_run->curve[i].improvement_pct,
-                via_session->curve[i].improvement_pct);
-    }
   }
 }
 

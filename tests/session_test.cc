@@ -1,6 +1,6 @@
 // GdrSession API behavior: state machine transitions, batch metadata,
 // feedback outcomes, abandoned batches, budget accounting, and the
-// snapshot wire format. Bit-identity with the legacy Run() loop is covered
+// snapshot wire format. Snapshot/restore bit-identity is covered
 // separately by session_differential_test.cc.
 #include "core/session.h"
 
@@ -42,20 +42,6 @@ TEST(GdrSessionTest, StartIsSingleShot) {
   GdrSession session(&working, &dataset.rules);
   ASSERT_TRUE(session.Start().ok());
   EXPECT_EQ(session.Start().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(GdrSessionTest, RunShimRequiresProvider) {
-  Dataset dataset = SmallDataset();
-  Table working = dataset.dirty;
-  GdrEngine engine(&working, &dataset.rules, /*user=*/nullptr);
-  ASSERT_TRUE(engine.Initialize().ok());
-  EXPECT_EQ(engine.Run().code(), StatusCode::kFailedPrecondition);
-  // ...but the same engine is perfectly drivable through a session.
-  GdrSession session(&engine);
-  ASSERT_TRUE(session.Start().ok());
-  auto batch = session.NextBatch();
-  ASSERT_TRUE(batch.ok());
-  EXPECT_FALSE(batch->empty());
 }
 
 TEST(GdrSessionTest, BatchShapeAndMetadata) {

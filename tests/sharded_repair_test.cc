@@ -168,7 +168,6 @@ TEST(ShardedRepairTest, AppendsRouteIntoOwningShardSessions) {
   struct ShardSession {
     Dataset slice;
     Table working;
-    std::unique_ptr<GdrEngine> engine;
     std::unique_ptr<GdrSession> session;
 
     explicit ShardSession(Dataset s)
@@ -179,17 +178,13 @@ TEST(ShardedRepairTest, AppendsRouteIntoOwningShardSessions) {
   options.seed = 5;
 
   std::vector<std::unique_ptr<ShardSession>> sessions;
-  std::vector<std::unique_ptr<UserOracle>> oracles;
   for (std::size_t s = 0; s < kShards; ++s) {
     auto slice = MakeShardDataset(dataset, plan->range(s), "shard");
     ASSERT_TRUE(slice.ok());
     sessions.push_back(std::make_unique<ShardSession>(*std::move(slice)));
     ShardSession& shard = *sessions.back();
-    oracles.push_back(std::make_unique<UserOracle>(&shard.slice.clean));
-    shard.engine = std::make_unique<GdrEngine>(
-        &shard.working, &shard.slice.rules, oracles.back().get(), options);
-    ASSERT_TRUE(shard.engine->Initialize().ok());
-    shard.session = std::make_unique<GdrSession>(shard.engine.get());
+    shard.session = std::make_unique<GdrSession>(
+        &shard.working, &shard.slice.rules, options);
     ASSERT_TRUE(shard.session->Start().ok());
   }
 

@@ -1,17 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "cfd/violation_index.h"
+#include "core/voi.h"
+#include "testing/voi_oracle.h"
 #include "util/rng.h"
 
 namespace gdr {
 namespace {
 
-// Shared fixture: a randomized table plus a rule mix (constant + variable)
+// Churn fixture: a randomized table plus a rule mix (constant + variable)
 // in the style of the Figure-1 schema.
 struct RandomInstance {
   RandomInstance(std::uint64_t seed, int rows)
@@ -45,164 +45,59 @@ struct RandomInstance {
   RuleSet rules;
 };
 
-// Asserts that `delta` answers every query exactly as an index rebuilt
-// from scratch over `expected` (the base table with the overlay applied).
-void ExpectDeltaMatchesRebuild(const ViolationDelta& delta, Table expected,
-                               const RuleSet& rules) {
-  ViolationIndex rebuilt(&expected, &rules);
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    const RuleId rule = static_cast<RuleId>(i);
-    EXPECT_EQ(delta.RuleViolations(rule), rebuilt.RuleViolations(rule));
-    EXPECT_EQ(delta.ViolatingCount(rule), rebuilt.ViolatingCount(rule));
-    EXPECT_EQ(delta.ContextCount(rule), rebuilt.ContextCount(rule));
-    EXPECT_EQ(delta.SatisfyingCount(rule), rebuilt.SatisfyingCount(rule));
-  }
-  EXPECT_EQ(delta.TotalViolations(), rebuilt.TotalViolations());
-  for (std::size_t r = 0; r < expected.num_rows(); ++r) {
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      EXPECT_EQ(delta.TupleViolation(static_cast<RowId>(r),
-                                     static_cast<RuleId>(i)),
-                rebuilt.TupleViolation(static_cast<RowId>(r),
-                                       static_cast<RuleId>(i)))
-          << "row " << r << " rule " << i;
-    }
-  }
-  EXPECT_EQ(delta.DirtyRows(), rebuilt.DirtyRows());
-}
+// The hypothetical-evaluation property: while the base index takes a
+// random walk of real cell changes, every random single-cell hypothetical
+// scores exactly as the brute-force oracle over the current table — both
+// through a batch kept alive across the walk (whose staging must follow
+// the base's version) and through a freshly staged one — and each staged
+// rule's probe reports the rebuilt copy's violation-count change and
+// satisfying count. Scoring never mutates the base.
+class HypotheticalPropertyTest : public ::testing::TestWithParam<int> {};
 
-// The tentpole property: after ANY random sequence of overlay writes,
-// merges, and discards, the incrementally maintained delta equals an index
-// rebuilt from scratch — violation set, per-rule counts, dirty-tuple set —
-// and the shared base is untouched.
-class OverlayPropertyTest : public ::testing::TestWithParam<int> {};
+TEST_P(HypotheticalPropertyTest, RandomWalkMatchesBruteForce) {
+  voi_testing::RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
+  ViolationIndex& index = *inst.index;
+  const VoiRanker ranker(&index, &inst.weights);
+  HypotheticalBatch kept(&index);
 
-TEST_P(OverlayPropertyTest, RandomWalkMatchesRebuild) {
-  RandomInstance inst(static_cast<std::uint64_t>(GetParam()), 50);
-  Rng rng(static_cast<std::uint64_t>(GetParam()) ^ 0xDEADBEEFULL);
+  for (int step = 0; step < 60; ++step) {
+    for (int probe = 0; probe < 4; ++probe) {
+      const Update update = inst.RandomUpdate();
+      const double expected = voi_testing::BruteForceBenefit(
+          inst.table, inst.rules, inst.weights, update);
+      EXPECT_EQ(ranker.UpdateBenefit(update, &kept), expected)
+          << "step " << step;
+      EXPECT_EQ(ranker.UpdateBenefit(update), expected) << "step " << step;
 
-  ViolationIndex base(&inst.table, &inst.rules);
-  const Table pristine = inst.table;  // snapshot before any overlay op
-  const std::int64_t base_total = base.TotalViolations();
-  const std::vector<RowId> base_dirty = base.DirtyRows();
-
-  ViolationDelta delta(&base);
-  Table mirror = pristine;  // what the overlay should resolve to
-
-  auto random_cell = [&](RowId* row, AttrId* attr, ValueId* value) {
-    *row = static_cast<RowId>(rng.NextBounded(inst.table.num_rows()));
-    *attr = static_cast<AttrId>(rng.NextBounded(inst.table.num_attrs()));
-    *value = static_cast<ValueId>(
-        rng.NextBounded(inst.table.DomainSize(*attr)));
-  };
-
-  for (int step = 0; step < 120; ++step) {
-    const std::uint64_t kind = rng.NextBounded(100);
-    if (kind < 70) {  // overlay write
-      RowId row;
-      AttrId attr;
-      ValueId value;
-      random_cell(&row, &attr, &value);
-      const ValueId before = delta.ValueAt(row, attr);
-      EXPECT_EQ(delta.SetCell(row, attr, value), before);
-      mirror.SetById(row, attr, value);
-      EXPECT_EQ(delta.ValueAt(row, attr), value);
-    } else if (kind < 85) {  // merge a second delta built independently
-      ViolationDelta other(&base);
-      std::map<std::pair<RowId, AttrId>, ValueId> other_writes;
-      const int writes = 1 + static_cast<int>(rng.NextBounded(5));
-      for (int w = 0; w < writes; ++w) {
-        RowId row;
-        AttrId attr;
-        ValueId value;
-        random_cell(&row, &attr, &value);
-        other.SetCell(row, attr, value);
-        if (value == pristine.id_at(row, attr)) {
-          other_writes.erase({row, attr});  // net no-op cancels the write
-        } else {
-          other_writes[{row, attr}] = value;
-        }
+      HypotheticalBatch batch(&index);
+      batch.Stage(update.attr, update.value);
+      if (batch.IsNoOp(update.row)) continue;
+      Table written = inst.table;
+      written.SetById(update.row, update.attr, update.value);
+      const ViolationIndex rebuilt(&written, &inst.rules);
+      for (std::size_t k = 0; k < batch.num_affected(); ++k) {
+        const RuleId rule = batch.affected_rule(k);
+        const HypotheticalBatch::Effect effect = batch.Probe(k, update.row);
+        EXPECT_EQ(effect.adjustment,
+                  rebuilt.RuleViolations(rule) - index.RuleViolations(rule))
+            << "step " << step << " rule " << rule;
+        EXPECT_EQ(effect.satisfying, rebuilt.SatisfyingCount(rule))
+            << "step " << step << " rule " << rule;
       }
-      delta.Merge(other);
-      for (const auto& [cell, value] : other_writes) {
-        mirror.SetById(cell.first, cell.second, value);
-      }
-    } else if (kind < 95) {  // discard all pending state
-      delta.Discard();
-      EXPECT_TRUE(delta.empty());
-      mirror = pristine;
-    } else {  // copy: overlays are value types
-      ViolationDelta copied = delta;
-      delta = std::move(copied);
     }
+    const Table before = inst.table;
+    const std::int64_t total = index.TotalViolations();
+    ranker.Rank(inst.groups, voi_testing::Probability);
+    EXPECT_EQ(index.TotalViolations(), total);
+    EXPECT_EQ(*inst.table.CountDifferingCells(before), 0u);
 
-    if (step % 10 == 9) {
-      ExpectDeltaMatchesRebuild(delta, mirror, inst.rules);
-    }
+    const Update change = inst.RandomUpdate();
+    index.ApplyCellChange(change.row, change.attr, change.value);
   }
-  ExpectDeltaMatchesRebuild(delta, mirror, inst.rules);
-
-  // The shared base never moved: same table cells, same aggregates.
-  EXPECT_EQ(base.TotalViolations(), base_total);
-  EXPECT_EQ(base.DirtyRows(), base_dirty);
-  EXPECT_EQ(*inst.table.CountDifferingCells(pristine), 0u);
-  EXPECT_EQ(base.version(), delta.base_version());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, OverlayPropertyTest, ::testing::Range(1, 11));
-
-TEST(ViolationDeltaTest, ApplyThenRevertReadsAsBase) {
-  RandomInstance inst(99, 40);
-  ViolationIndex base(&inst.table, &inst.rules);
-  Rng rng(123);
-
-  ViolationDelta delta(&base);
-  for (int i = 0; i < 30; ++i) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(40));
-    const AttrId attr =
-        static_cast<AttrId>(rng.NextBounded(inst.table.num_attrs()));
-    const ValueId value =
-        static_cast<ValueId>(rng.NextBounded(inst.table.DomainSize(attr)));
-    const ValueId old = delta.SetCell(row, attr, value);
-    delta.SetCell(row, attr, old);  // revert immediately
-  }
-  EXPECT_TRUE(delta.empty());
-  EXPECT_EQ(delta.pending_writes(), 0u);
-  EXPECT_EQ(delta.TotalViolations(), base.TotalViolations());
-  for (std::size_t i = 0; i < inst.rules.size(); ++i) {
-    const RuleId rule = static_cast<RuleId>(i);
-    EXPECT_EQ(delta.RuleViolations(rule), base.RuleViolations(rule));
-    EXPECT_EQ(delta.ViolatingCount(rule), base.ViolatingCount(rule));
-    EXPECT_EQ(delta.ContextCount(rule), base.ContextCount(rule));
-  }
-  EXPECT_EQ(delta.DirtyRows(), base.DirtyRows());
-}
-
-TEST(ViolationDeltaTest, MatchesIncrementalBaseOnSameWrites) {
-  // The overlay resolves exactly like a second index that really applies
-  // the same writes.
-  RandomInstance inst(7, 45);
-  ViolationIndex base(&inst.table, &inst.rules);
-  Table applied_table = inst.table;
-  ViolationIndex applied(&applied_table, &inst.rules);
-  Rng rng(77);
-
-  ViolationDelta delta(&base);
-  for (int i = 0; i < 60; ++i) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(45));
-    const AttrId attr =
-        static_cast<AttrId>(rng.NextBounded(inst.table.num_attrs()));
-    const ValueId value =
-        static_cast<ValueId>(rng.NextBounded(inst.table.DomainSize(attr)));
-    delta.SetCell(row, attr, value);
-    applied.ApplyCellChange(row, attr, value);
-  }
-  for (std::size_t i = 0; i < inst.rules.size(); ++i) {
-    const RuleId rule = static_cast<RuleId>(i);
-    EXPECT_EQ(delta.RuleViolations(rule), applied.RuleViolations(rule));
-    EXPECT_EQ(delta.SatisfyingCount(rule), applied.SatisfyingCount(rule));
-  }
-  EXPECT_EQ(delta.DirtyRows(), applied.DirtyRows());
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, HypotheticalPropertyTest,
+                         ::testing::Range(1, 11));
 
 // Asserts that the incrementally maintained `index` answers every query
 // exactly as an index rebuilt from scratch over the same table — including
@@ -309,55 +204,6 @@ TEST(GroupRecyclingTest, FreeListReusesSlotsInsteadOfGrowing) {
     EXPECT_EQ(storage.live_groups(), warm.live_groups()) << "iteration " << i;
   }
   ExpectIndexMatchesRebuild(index, inst.table, inst.rules);
-}
-
-TEST(ViolationDeltaTest, DiscardKeepsReuseTransparent) {
-  // The reusable-scratch contract: stage → read → Discard in a loop, as
-  // the VOI inner loop does, and every round answers exactly like a fresh
-  // overlay would.
-  RandomInstance inst(55, 35);
-  ViolationIndex base(&inst.table, &inst.rules);
-  Rng rng(555);
-
-  ViolationDelta scratch(&base);
-  for (int round = 0; round < 40; ++round) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(35));
-    const AttrId attr =
-        static_cast<AttrId>(rng.NextBounded(inst.table.num_attrs()));
-    const ValueId value =
-        static_cast<ValueId>(rng.NextBounded(inst.table.DomainSize(attr)));
-
-    ViolationDelta fresh(&base);
-    fresh.SetCell(row, attr, value);
-    scratch.SetCell(row, attr, value);
-    for (std::size_t i = 0; i < inst.rules.size(); ++i) {
-      const RuleId rule = static_cast<RuleId>(i);
-      EXPECT_EQ(scratch.RuleViolations(rule), fresh.RuleViolations(rule));
-      EXPECT_EQ(scratch.SatisfyingCount(rule), fresh.SatisfyingCount(rule));
-      EXPECT_EQ(scratch.ContextCount(rule), fresh.ContextCount(rule));
-    }
-    EXPECT_EQ(scratch.TotalViolations(), fresh.TotalViolations());
-    scratch.Discard();
-    EXPECT_TRUE(scratch.empty());
-    EXPECT_EQ(scratch.pending_writes(), 0u);
-    EXPECT_EQ(scratch.TotalViolations(), base.TotalViolations());
-  }
-}
-
-TEST(ViolationDeltaTest, FreshDeltaIsTransparent) {
-  RandomInstance inst(3, 20);
-  ViolationIndex base(&inst.table, &inst.rules);
-  const ViolationDelta delta(&base);
-  EXPECT_TRUE(delta.empty());
-  EXPECT_EQ(delta.TotalViolations(), base.TotalViolations());
-  EXPECT_EQ(delta.DirtyRows(), base.DirtyRows());
-  for (std::size_t r = 0; r < inst.table.num_rows(); ++r) {
-    for (std::size_t a = 0; a < inst.table.num_attrs(); ++a) {
-      EXPECT_EQ(delta.ValueAt(static_cast<RowId>(r), static_cast<AttrId>(a)),
-                inst.table.id_at(static_cast<RowId>(r),
-                                 static_cast<AttrId>(a)));
-    }
-  }
 }
 
 }  // namespace

@@ -1,143 +1,47 @@
-// Differential suite for group-batched VOI scoring: the closed-form
-// HypotheticalBatch probes must be bit-identical — scores AND ranking
-// order — to the per-update delta oracle (and to the original
-// mutate-and-revert layout) at every thread count, through whole
-// experiments, and across mid-session appends.
+// Group-batched VOI scoring: the closed-form HypotheticalBatch probes
+// must agree bit for bit with the brute-force oracle (copy the table,
+// write the cell, rebuild the index, recount) under every staging
+// pattern, and p̃ must come from the installed batch function.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <optional>
-#include <string>
+#include <algorithm>
+#include <span>
 #include <vector>
 
-#include "core/session.h"
 #include "core/voi.h"
-#include "sim/experiment.h"
-#include "util/rng.h"
+#include "testing/voi_oracle.h"
 #include "util/thread_pool.h"
-#include "workload/registry.h"
 
 namespace gdr {
 namespace {
 
-// Randomized instance mirroring voi_parallel_test: table + constant/variable
-// rule mix + synthetic candidate pools grouped by (attr, value).
-struct RandomVoiInstance {
-  explicit RandomVoiInstance(std::uint64_t seed)
-      : schema(*Schema::Make({"STR", "CT", "STT", "ZIP"})),
-        table(schema),
-        rules(schema),
-        rng(seed) {
-    const char* streets[] = {"Main St", "Oak Ave", "Sherden Rd", "Elm St"};
-    const char* cities[] = {"Fort Wayne", "Westville", "Michigan City"};
-    const char* states[] = {"IN", "IND"};
-    const char* zips[] = {"46825", "46391", "46360", "46802", "46774"};
-    for (int i = 0; i < 80; ++i) {
-      EXPECT_TRUE(table
-                      .AppendRow({streets[rng.NextBounded(4)],
-                                  cities[rng.NextBounded(3)],
-                                  states[rng.NextBounded(2)],
-                                  zips[rng.NextBounded(5)]})
-                      .ok());
-    }
-    EXPECT_TRUE(
-        rules.AddRuleFromString("c1", "ZIP=46360 -> CT=Michigan City ; STT=IN")
-            .ok());
-    EXPECT_TRUE(rules.AddRuleFromString("c2", "ZIP=46391 -> CT=Westville")
-                    .ok());
-    EXPECT_TRUE(rules.AddRuleFromString("v1", "STR, CT -> ZIP").ok());
-    EXPECT_TRUE(rules.AddRuleFromString("v2", "ZIP -> CT").ok());
-    index = std::make_unique<ViolationIndex>(&table, &rules);
-
-    weights.resize(rules.size());
-    for (double& w : weights) w = 0.05 + 0.95 * rng.NextDouble();
-
-    const std::size_t num_groups = 12;
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      UpdateGroup group;
-      group.attr = static_cast<AttrId>(rng.NextBounded(table.num_attrs()));
-      group.value = static_cast<ValueId>(
-          rng.NextBounded(table.DomainSize(group.attr)));
-      const std::size_t members = 3 + rng.NextBounded(12);
-      for (std::size_t row_index :
-           rng.SampleWithoutReplacement(table.num_rows(), members)) {
-        Update update;
-        update.row = static_cast<RowId>(row_index);
-        update.attr = group.attr;
-        update.value = group.value;
-        update.score = rng.NextDouble();
-        group.updates.push_back(update);
-      }
-      groups.push_back(std::move(group));
-    }
-  }
-
-  Schema schema;
-  Table table;
-  RuleSet rules;
-  Rng rng;
-  std::unique_ptr<ViolationIndex> index;
-  std::vector<double> weights;
-  std::vector<UpdateGroup> groups;
-};
-
-double Probability(const Update& u) { return 0.1 + 0.8 * u.score; }
-
-// The pre-overlay reference semantics: apply the hypothetical to a real
-// index, read the aggregates, revert.
-double LegacyMutateAndRevertBenefit(const Table& table, const RuleSet& rules,
-                                    const std::vector<double>& weights,
-                                    const Update& update) {
-  Table scratch = table;
-  ViolationIndex index(&scratch, &rules);
-  const std::vector<RuleId>& affected = rules.RulesMentioning(update.attr);
-  if (affected.empty()) return 0.0;
-  std::vector<std::int64_t> vio_before(affected.size());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    vio_before[i] = index.RuleViolations(affected[i]);
-  }
-  const ValueId old =
-      index.ApplyCellChange(update.row, update.attr, update.value);
-  double benefit = 0.0;
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    const RuleId rule = affected[i];
-    const std::int64_t satisfying = index.SatisfyingCount(rule);
-    if (satisfying <= 0) continue;
-    const double drop =
-        static_cast<double>(vio_before[i] - index.RuleViolations(rule));
-    benefit += weights[static_cast<std::size_t>(rule)] * drop /
-               static_cast<double>(satisfying);
-  }
-  index.ApplyCellChange(update.row, update.attr, old);
-  return benefit;
-}
+using voi_testing::BruteForceBenefit;
+using voi_testing::Probability;
+using voi_testing::RandomVoiInstance;
 
 class VoiBatchedTest : public ::testing::TestWithParam<int> {};
 
-// Differential: the batched closed-form benefit is bit-identical to the
-// delta-scratch path, the fresh-delta path, and the legacy
-// mutate-and-revert layout — for every pooled update, with the batch
-// staged once per group (the hot-path access pattern).
-TEST_P(VoiBatchedTest, BatchedBenefitMatchesEveryOracle) {
+// The batched closed-form benefit equals the brute-force oracle for every
+// pooled update, with the batch staged once per group (the hot-path access
+// pattern), and equals the convenience overload that stages its own batch.
+TEST_P(VoiBatchedTest, BatchedBenefitMatchesBruteForce) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
   VoiRanker ranker(inst.index.get(), &inst.weights);
   HypotheticalBatch batch(inst.index.get());
-  ViolationDelta scratch(inst.index.get());
   for (const UpdateGroup& group : inst.groups) {
     for (const Update& update : group.updates) {
       const double batched = ranker.UpdateBenefit(update, &batch);
-      EXPECT_EQ(batched, ranker.UpdateBenefit(update, &scratch));
       EXPECT_EQ(batched, ranker.UpdateBenefit(update));
-      EXPECT_EQ(batched, LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                                      inst.weights, update));
+      EXPECT_EQ(batched, BruteForceBenefit(inst.table, inst.rules,
+                                           inst.weights, update));
     }
   }
 }
 
-// Same differential under adversarial staging: updates interleaved
-// round-robin across groups so every probe forces a restage onto a new
-// (attr, value) context. Restaging must never leak state between contexts.
-TEST_P(VoiBatchedTest, InterleavedRestagingMatchesOracle) {
+// Same under adversarial staging: updates interleaved round-robin across
+// groups so every probe forces a restage onto a new (attr, value) context.
+// Restaging must never leak state between contexts.
+TEST_P(VoiBatchedTest, InterleavedRestagingMatchesBruteForce) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
   VoiRanker ranker(inst.index.get(), &inst.weights);
   HypotheticalBatch batch(inst.index.get());
@@ -150,7 +54,8 @@ TEST_P(VoiBatchedTest, InterleavedRestagingMatchesOracle) {
       if (k >= group.updates.size()) continue;
       const Update& update = group.updates[k];
       EXPECT_EQ(ranker.UpdateBenefit(update, &batch),
-                ranker.UpdateBenefit(update));
+                BruteForceBenefit(inst.table, inst.rules, inst.weights,
+                                  update));
     }
   }
 }
@@ -164,8 +69,7 @@ TEST_P(VoiBatchedTest, BatchedScoringNeverMutatesSharedState) {
   const std::uint64_t version_before = inst.index->version();
 
   ThreadPool pool(4);
-  VoiRanker ranker(inst.index.get(), &inst.weights, &pool,
-                   VoiRanker::ScoringMode::kBatched);
+  VoiRanker ranker(inst.index.get(), &inst.weights, &pool);
   ranker.Rank(inst.groups, Probability);
 
   EXPECT_EQ(inst.index->TotalViolations(), vio_before);
@@ -173,263 +77,47 @@ TEST_P(VoiBatchedTest, BatchedScoringNeverMutatesSharedState) {
   EXPECT_EQ(*inst.table.CountDifferingCells(before), 0u);
 }
 
-// The tentpole gate: batched-mode Rank is bit-identical — scores AND
-// order — to per-update-oracle Rank at 1, 2, 4, and 8 threads.
-TEST_P(VoiBatchedTest, BatchedRankingBitIdenticalToOracleAcrossThreads) {
+// ScoreGroup (the live-ranking merge's rescoring path) accumulates the
+// same terms as the brute-force oracle in update order.
+TEST_P(VoiBatchedTest, ScoreGroupMatchesBruteForce) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
-
-  VoiRanker oracle(inst.index.get(), &inst.weights, nullptr,
-                   VoiRanker::ScoringMode::kPerUpdateOracle);
-  const VoiRanker::Ranking reference = oracle.Rank(inst.groups, Probability);
-  ASSERT_EQ(reference.scores.size(), inst.groups.size());
-
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    VoiRanker batched(inst.index.get(), &inst.weights, &pool,
-                      VoiRanker::ScoringMode::kBatched);
-    const VoiRanker::Ranking ranking = batched.Rank(inst.groups, Probability);
-    EXPECT_EQ(ranking.scores, reference.scores) << threads << " threads";
-    EXPECT_EQ(ranking.order, reference.order) << threads << " threads";
+  VoiRanker ranker(inst.index.get(), &inst.weights);
+  for (const UpdateGroup& group : inst.groups) {
+    double expected = 0.0;
+    for (const Update& update : group.updates) {
+      expected += Probability(update) *
+                  BruteForceBenefit(inst.table, inst.rules, inst.weights,
+                                    update);
+    }
+    EXPECT_EQ(ranker.ScoreGroup(group, Probability), expected);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VoiBatchedTest, ::testing::Range(1, 7));
 
-void ExpectResultsIdentical(const ExperimentResult& a,
-                            const ExperimentResult& b) {
-  EXPECT_EQ(a.stats.initial_dirty, b.stats.initial_dirty);
-  EXPECT_EQ(a.stats.user_feedback, b.stats.user_feedback);
-  EXPECT_EQ(a.stats.user_confirms, b.stats.user_confirms);
-  EXPECT_EQ(a.stats.user_rejects, b.stats.user_rejects);
-  EXPECT_EQ(a.stats.user_retains, b.stats.user_retains);
-  EXPECT_EQ(a.stats.learner_decisions, b.stats.learner_decisions);
-  EXPECT_EQ(a.stats.forced_repairs, b.stats.forced_repairs);
-  EXPECT_EQ(a.stats.outer_iterations, b.stats.outer_iterations);
-  EXPECT_EQ(a.final_loss, b.final_loss);
-  EXPECT_EQ(a.remaining_violations, b.remaining_violations);
-  EXPECT_EQ(a.accuracy.updated_cells, b.accuracy.updated_cells);
-  EXPECT_EQ(a.accuracy.correctly_updated_cells,
-            b.accuracy.correctly_updated_cells);
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].feedback, b.curve[i].feedback);
-    EXPECT_EQ(a.curve[i].improvement_pct, b.curve[i].improvement_pct);
-    EXPECT_EQ(a.curve[i].loss, b.curve[i].loss);
-  }
-}
-
-// Whole experiments — interactive loop, learner, repairs, curve — are
-// bit-identical whether VOI runs batched or through the per-update oracle,
-// across the strategies that exercise VOI ranking.
-TEST(VoiBatchedExperimentTest, ExperimentsIdenticalAcrossScoringModes) {
-  const Dataset dataset =
-      *WorkloadRegistry::Global().Resolve("dataset1:records=600,seed=21");
-
-  for (const Strategy strategy :
-       {Strategy::kGdr, Strategy::kGdrSLearning, Strategy::kGdrNoLearning}) {
-    auto run = [&](VoiRanker::ScoringMode mode) {
-      ExperimentConfig config;
-      config.strategy = strategy;
-      config.feedback_budget = 60;
-      config.seed = 9;
-      config.sample_every = 10;
-      config.voi_scoring = mode;
-      auto result = RunStrategyExperiment(dataset, config);
-      EXPECT_TRUE(result.ok());
-      return *result;
-    };
-    const ExperimentResult batched = run(VoiRanker::ScoringMode::kBatched);
-    const ExperimentResult oracle =
-        run(VoiRanker::ScoringMode::kPerUpdateOracle);
-    ExpectResultsIdentical(batched, oracle);
-  }
-}
-
-// The same through the pull API at several thread counts: session pumping
-// with batched scoring matches the oracle mode exactly.
-TEST(VoiBatchedExperimentTest, SessionPumpIdenticalAcrossScoringModes) {
-  const Dataset dataset =
-      *WorkloadRegistry::Global().Resolve("dataset1:records=400,seed=7");
-
-  auto run = [&](VoiRanker::ScoringMode mode, std::size_t threads) {
-    ExperimentConfig config;
-    config.strategy = Strategy::kGdr;
-    config.feedback_budget = 40;
-    config.seed = 5;
-    config.sample_every = 10;
-    config.num_threads = threads;
-    config.driver = ExperimentDriver::kSessionPump;
-    config.voi_scoring = mode;
-    auto result = RunStrategyExperiment(dataset, config);
-    EXPECT_TRUE(result.ok());
-    return *result;
+// Once a batch p̃ function is installed it supplies every probability; the
+// scalar fn passed to Rank/ScoreGroup is never consulted.
+TEST(VoiBatchedProbabilityTest, InstalledBatchFunctionReplacesScalarFn) {
+  RandomVoiInstance inst(3);
+  VoiRanker ranker(inst.index.get(), &inst.weights);
+  ranker.set_batch_probability_fn(
+      [](std::span<const Update> updates, std::vector<double>* out) {
+        out->clear();
+        for (const Update& u : updates) out->push_back(Probability(u));
+      });
+  const auto never_called = [](const Update&) {
+    ADD_FAILURE() << "scalar p̃ consulted despite a batch function";
+    return 0.0;
   };
-  const ExperimentResult reference =
-      run(VoiRanker::ScoringMode::kPerUpdateOracle, 1);
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ExpectResultsIdentical(run(VoiRanker::ScoringMode::kBatched, threads),
-                           reference);
+  const VoiRanker::Ranking batched = ranker.Rank(inst.groups, never_called);
+  const VoiRanker plain(inst.index.get(), &inst.weights);
+  const VoiRanker::Ranking scalar = plain.Rank(inst.groups, Probability);
+  EXPECT_EQ(batched.scores, scalar.scores);
+  EXPECT_EQ(batched.order, scalar.order);
+  for (std::size_t i = 0; i < inst.groups.size(); ++i) {
+    EXPECT_EQ(ranker.ScoreGroup(inst.groups[i], never_called),
+              scalar.scores[i]);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Mid-session append differential (the PR 6 streaming-admission path):
-// two sessions differing only in GdrOptions::voi_scoring must deliver
-// identical suggestion traces through an AppendDirtyRows in the middle.
-
-Schema SessionSchema() { return *Schema::Make({"City", "Zip", "State"}); }
-
-RuleSet SessionRules() {
-  RuleSet rules(SessionSchema());
-  EXPECT_TRUE(rules.AddRuleFromString("v1", "City -> Zip").ok());
-  EXPECT_TRUE(rules.AddRuleFromString("v2", "Zip -> City").ok());
-  EXPECT_TRUE(
-      rules.AddRuleFromString("c1", "City=Springfield -> State=IL").ok());
-  return rules;
-}
-
-using Truth = std::vector<std::vector<std::string>>;
-
-Truth BaseTruth() {
-  return {{"Springfield", "Z0", "IL"},
-          {"Springfield", "Z0", "IL"},
-          {"Shelby", "Z1", "IN"},
-          {"Shelby", "Z1", "IN"},
-          {"Dalton", "Z2", "OH"},
-          {"Dalton", "Z2", "OH"}};
-}
-
-Table BaseDirty() {
-  Table table(SessionSchema());
-  Truth rows = BaseTruth();
-  rows[1][1] = "Zx";
-  rows[0][2] = "XX";
-  for (const auto& row : rows) EXPECT_TRUE(table.AppendRow(row).ok());
-  return table;
-}
-
-struct PolicyAnswer {
-  Feedback feedback;
-  std::optional<std::string> volunteered;
-};
-
-PolicyAnswer Answer(const Table& table, const Truth& truth,
-                    const SuggestedUpdate& s) {
-  const std::string& expected =
-      truth[static_cast<std::size_t>(s.update.row)]
-           [static_cast<std::size_t>(s.update.attr)];
-  const std::string& suggested =
-      table.dict(s.update.attr).ToString(s.update.value);
-  if (suggested == expected) return {Feedback::kConfirm, std::nullopt};
-  if (table.at(s.update.row, s.update.attr) == expected) {
-    return {Feedback::kRetain, std::nullopt};
-  }
-  return {Feedback::kReject, expected};
-}
-
-std::string TraceLine(const GdrSession& session, const SuggestedUpdate& s) {
-  return std::to_string(s.update_id) + "|r" + std::to_string(s.update.row) +
-         "|a" + std::to_string(s.update.attr) + "|" +
-         session.table().dict(s.update.attr).ToString(s.update.value) + "|" +
-         std::to_string(s.voi_score);
-}
-
-void Drive(GdrSession* session, const Truth& truth,
-           std::vector<std::string>* trace) {
-  while (session->state() != SessionState::kDone) {
-    const auto batch = session->NextBatch();
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    if (batch->empty() && session->state() == SessionState::kDone) break;
-    for (const SuggestedUpdate& s : *batch) {
-      if (!session->IsLive(s.update_id)) continue;
-      trace->push_back(TraceLine(*session, s));
-      const PolicyAnswer answer = Answer(session->table(), truth, s);
-      const auto outcome = session->SubmitFeedback(
-          s.update_id, answer.feedback, answer.volunteered);
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    }
-  }
-}
-
-std::vector<std::string> TableCells(const Table& table) {
-  std::vector<std::string> cells;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    for (std::size_t a = 0; a < table.num_attrs(); ++a) {
-      cells.push_back(table.at(static_cast<RowId>(r), static_cast<AttrId>(a)));
-    }
-  }
-  return cells;
-}
-
-TEST(VoiBatchedSessionTest, AppendMidSessionIdenticalAcrossScoringModes) {
-  const RuleSet rules = SessionRules();
-  Truth truth = BaseTruth();
-
-  GdrOptions batched_options;
-  batched_options.strategy = Strategy::kGdrNoLearning;
-  batched_options.ns = 2;
-  batched_options.seed = 42;
-  batched_options.feedback_budget = 100;
-  batched_options.voi_scoring = VoiRanker::ScoringMode::kBatched;
-  GdrOptions oracle_options = batched_options;
-  oracle_options.voi_scoring = VoiRanker::ScoringMode::kPerUpdateOracle;
-
-  Table table_a = BaseDirty();
-  GdrSession a(&table_a, &rules, batched_options);
-  Table table_b = BaseDirty();
-  GdrSession b(&table_b, &rules, oracle_options);
-  ASSERT_TRUE(a.Start().ok());
-  ASSERT_TRUE(b.Start().ok());
-
-  // First batch from each: identical suggestions before any append.
-  std::vector<std::string> trace_a;
-  std::vector<std::string> trace_b;
-  const auto batch_a = a.NextBatch();
-  const auto batch_b = b.NextBatch();
-  ASSERT_TRUE(batch_a.ok() && batch_b.ok());
-  ASSERT_FALSE(batch_a->empty());
-  ASSERT_EQ(batch_a->size(), batch_b->size());
-  {
-    const SuggestedUpdate& sa = batch_a->front();
-    const SuggestedUpdate& sb = batch_b->front();
-    EXPECT_EQ(TraceLine(a, sa), TraceLine(b, sb));
-    trace_a.push_back(TraceLine(a, sa));
-    trace_b.push_back(TraceLine(b, sb));
-    const PolicyAnswer pa = Answer(a.table(), truth, sa);
-    const PolicyAnswer pb = Answer(b.table(), truth, sb);
-    ASSERT_TRUE(a.SubmitFeedback(sa.update_id, pa.feedback, pa.volunteered)
-                    .ok());
-    ASSERT_TRUE(b.SubmitFeedback(sb.update_id, pb.feedback, pb.volunteered)
-                    .ok());
-  }
-
-  // Mid-session arrivals: a dirty Springfield row joining the broken
-  // City -> Zip group plus a clean pair. Both modes must admit, pool, and
-  // rescore identically.
-  const std::vector<std::vector<std::string>> arrivals = {
-      {"Springfield", "Z9", "IL"},
-      {"Evanston", "Z5", "IL"},
-      {"Evanston", "Z5", "IL"}};
-  truth.push_back({"Springfield", "Z0", "IL"});
-  truth.push_back({"Evanston", "Z5", "IL"});
-  truth.push_back({"Evanston", "Z5", "IL"});
-  const auto out_a = a.AppendDirtyRows(arrivals);
-  const auto out_b = b.AppendDirtyRows(arrivals);
-  ASSERT_TRUE(out_a.ok() && out_b.ok());
-  EXPECT_GE(out_a->newly_dirty, 1u);
-  EXPECT_EQ(out_a->rows_appended, out_b->rows_appended);
-  EXPECT_EQ(out_a->newly_dirty, out_b->newly_dirty);
-  EXPECT_EQ(out_a->pool_delta, out_b->pool_delta);
-  EXPECT_EQ(out_a->groups_rescored, out_b->groups_rescored);
-
-  Drive(&a, truth, &trace_a);
-  Drive(&b, truth, &trace_b);
-  EXPECT_EQ(trace_a, trace_b);
-  EXPECT_EQ(TableCells(table_a), TableCells(table_b));
-  EXPECT_EQ(a.stats().user_feedback, b.stats().user_feedback);
-  EXPECT_EQ(a.stats().appended_rows, b.stats().appended_rows);
-  EXPECT_EQ(a.stats().admitted_dirty, b.stats().admitted_dirty);
-  EXPECT_EQ(a.Snapshot().Serialize(), b.Snapshot().Serialize());
 }
 
 }  // namespace

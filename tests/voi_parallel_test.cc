@@ -1,153 +1,26 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/voi.h"
-#include "workload/registry.h"
 #include "sim/experiment.h"
-#include "util/rng.h"
+#include "testing/voi_oracle.h"
 #include "util/thread_pool.h"
+#include "workload/registry.h"
 
 namespace gdr {
 namespace {
 
-// Randomized instance: table + constant/variable rule mix + synthetic
-// candidate pools grouped by (attr, value), as GroupUpdates produces.
-struct RandomVoiInstance {
-  explicit RandomVoiInstance(std::uint64_t seed)
-      : schema(*Schema::Make({"STR", "CT", "STT", "ZIP"})),
-        table(schema),
-        rules(schema),
-        rng(seed) {
-    const char* streets[] = {"Main St", "Oak Ave", "Sherden Rd", "Elm St"};
-    const char* cities[] = {"Fort Wayne", "Westville", "Michigan City"};
-    const char* states[] = {"IN", "IND"};
-    const char* zips[] = {"46825", "46391", "46360", "46802", "46774"};
-    for (int i = 0; i < 80; ++i) {
-      EXPECT_TRUE(table
-                      .AppendRow({streets[rng.NextBounded(4)],
-                                  cities[rng.NextBounded(3)],
-                                  states[rng.NextBounded(2)],
-                                  zips[rng.NextBounded(5)]})
-                      .ok());
-    }
-    EXPECT_TRUE(
-        rules.AddRuleFromString("c1", "ZIP=46360 -> CT=Michigan City ; STT=IN")
-            .ok());
-    EXPECT_TRUE(rules.AddRuleFromString("c2", "ZIP=46391 -> CT=Westville")
-                    .ok());
-    EXPECT_TRUE(rules.AddRuleFromString("v1", "STR, CT -> ZIP").ok());
-    EXPECT_TRUE(rules.AddRuleFromString("v2", "ZIP -> CT").ok());
-    index = std::make_unique<ViolationIndex>(&table, &rules);
-
-    weights.resize(rules.size());
-    for (double& w : weights) w = 0.05 + 0.95 * rng.NextDouble();
-
-    const std::size_t num_groups = 12;
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      UpdateGroup group;
-      group.attr = static_cast<AttrId>(rng.NextBounded(table.num_attrs()));
-      group.value = static_cast<ValueId>(
-          rng.NextBounded(table.DomainSize(group.attr)));
-      const std::size_t members = 3 + rng.NextBounded(12);
-      for (std::size_t row_index :
-           rng.SampleWithoutReplacement(table.num_rows(), members)) {
-        Update update;
-        update.row = static_cast<RowId>(row_index);
-        update.attr = group.attr;
-        update.value = group.value;
-        update.score = rng.NextDouble();
-        group.updates.push_back(update);
-      }
-      groups.push_back(std::move(group));
-    }
-  }
-
-  Schema schema;
-  Table table;
-  RuleSet rules;
-  Rng rng;
-  std::unique_ptr<ViolationIndex> index;
-  std::vector<double> weights;
-  std::vector<UpdateGroup> groups;
-};
-
-// A deterministic stand-in for the learner's p-tilde.
-double Probability(const Update& u) {
-  return 0.1 + 0.8 * u.score;
-}
-
-// The pre-overlay reference semantics: apply the hypothetical to a real
-// index, read the aggregates, revert. Evaluated on private copies so the
-// shared instance stays untouched.
-double LegacyMutateAndRevertBenefit(const Table& table, const RuleSet& rules,
-                                    const std::vector<double>& weights,
-                                    const Update& update) {
-  Table scratch = table;
-  ViolationIndex index(&scratch, &rules);
-  const std::vector<RuleId>& affected = rules.RulesMentioning(update.attr);
-  if (affected.empty()) return 0.0;
-  std::vector<std::int64_t> vio_before(affected.size());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    vio_before[i] = index.RuleViolations(affected[i]);
-  }
-  const ValueId old =
-      index.ApplyCellChange(update.row, update.attr, update.value);
-  double benefit = 0.0;
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    const RuleId rule = affected[i];
-    const std::int64_t satisfying = index.SatisfyingCount(rule);
-    if (satisfying <= 0) continue;
-    const double drop =
-        static_cast<double>(vio_before[i] - index.RuleViolations(rule));
-    benefit += weights[static_cast<std::size_t>(rule)] * drop /
-               static_cast<double>(satisfying);
-  }
-  index.ApplyCellChange(update.row, update.attr, old);
-  return benefit;
-}
+using voi_testing::BruteForceBenefit;
+using voi_testing::Probability;
+using voi_testing::RandomVoiInstance;
 
 class VoiParallelTest : public ::testing::TestWithParam<int> {};
 
-// Differential: the overlay-based benefit is bit-identical to the legacy
-// mutate-and-revert evaluation for every pooled update.
-TEST_P(VoiParallelTest, OverlayBenefitMatchesMutateAndRevert) {
-  RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
-  VoiRanker ranker(inst.index.get(), &inst.weights);
-  for (const UpdateGroup& group : inst.groups) {
-    for (const Update& update : group.updates) {
-      EXPECT_EQ(ranker.UpdateBenefit(update),
-                LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                             inst.weights, update));
-    }
-  }
-}
-
-// Differential: the scratch-reusing benefit evaluation (one delta staged
-// and Discard()ed per update — the ranking inner loop) is bit-identical
-// to constructing a fresh delta per update and to the legacy
-// mutate-and-revert layout.
-TEST_P(VoiParallelTest, ScratchReuseMatchesFreshDelta) {
-  RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
-  VoiRanker ranker(inst.index.get(), &inst.weights);
-  ViolationDelta scratch(inst.index.get());
-  for (const UpdateGroup& group : inst.groups) {
-    for (const Update& update : group.updates) {
-      const double reused = ranker.UpdateBenefit(update, &scratch);
-      EXPECT_TRUE(scratch.empty());  // the scratch contract: discarded
-      EXPECT_EQ(reused, ranker.UpdateBenefit(update));
-      EXPECT_EQ(reused, LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                                     inst.weights, update));
-    }
-  }
-}
-
-// Differential: parallel scores and the chosen top group are bit-identical
-// to the serial path at 1, 2, 4, and 8 threads (scratch-delta reuse is on
-// everywhere — serial keeps one delta, each pool slot keeps its own), and
-// all of them pin to scores derived from the legacy mutate-and-revert
-// layout.
+// Parallel scores and the chosen top group are bit-identical to the
+// serial path at 1, 2, 4, and 8 threads (serial keeps one batch, each pool
+// slot keeps its own), and the serial scores equal the brute-force
+// oracle's.
 TEST_P(VoiParallelTest, ParallelRankingBitIdenticalToSerial) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
 
@@ -156,14 +29,14 @@ TEST_P(VoiParallelTest, ParallelRankingBitIdenticalToSerial) {
       serial.Rank(inst.groups, Probability);
   ASSERT_EQ(reference.scores.size(), inst.groups.size());
 
-  // Old-layout oracle: per-group scores accumulated in the same update
-  // order from mutate-and-revert benefits on a rebuilt index.
+  // Per-group scores accumulated in the same update order from
+  // brute-force benefits.
   for (std::size_t i = 0; i < inst.groups.size(); ++i) {
     double expected = 0.0;
     for (const Update& update : inst.groups[i].updates) {
       expected += Probability(update) *
-                  LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                               inst.weights, update);
+                  BruteForceBenefit(inst.table, inst.rules, inst.weights,
+                                    update);
     }
     EXPECT_EQ(reference.scores[i], expected) << "group " << i;
   }
