@@ -96,6 +96,8 @@ void GdrEngine::SyncPerfTimings() {
   timings.learner_tree_walk_seconds =
       learner.Seconds(PerfPhase::kLearnerTreeWalk);
   timings.learner_inferences = learner.Count(PerfPhase::kLearnerTreeWalk);
+  timings.learner_train_seconds = learner.Seconds(PerfPhase::kLearnerTrain);
+  timings.learner_trains = learner.Count(PerfPhase::kLearnerTrain);
   timings.voi_probe_seconds = voi.Seconds(PerfPhase::kVoiProbe);
   timings.voi_probes = voi.Count(PerfPhase::kVoiProbe);
 }

@@ -112,11 +112,16 @@ struct GdrTimings {
   /// after every ranking pass. learner_* covers p̃ evaluation (feature
   /// encoding vs forest tree walks, `learner_inferences` updates total);
   /// voi_probe_* covers the benefit probes (`voi_probes` updates probed).
+  /// learner_train_* covers forest retraining after feedback (time inside
+  /// RandomForest::Train; `learner_trains` counts training examples
+  /// summed over retrains) and is synced after every retrain too.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
+  double learner_train_seconds = 0.0;
   std::uint64_t learner_inferences = 0;
   std::uint64_t voi_probes = 0;
+  std::uint64_t learner_trains = 0;
 };
 
 struct GdrStats {

@@ -128,7 +128,10 @@ Status LearnerBank::Retrain(AttrId attr) {
   const std::size_t a = static_cast<std::size_t>(attr);
   if (!stale_[a]) return Status::OK();
   if (sets_[a].size() < options_.min_training_examples) return Status::OK();
-  GDR_RETURN_NOT_OK(models_[a].Train(sets_[a]));
+  {
+    ScopedPhaseTimer timer(&perf_, PerfPhase::kLearnerTrain, sets_[a].size());
+    GDR_RETURN_NOT_OK(models_[a].Train(sets_[a]));
+  }
   trained_[a] = true;
   stale_[a] = false;
   return Status::OK();

@@ -101,10 +101,10 @@ class LearnerBank {
   /// Feature encoding for one suggested update (exposed for tests).
   std::vector<double> Encode(const Update& update) const;
 
-  /// Cumulative hot-path phase counters (encode ns / tree-walk ns, with
-  /// per-phase item counts). Accumulated by ConfirmProbability,
-  /// ConfirmProbabilities, and Uncertainty; surfaced through
-  /// GdrStats::timings and the server stats reply.
+  /// Cumulative hot-path phase counters (encode ns / tree-walk ns /
+  /// retrain ns, with per-phase item counts). Accumulated by
+  /// ConfirmProbability, ConfirmProbabilities, and Retrain; surfaced
+  /// through GdrStats::timings and the server stats reply.
   const PerfCounters& perf_counters() const { return perf_; }
   void ResetPerfCounters() { perf_.Reset(); }
 

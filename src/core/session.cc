@@ -562,6 +562,7 @@ Status GdrSession::StepRoundEnd() {
   Status status = Status::OK();
   if (engine.UsesLearner()) {
     status = engine.bank_->Retrain(groups_[picked_group_].attr);
+    engine.SyncPerfTimings();
   }
   phase_ = Phase::kRoundStart;
   return status;
@@ -653,6 +654,7 @@ Status GdrSession::StepAlRoundEnd() {
   for (AttrId attr : touched_attrs_) {
     GDR_RETURN_NOT_OK(engine.bank_->Retrain(attr));
   }
+  engine.SyncPerfTimings();
   ++engine.stats_.outer_iterations;
   phase_ = Phase::kAlRoundStart;
   return Status::OK();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 
 namespace gdr {
@@ -43,25 +42,137 @@ struct SplitChoice {
   double threshold = 0.0;
 };
 
+// Best split of the items [begin, end) over ws->candidates, whose class
+// counts are ws->counts. Per candidate feature one counting pass fills the
+// (levels × classes) histogram and lists the touched levels; the sweep then
+// visits them in ascending value order, so every gain, threshold and
+// strict-`>` tie-break matches a sweep over value-sorted items.
+SplitChoice BestSplit(const TrainingSet& data, const std::size_t* begin,
+                      const std::size_t* end, double parent_entropy,
+                      SplitWorkspace* ws) {
+  const std::size_t classes = ws->counts.size();
+  std::vector<std::size_t>& left = ws->left;
+  std::vector<std::size_t>& right = ws->right;
+  std::vector<std::uint32_t>& touched = ws->touched;
+  SplitChoice best;
+  for (std::size_t f : ws->candidates) {
+    for (const std::size_t* it = begin; it != end; ++it) {
+      const std::uint32_t code = data.code(*it, f);
+      if (ws->level_items[code]++ == 0) touched.push_back(code);
+      ws->histogram[code * classes +
+                    static_cast<std::size_t>(data.example(*it).label)]++;
+    }
+    const std::vector<double>& levels = data.levels(f);
+    if (touched.size() >= 2) {
+      std::sort(touched.begin(), touched.end(),
+                [&levels](std::uint32_t a, std::uint32_t b) {
+                  return levels[a] < levels[b];
+                });
+      if (data.schema().IsCategorical(f)) {
+        // One-vs-rest on each value present in this node.
+        for (std::uint32_t code : touched) {
+          const std::size_t* value_counts = &ws->histogram[code * classes];
+          for (std::size_t c = 0; c < classes; ++c) {
+            left[c] = value_counts[c];
+            right[c] = ws->counts[c] - value_counts[c];
+          }
+          const double gain = parent_entropy - SplitEntropy(left, right);
+          if (gain > best.gain) {
+            best = {gain, static_cast<std::int32_t>(f), true, levels[code]};
+          }
+        }
+      } else {
+        // Numeric: sweep thresholds between distinct consecutive values.
+        std::fill(left.begin(), left.end(), 0);
+        right = ws->counts;
+        for (std::size_t k = 0; k + 1 < touched.size(); ++k) {
+          const std::size_t* value_counts =
+              &ws->histogram[touched[k] * classes];
+          for (std::size_t c = 0; c < classes; ++c) {
+            left[c] += value_counts[c];
+            right[c] -= value_counts[c];
+          }
+          const double gain = parent_entropy - SplitEntropy(left, right);
+          if (gain > best.gain) {
+            const double lower = levels[touched[k]];
+            const double upper = levels[touched[k + 1]];
+            const double threshold = lower + (upper - lower) / 2.0;
+            best = {gain, static_cast<std::int32_t>(f), false, threshold};
+          }
+        }
+      }
+    }
+    // Leave the histogram zeroed for the next feature.
+    for (std::uint32_t code : touched) {
+      ws->level_items[code] = 0;
+      std::fill_n(ws->histogram.begin() +
+                      static_cast<std::ptrdiff_t>(code * classes),
+                  classes, 0);
+    }
+    touched.clear();
+  }
+  return best;
+}
+
 }  // namespace
 
 Status DecisionTree::Train(const TrainingSet& data,
                            const std::vector<std::size_t>& indices,
                            const DecisionTreeOptions& options, Rng* rng) {
-  if (indices.empty()) {
+  std::vector<std::size_t> items = indices;
+  SplitWorkspace workspace;
+  return Train(data, items, options, rng, &workspace);
+}
+
+Status DecisionTree::Train(const TrainingSet& data,
+                           const DecisionTreeOptions& options, Rng* rng) {
+  std::vector<std::size_t> all(data.size());
+  std::iota(all.begin(), all.end(), 0);
+  SplitWorkspace workspace;
+  return Train(data, all, options, rng, &workspace);
+}
+
+Status DecisionTree::Train(const TrainingSet& data,
+                           std::span<std::size_t> items,
+                           const DecisionTreeOptions& options, Rng* rng,
+                           SplitWorkspace* workspace) {
+  if (items.empty()) {
     return Status::InvalidArgument("cannot train a tree on zero examples");
   }
-  if (data.schema().num_features() == 0) {
+  const std::size_t num_features = data.schema().num_features();
+  if (num_features == 0) {
     return Status::InvalidArgument("feature schema is empty");
   }
   if (options.feature_subsample > 0 && rng == nullptr) {
     return Status::InvalidArgument(
         "feature subsampling requires an Rng");
   }
-  *this = DecisionTree();
+  // Reset, keeping the node arrays' capacity for the rebuild.
+  flat_feature_.clear();
+  flat_categorical_.clear();
+  flat_threshold_.clear();
+  flat_left_.clear();
+  flat_right_.clear();
+  flat_majority_.clear();
+  flat_dist_offset_.clear();
+  dist_pool_.clear();
   num_classes_ = data.num_classes();
-  std::vector<std::size_t> items = indices;
-  Build(data, items, /*depth=*/0, options, rng);
+
+  const std::size_t classes = static_cast<std::size_t>(num_classes_);
+  std::size_t max_levels = 0;
+  for (std::size_t f = 0; f < num_features; ++f) {
+    max_levels = std::max(max_levels, data.levels(f).size());
+  }
+  workspace->histogram.assign(max_levels * classes, 0);
+  workspace->level_items.assign(max_levels, 0);
+  workspace->touched.clear();
+  workspace->touched.reserve(max_levels);
+  workspace->candidates.reserve(num_features);
+  workspace->counts.resize(classes);
+  workspace->left.resize(classes);
+  workspace->right.resize(classes);
+  Build(data, items.data(), items.data() + items.size(), /*depth=*/0,
+        options, rng, workspace);
   return Status::OK();
 }
 
@@ -78,135 +189,81 @@ std::int32_t DecisionTree::AppendNode(std::int32_t feature, bool categorical,
   return static_cast<std::int32_t>(flat_feature_.size() - 1);
 }
 
-Status DecisionTree::Train(const TrainingSet& data,
-                           const DecisionTreeOptions& options, Rng* rng) {
-  std::vector<std::size_t> all(data.size());
-  std::iota(all.begin(), all.end(), 0);
-  return Train(data, all, options, rng);
-}
-
-std::int32_t DecisionTree::MakeLeaf(const TrainingSet& data,
-                                    const std::vector<std::size_t>& items) {
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_classes_), 0);
-  for (std::size_t i : items) {
-    counts[static_cast<std::size_t>(data.example(i).label)]++;
-  }
+std::int32_t DecisionTree::MakeLeaf(const std::vector<std::size_t>& counts,
+                                    std::size_t n) {
   const std::int32_t offset = static_cast<std::int32_t>(dist_pool_.size());
   std::size_t best = 0;
   for (std::size_t c = 0; c < counts.size(); ++c) {
     dist_pool_.push_back(static_cast<double>(counts[c]) /
-                         static_cast<double>(items.size()));
+                         static_cast<double>(n));
     if (counts[c] > counts[best]) best = c;
   }
   return AppendNode(/*feature=*/-1, /*categorical=*/false, /*threshold=*/0.0,
                     static_cast<std::int32_t>(best), offset);
 }
 
-std::int32_t DecisionTree::Build(const TrainingSet& data,
-                                 std::vector<std::size_t>& items, int depth,
-                                 const DecisionTreeOptions& options,
-                                 Rng* rng) {
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_classes_), 0);
-  for (std::size_t i : items) {
-    counts[static_cast<std::size_t>(data.example(i).label)]++;
+std::int32_t DecisionTree::Build(const TrainingSet& data, std::size_t* begin,
+                                 std::size_t* end, int depth,
+                                 const DecisionTreeOptions& options, Rng* rng,
+                                 SplitWorkspace* ws) {
+  // ws->counts holds this node's class counts until the split is chosen;
+  // the children overwrite it only after this node is done with it.
+  const std::size_t n = static_cast<std::size_t>(end - begin);
+  std::vector<std::size_t>& counts = ws->counts;
+  std::fill(counts.begin(), counts.end(), 0);
+  for (const std::size_t* it = begin; it != end; ++it) {
+    counts[static_cast<std::size_t>(data.example(*it).label)]++;
   }
   const double parent_entropy = CountsEntropy(counts);
 
-  const bool pure = std::count(counts.begin(), counts.end(), items.size()) > 0;
+  const bool pure = std::count(counts.begin(), counts.end(), n) > 0;
   if (pure || depth >= options.max_depth ||
-      items.size() < static_cast<std::size_t>(options.min_samples_split)) {
-    return MakeLeaf(data, items);
+      n < static_cast<std::size_t>(options.min_samples_split)) {
+    return MakeLeaf(counts, n);
   }
 
   // Candidate features: all, or a random subset of M' (forest mode).
   const std::size_t num_features = data.schema().num_features();
-  std::vector<std::size_t> candidates;
+  std::vector<std::size_t>& candidates = ws->candidates;
   if (options.feature_subsample > 0 &&
       static_cast<std::size_t>(options.feature_subsample) < num_features) {
-    candidates = rng->SampleWithoutReplacement(
-        num_features, static_cast<std::size_t>(options.feature_subsample));
+    rng->SampleWithoutReplacementInto(
+        num_features, static_cast<std::size_t>(options.feature_subsample),
+        &candidates);
     std::sort(candidates.begin(), candidates.end());  // determinism of ties
   } else {
     candidates.resize(num_features);
     std::iota(candidates.begin(), candidates.end(), 0);
   }
 
-  SplitChoice best;
-  for (std::size_t f : candidates) {
-    if (data.schema().IsCategorical(f)) {
-      // One-vs-rest on each value present in this node.
-      std::map<double, std::vector<std::size_t>> per_value;
-      for (std::size_t i : items) {
-        auto& vc = per_value[data.example(i).features[f]];
-        if (vc.empty()) vc.resize(static_cast<std::size_t>(num_classes_), 0);
-        vc[static_cast<std::size_t>(data.example(i).label)]++;
-      }
-      if (per_value.size() < 2) continue;
-      for (const auto& [value, value_counts] : per_value) {
-        std::vector<std::size_t> rest(counts.size());
-        for (std::size_t c = 0; c < counts.size(); ++c) {
-          rest[c] = counts[c] - value_counts[c];
-        }
-        const double gain =
-            parent_entropy - SplitEntropy(value_counts, rest);
-        if (gain > best.gain) {
-          best = {gain, static_cast<std::int32_t>(f), true, value};
-        }
-      }
-    } else {
-      // Numeric: sweep thresholds between distinct consecutive values.
-      std::vector<std::pair<double, int>> sorted;
-      sorted.reserve(items.size());
-      for (std::size_t i : items) {
-        sorted.emplace_back(data.example(i).features[f],
-                            data.example(i).label);
-      }
-      std::sort(sorted.begin(), sorted.end());
-      std::vector<std::size_t> left(counts.size(), 0);
-      std::vector<std::size_t> right = counts;
-      for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
-        left[static_cast<std::size_t>(sorted[k].second)]++;
-        right[static_cast<std::size_t>(sorted[k].second)]--;
-        if (sorted[k].first == sorted[k + 1].first) continue;
-        const double gain = parent_entropy - SplitEntropy(left, right);
-        if (gain > best.gain) {
-          const double threshold =
-              sorted[k].first +
-              (sorted[k + 1].first - sorted[k].first) / 2.0;
-          best = {gain, static_cast<std::int32_t>(f), false, threshold};
-        }
-      }
-    }
-  }
-
+  const SplitChoice best = BestSplit(data, begin, end, parent_entropy, ws);
   constexpr double kMinGain = 1e-12;
   if (best.feature < 0 || best.gain <= kMinGain) {
-    return MakeLeaf(data, items);
+    return MakeLeaf(counts, n);
   }
 
-  std::vector<std::size_t> left_items;
-  std::vector<std::size_t> right_items;
-  for (std::size_t i : items) {
-    const double x = data.example(i).features[static_cast<std::size_t>(
-        best.feature)];
-    const bool goes_left =
-        best.categorical ? (x == best.threshold) : (x <= best.threshold);
-    (goes_left ? left_items : right_items).push_back(i);
+  // In-place partition; item order inside a node does not matter, since
+  // every statistic above is a count.
+  const std::size_t f = static_cast<std::size_t>(best.feature);
+  const std::vector<double>& levels = data.levels(f);
+  std::size_t* mid = std::partition(begin, end, [&](std::size_t i) {
+    const double x = levels[data.code(i, f)];
+    return best.categorical ? (x == best.threshold) : (x <= best.threshold);
+  });
+  if (mid == begin || mid == end) {
+    // Degenerate split: the midpoint of adjacent doubles rounded onto the
+    // upper value, or b - a overflowed.
+    return MakeLeaf(counts, n);
   }
-  if (left_items.empty() || right_items.empty()) {
-    return MakeLeaf(data, items);  // degenerate split (numeric duplicates)
-  }
-  items.clear();
-  items.shrink_to_fit();
 
   // Pre-order: the node takes its index before its subtrees are built.
   const std::int32_t node_index =
       AppendNode(best.feature, best.categorical, best.threshold,
                  /*majority=*/0, /*dist_offset=*/-1);
   const std::int32_t left_index =
-      Build(data, left_items, depth + 1, options, rng);
+      Build(data, begin, mid, depth + 1, options, rng, ws);
   const std::int32_t right_index =
-      Build(data, right_items, depth + 1, options, rng);
+      Build(data, mid, end, depth + 1, options, rng, ws);
   flat_left_[static_cast<std::size_t>(node_index)] = left_index;
   flat_right_[static_cast<std::size_t>(node_index)] = right_index;
   return node_index;

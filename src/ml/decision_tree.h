@@ -2,6 +2,7 @@
 #define GDR_ML_DECISION_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/example.h"
@@ -20,6 +21,21 @@ struct DecisionTreeOptions {
   int feature_subsample = 0;
 };
 
+/// Split-search buffers reused across nodes and trees: the (levels ×
+/// classes) count histogram, the per-level item counts with the list of
+/// levels a node touched, the candidate features, and the node/left/right
+/// class counts. A forest keeps one per Train call and passes it to every
+/// tree; sized by DecisionTree::Train, never shrunk.
+struct SplitWorkspace {
+  std::vector<std::size_t> histogram;      // code * classes + label
+  std::vector<std::uint32_t> level_items;  // items per code in the node
+  std::vector<std::uint32_t> touched;      // codes with level_items > 0
+  std::vector<std::size_t> candidates;
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> left;
+  std::vector<std::size_t> right;
+};
+
 /// A binary classification tree trained by recursive information-gain
 /// splitting (entropy impurity), supporting
 ///  * numeric features:      x[f] <= threshold,
@@ -28,6 +44,13 @@ struct DecisionTreeOptions {
 /// random-forest base learner construction (Breiman 2001), which the paper
 /// uses via WEKA. One-vs-rest equality splits keep high-cardinality
 /// categorical attributes (city names, zip codes) tractable.
+///
+/// Training works on the TrainingSet's dense value codes: per node and
+/// candidate feature one counting pass fills a (levels × classes)
+/// histogram, the touched levels are ordered by value, and the
+/// one-vs-rest or threshold sweep reads class counts from it. The node's
+/// items are a [begin, end) range of one index buffer, partitioned in
+/// place for the children. The split search allocates nothing per node.
 ///
 /// Nodes are stored structure-of-arrays — feature / threshold / left /
 /// right / majority as parallel arrays in Build's pre-order, every leaf
@@ -52,6 +75,13 @@ class DecisionTree {
   /// Convenience: trains on all examples of `data`.
   Status Train(const TrainingSet& data, const DecisionTreeOptions& options,
                Rng* rng = nullptr);
+
+  /// The same training over caller-owned buffers: `items` is reordered in
+  /// place and `workspace` is reused, so training allocates only when a
+  /// buffer or node array outgrows its capacity.
+  Status Train(const TrainingSet& data, std::span<std::size_t> items,
+               const DecisionTreeOptions& options, Rng* rng,
+               SplitWorkspace* workspace);
 
   bool trained() const { return !flat_feature_.empty(); }
 
@@ -79,13 +109,34 @@ class DecisionTree {
   std::size_t node_count() const { return flat_feature_.size(); }
   int num_classes() const { return num_classes_; }
 
- private:
-  // Recursive builder; returns the index of the created node.
-  std::int32_t Build(const TrainingSet& data, std::vector<std::size_t>& items,
-                     int depth, const DecisionTreeOptions& options, Rng* rng);
+  /// Read-only views of the node arrays and the leaf-distribution pool
+  /// (tests compare trees through these).
+  std::span<const std::int32_t> node_features() const { return flat_feature_; }
+  std::span<const std::uint8_t> node_categorical() const {
+    return flat_categorical_;
+  }
+  std::span<const double> node_thresholds() const { return flat_threshold_; }
+  std::span<const std::int32_t> node_left() const { return flat_left_; }
+  std::span<const std::int32_t> node_right() const { return flat_right_; }
+  std::span<const std::int32_t> node_majority() const {
+    return flat_majority_;
+  }
+  std::span<const std::int32_t> node_dist_offsets() const {
+    return flat_dist_offset_;
+  }
+  std::span<const double> dist_pool() const { return dist_pool_; }
 
-  std::int32_t MakeLeaf(const TrainingSet& data,
-                        const std::vector<std::size_t>& items);
+ private:
+  // Recursive builder over the items [begin, end); returns the index of
+  // the created node.
+  std::int32_t Build(const TrainingSet& data, std::size_t* begin,
+                     std::size_t* end, int depth,
+                     const DecisionTreeOptions& options, Rng* rng,
+                     SplitWorkspace* ws);
+
+  // Leaf over `n` items with per-class `counts`.
+  std::int32_t MakeLeaf(const std::vector<std::size_t>& counts,
+                        std::size_t n);
 
   // Appends one node to every array; returns its index.
   std::int32_t AppendNode(std::int32_t feature, bool categorical,

@@ -1,5 +1,7 @@
 #include "ml/example.h"
 
+#include <cmath>
+
 namespace gdr {
 
 Status TrainingSet::Add(Example example) {
@@ -12,6 +14,19 @@ Status TrainingSet::Add(Example example) {
   if (example.label < 0 || example.label >= num_classes_) {
     return Status::InvalidArgument("label out of range: " +
                                    std::to_string(example.label));
+  }
+  for (std::size_t f = 0; f < example.features.size(); ++f) {
+    if (!std::isfinite(example.features[f])) {
+      return Status::InvalidArgument("feature " + std::to_string(f) +
+                                     " is not finite");
+    }
+  }
+  for (std::size_t f = 0; f < example.features.size(); ++f) {
+    const double value = example.features[f];
+    const auto [it, inserted] = level_codes_[f].try_emplace(
+        value, static_cast<std::uint32_t>(levels_[f].size()));
+    if (inserted) levels_[f].push_back(value);
+    codes_.push_back(it->second);
   }
   examples_.push_back(std::move(example));
   return Status::OK();

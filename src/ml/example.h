@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/result.h"
@@ -50,13 +51,25 @@ struct Example {
 /// A labeled training set with a fixed feature schema and class count.
 /// Examples accumulate incrementally as user feedback arrives (Section 4.2,
 /// "the newly labeled examples are added to the learner training dataset").
+///
+/// Add also gives every feature value a dense per-feature code: codes are
+/// handed out in first-appearance order, levels(f)[code] is the value, and
+/// the codes of all examples sit in one flat row-major example × feature
+/// matrix. The coding is done once per example, so every later forest
+/// (re)train counts codes instead of re-grouping doubles. Values equal
+/// under `==` share a code (+0.0 and -0.0 included).
 class TrainingSet {
  public:
   TrainingSet() = default;
   TrainingSet(FeatureSchema schema, int num_classes)
-      : schema_(std::move(schema)), num_classes_(num_classes) {}
+      : schema_(std::move(schema)),
+        num_classes_(num_classes),
+        levels_(schema_.num_features()),
+        level_codes_(schema_.num_features()) {}
 
-  /// Appends an example; fails on arity mismatch or label out of range.
+  /// Appends an example; fails on arity mismatch, label out of range, or a
+  /// non-finite feature value (NaN has no order and an infinite value
+  /// makes a threshold midpoint NaN). A failed call changes nothing.
   Status Add(Example example);
 
   const FeatureSchema& schema() const { return schema_; }
@@ -66,6 +79,14 @@ class TrainingSet {
   const Example& example(std::size_t i) const { return examples_[i]; }
   const std::vector<Example>& examples() const { return examples_; }
 
+  /// Dense code of example i's feature f: levels(f)[code(i, f)] equals
+  /// example(i).features[f].
+  std::uint32_t code(std::size_t i, std::size_t f) const {
+    return codes_[i * schema_.num_features() + f];
+  }
+  /// Distinct values of feature f, indexed by code.
+  const std::vector<double>& levels(std::size_t f) const { return levels_[f]; }
+
   /// Per-class example counts (size num_classes()).
   std::vector<std::size_t> ClassCounts() const;
 
@@ -73,6 +94,10 @@ class TrainingSet {
   FeatureSchema schema_;
   int num_classes_ = 0;
   std::vector<Example> examples_;
+  std::vector<std::uint32_t> codes_;        // size() × num_features, row-major
+  std::vector<std::vector<double>> levels_;  // per feature: code → value
+  std::vector<std::unordered_map<double, std::uint32_t>>
+      level_codes_;                          // per feature: value → code
 };
 
 }  // namespace gdr

@@ -7,11 +7,16 @@
 namespace gdr {
 
 Status RandomForest::Train(const TrainingSet& data) {
+  // Every way a tree can fail is checked here, before the committee is
+  // touched, so a failed call leaves the forest as it was.
   if (data.empty()) {
     return Status::InvalidArgument("cannot train a forest on zero examples");
   }
-  DecisionTreeOptions tree_options = options_.tree;
   const std::size_t num_features = data.schema().num_features();
+  if (num_features == 0) {
+    return Status::InvalidArgument("feature schema is empty");
+  }
+  DecisionTreeOptions tree_options = options_.tree;
   tree_options.feature_subsample =
       options_.feature_subsample > 0
           ? options_.feature_subsample
@@ -24,18 +29,24 @@ Status RandomForest::Train(const TrainingSet& data) {
       1, static_cast<std::size_t>(options_.bootstrap_fraction *
                                   static_cast<double>(n)));
 
-  // Trained aside and swapped in only on success, so a failed retrain
-  // keeps the previous committee (or leaves the forest untrained).
-  std::vector<DecisionTree> trees(static_cast<std::size_t>(options_.num_trees));
-  for (DecisionTree& tree : trees) {
+  // One bag buffer and one split workspace serve every tree of this call;
+  // the trees are rebuilt in place, reusing their node arrays' capacity.
+  std::vector<std::size_t> bag(bag_size);
+  SplitWorkspace workspace;
+  trees_.resize(static_cast<std::size_t>(options_.num_trees));
+  for (DecisionTree& tree : trees_) {
     // Bootstrap bag: sample with replacement.
-    std::vector<std::size_t> bag(bag_size);
     for (std::size_t& index : bag) {
       index = static_cast<std::size_t>(rng.NextBounded(n));
     }
-    GDR_RETURN_NOT_OK(tree.Train(data, bag, tree_options, &rng));
+    const Status trained =
+        tree.Train(data, bag, tree_options, &rng, &workspace);
+    if (!trained.ok()) {
+      // Unreachable after the checks above; never keep a partial committee.
+      trees_.clear();
+      return trained;
+    }
   }
-  trees_ = std::move(trees);
   num_classes_ = data.num_classes();
   return Status::OK();
 }

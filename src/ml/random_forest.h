@@ -36,12 +36,16 @@ class RandomForest {
 
   /// (Re)trains the committee on `data`. Deterministic given options.seed.
   /// Fails on an empty training set or an empty feature schema; a failed
-  /// call leaves the forest as it was.
+  /// call leaves the forest as it was. The bootstrap bag and the split
+  /// workspace are shared by the call's trees, and each tree is rebuilt in
+  /// its previous storage, so a retrain allocates little once warm.
   Status Train(const TrainingSet& data);
 
   bool trained() const { return !trees_.empty(); }
   int num_trees() const { return static_cast<int>(trees_.size()); }
   int num_classes() const { return num_classes_; }
+  /// Committee member `i` (tests compare trees through it).
+  const DecisionTree& tree(std::size_t i) const { return trees_[i]; }
 
   /// Majority vote over the committee (ties broken toward the smaller
   /// class index, deterministically).

@@ -138,7 +138,9 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " learner-encode-s=" << stats.learner_encode_seconds
         << " learner-treewalk-s=" << stats.learner_tree_walk_seconds
         << " voi-probe-s=" << stats.voi_probe_seconds
-        << " voi-probes=" << stats.voi_probes << "\n";
+        << " voi-probes=" << stats.voi_probes
+        << " learner-train-s=" << stats.learner_train_seconds
+        << " learner-trains=" << stats.learner_trains << "\n";
     reply->append(out.str());
     return true;
   }

@@ -462,6 +462,8 @@ WireServerStats SessionManager::Stats() const {
     stats.learner_tree_walk_seconds += timings.learner_tree_walk_seconds;
     stats.voi_probe_seconds += timings.voi_probe_seconds;
     stats.voi_probes += timings.voi_probes;
+    stats.learner_train_seconds += timings.learner_train_seconds;
+    stats.learner_trains += timings.learner_trains;
   }
   stats.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   stats.memory_budget_bytes = options_.memory_budget_bytes;

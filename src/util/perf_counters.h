@@ -18,15 +18,17 @@ enum class PerfPhase : std::size_t {
   kLearnerTreeWalk,
   /// VOI benefit probes (closed-form batch probes or delta staging).
   kVoiProbe,
+  /// Forest (re)training after feedback; count = training examples.
+  kLearnerTrain,
 };
 
-inline constexpr std::size_t kNumPerfPhases = 3;
+inline constexpr std::size_t kNumPerfPhases = 4;
 
 /// Alloc-free cumulative phase counters: wall nanoseconds plus an item
-/// count per phase (updates encoded, rows walked, updates probed). A
-/// PerfCounters is plain data — no locks, no heap — so the per-thread
-/// pattern is one instance per worker scratch, merged into an owner's
-/// instance after the fan-out barrier. Single-instance use (LearnerBank,
+/// count per phase (updates encoded, rows walked, updates probed, examples
+/// trained on). A PerfCounters is plain data — no locks, no heap — so the
+/// per-thread pattern is one instance per worker scratch, merged into an
+/// owner's instance after the fan-out barrier. Single-instance use (LearnerBank,
 /// which always runs on the calling thread) just accumulates in place.
 struct PerfCounters {
   struct Slot {

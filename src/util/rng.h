@@ -51,6 +51,11 @@ class Rng {
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
                                                     std::size_t k);
 
+  /// SampleWithoutReplacement into a caller-owned buffer (resized to k;
+  /// no allocation once its capacity reaches n). Same draws, same result.
+  void SampleWithoutReplacementInto(std::size_t n, std::size_t k,
+                                    std::vector<std::size_t>* out);
+
  private:
   std::uint64_t state_[4];
 };

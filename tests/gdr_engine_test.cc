@@ -142,6 +142,27 @@ TEST(GdrEngineTest, NoLearningNeverUsesLearner) {
   EXPECT_EQ(session.stats().learner_decisions, 0u);
 }
 
+TEST(GdrEngineTest, RetrainTimeIsCountedOnlyWhenLearning) {
+  Dataset dataset = SmallDataset();
+  for (Strategy strategy : {Strategy::kGdr, Strategy::kGdrNoLearning}) {
+    Table working = dataset.dirty;
+    UserOracle oracle(&dataset.clean);
+    GdrOptions options;
+    options.strategy = strategy;
+    options.feedback_budget = 150;
+    GdrSession session(&working, &dataset.rules, options);
+    ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
+    const GdrTimings& timings = session.stats().timings;
+    if (strategy == Strategy::kGdr) {
+      EXPECT_GT(timings.learner_train_seconds, 0.0);
+      EXPECT_GT(timings.learner_trains, 0u);
+    } else {
+      EXPECT_EQ(timings.learner_train_seconds, 0.0);
+      EXPECT_EQ(timings.learner_trains, 0u);
+    }
+  }
+}
+
 TEST(GdrEngineTest, UserOnlyStrategiesApplyOnlyConfirmedValues) {
   // With a ground-truth oracle and no learner, every applied change must
   // be correct: precision 1.0 by construction.

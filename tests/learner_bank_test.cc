@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gdr {
 namespace {
 
@@ -82,6 +84,43 @@ TEST_F(LearnerBankFixture, RetrainIsNoOpWithoutNewFeedback) {
   ASSERT_TRUE(bank_->Retrain(1).ok());
   ASSERT_TRUE(bank_->Retrain(1).ok());  // cheap second call
   EXPECT_TRUE(bank_->IsTrained(1));
+}
+
+TEST_F(LearnerBankFixture, RetrainCounterCountsTrainingExamples) {
+  for (RowId row : {RowId{1}, RowId{3}, RowId{5}, RowId{7}}) {
+    ASSERT_TRUE(bank_->AddFeedback(CityUpdate(row), Feedback::kConfirm).ok());
+  }
+  ASSERT_TRUE(bank_->Retrain(1).ok());
+  ASSERT_TRUE(bank_->AddFeedback(CityUpdate(9), Feedback::kReject).ok());
+  ASSERT_TRUE(bank_->Retrain(1).ok());
+  ASSERT_TRUE(bank_->Retrain(1).ok());  // not stale: no train, no count
+  const PerfCounters& perf = bank_->perf_counters();
+  EXPECT_EQ(perf.Count(PerfPhase::kLearnerTrain), 4u + 5u);
+  EXPECT_GT(perf.Seconds(PerfPhase::kLearnerTrain), 0.0);
+}
+
+// A feature vector with a non-finite value (here the repair score) is
+// rejected before it reaches the training set, and the model is not
+// marked stale by it.
+TEST_F(LearnerBankFixture, RejectedFeedbackLeavesSetAndStaleFlag) {
+  for (RowId row : {RowId{1}, RowId{3}, RowId{5}, RowId{7}}) {
+    ASSERT_TRUE(bank_->AddFeedback(CityUpdate(row), Feedback::kConfirm).ok());
+  }
+  ASSERT_TRUE(bank_->Retrain(1).ok());
+  ASSERT_TRUE(bank_->IsTrained(1));
+  const std::uint64_t trains = bank_->perf_counters().Count(
+      PerfPhase::kLearnerTrain);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Update update = CityUpdate(9);
+    update.score = bad;
+    EXPECT_EQ(bank_->AddFeedback(update, Feedback::kConfirm).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(bank_->TrainingExamples(1), 4u);
+  ASSERT_TRUE(bank_->Retrain(1).ok());
+  EXPECT_EQ(bank_->perf_counters().Count(PerfPhase::kLearnerTrain), trains);
 }
 
 TEST_F(LearnerBankFixture, PerAttributeModelsAreIndependent) {

@@ -284,6 +284,14 @@ TEST(ProtocolTest, ScriptedSessionSpeaksTheGrammar) {
   EXPECT_EQ(lines[i + 4], "OK bye");
 }
 
+TEST(ProtocolTest, StatsReplyCarriesRetrainCounters) {
+  const auto lines = RunScript("stats\nquit\n", "gdr_spill_protocol_stats");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find(" learner-train-s=0 learner-trains=0"),
+            std::string::npos)
+      << lines[0];
+}
+
 TEST(ProtocolTest, MalformedInputGetsTypedErrorsNeverCrashes) {
   const auto lines = RunScript(
       "bogus\n"
