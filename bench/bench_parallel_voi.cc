@@ -2,39 +2,32 @@
 // BENCH_hotpath.json.
 //
 // Measures one full VoiRanker::Rank() pass (the Step-4 inner loop of
-// Procedure 1) over the engine's real candidate pool, serially and with
-// pools of 2/4/8 workers, and verifies the parallel scores and order are
-// bit-identical to the serial ones — parallelism must only buy
-// wall-clock, never change the chosen group. Speedups are
-// hardware-dependent; `hardware_concurrency` is recorded in the JSON so a
-// 1-core result is not mistaken for a regression.
-//
-// The single-thread section records the constant factors: index-build
-// seconds, UpdateBenefit ns/update through the group-batched closed-form
-// probes (per group-size bucket, plus a group-size histogram), and the
-// serial Rank() seconds.
+// Procedure 1) over the engine's real candidate pool and records the
+// constant factors: index-build seconds, UpdateBenefit ns/update through
+// the group-batched closed-form probes (per group-size bucket, plus a
+// group-size histogram), and the Rank() seconds. `hardware_concurrency`
+// is recorded in the JSON so numbers from different machines are not
+// compared blindly.
 //
 // The `learner` section measures p~ with real trained committees: the
 // bank learns from ground-truth oracle feedback over the whole pool, then
 // ConfirmProbability per update and ConfirmProbabilities per group run
 // interleaved within each repeat (same forests, same thermal state), plus
-// Rank with the batched p~ installed at 1..T threads. The bank's phase
-// counters (feature-encode / tree-walk seconds) land in the JSON so the
-// learner's share of ranking time is trackable.
+// Rank with the batched p~ installed. The bank's phase counters
+// (feature-encode / tree-walk seconds) land in the JSON so the learner's
+// share of ranking time is trackable.
 //
-// Exit 2 = a mismatch: parallel vs serial scores or order, or batched vs
-// scalar probabilities. Exit 3 = batched ConfirmProbabilities slower than
-// the per-update calls.
+// Exit 2 = batched vs scalar probabilities mismatch. Exit 3 = batched
+// ConfirmProbabilities slower than the per-update calls.
 //
 // Flags: --workload=name:key=val,... (default dataset1, parameterized by
 //        the legacy flags below; the first workload is measured)
 //        --records=N (default 20000) --seed=S (default 42)
-//        --repeats=R (default 5, best-of) --threads-max=T (default 8)
+//        --repeats=R (default 5, best-of)
 //        --out=PATH (default BENCH_hotpath.json)
 #include <array>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -47,17 +40,9 @@
 #include "core/voi.h"
 #include "sim/oracle.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace gdr {
 namespace {
-
-struct Measurement {
-  std::size_t threads = 1;
-  double seconds = 0.0;   // best-of-repeats for one full Rank() pass
-  double speedup = 1.0;   // serial seconds / this
-  bool scores_match = true;
-};
 
 // Power-of-two-ish group-size buckets for the per-bucket hot-path numbers:
 // batching amortizes staging over group size, so the win should grow with
@@ -106,8 +91,6 @@ int RunBench(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
-  const std::size_t threads_max =
-      static_cast<std::size_t>(flags.GetInt("threads-max", 8));
 
   // This bench measures exactly one workload: resolve only the first
   // --workload occurrence rather than materializing all of them.
@@ -145,12 +128,11 @@ int RunBench(int argc, char** argv) {
       specs.front().c_str(), resolved_rows, groups.size(), updates, repeats,
       std::thread::hardware_concurrency());
 
-  // Serial reference.
-  VoiRanker serial(&engine.index(), &engine.rule_weights());
-  VoiRanker::Ranking reference;
-  const double serial_seconds = TimeRank(serial, groups, repeats, &reference);
+  VoiRanker ranker(&engine.index(), &engine.rule_weights());
+  VoiRanker::Ranking ranking;
+  const double rank_seconds = TimeRank(ranker, groups, repeats, &ranking);
 
-  // ---- Single-thread section ------------------------------------------
+  // ---- Index build and benefit probes ----------------------------------
   // Index build: full scan over the dirty instance.
   double build_seconds = -1.0;
   for (int r = 0; r < repeats; ++r) {
@@ -190,7 +172,7 @@ int RunBench(int argc, char** argv) {
     for (const UpdateGroup& group : groups) {
       Stopwatch watch;
       for (const Update& update : group.updates) {
-        serial.UpdateBenefit(update, &batch);
+        ranker.UpdateBenefit(update, &batch);
       }
       const double seconds = watch.ElapsedSeconds();
       buckets[BucketOf(group.size())] += seconds;
@@ -204,8 +186,8 @@ int RunBench(int argc, char** argv) {
   const double ns_per_update_batched =
       updates == 0 ? 0.0 : batched_seconds / static_cast<double>(updates) * 1e9;
   std::printf(
-      "hotpath: build=%.4fs benefit-batched=%.0fns serial-rank=%.4fs\n",
-      build_seconds, ns_per_update_batched, serial_seconds);
+      "hotpath: build=%.4fs benefit-batched=%.0fns rank=%.4fs\n",
+      build_seconds, ns_per_update_batched, rank_seconds);
   std::printf("%10s %7s %8s %11s\n", "group-size", "groups", "updates",
               "batched-ns");
   for (std::size_t b = 0; b < kNumBuckets; ++b) {
@@ -299,81 +281,18 @@ int RunBench(int argc, char** argv) {
       trained_attrs, ns_confirm_per_update, ns_confirm_batched,
       learner_batched_speedup, learner_scores_match ? "yes" : "NO");
 
-  // Rank with the live learner's batched p~ installed, at every thread
-  // count. Scores AND order must match the 1-thread run.
-  struct LearnerRank {
-    std::size_t threads = 1;
-    double seconds = 0.0;
-    bool scores_match = true;
-    bool order_match = true;
-  };
-  const ConfirmProbabilityFn learner_scalar = [&bank](const Update& update) {
-    return bank.ConfirmProbability(update);
-  };
-  std::vector<LearnerRank> learner_ranks;
-  VoiRanker::Ranking learner_reference;
-  bool learner_rank_match = true;
-  for (std::size_t threads = 1; threads <= threads_max; threads *= 2) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    VoiRanker ranker(&engine.index(), &engine.rule_weights(), pool.get());
-    ranker.set_batch_probability_fn(
-        [&bank](std::span<const Update> batch, std::vector<double>* out) {
-          bank.ConfirmProbabilities(batch, out);
-        });
-    LearnerRank lr;
-    lr.threads = threads;
-    lr.seconds = -1.0;
-    VoiRanker::Ranking ranking;
-    for (int r = 0; r < repeats; ++r) {
-      Stopwatch watch;
-      ranking = ranker.Rank(groups, learner_scalar);
-      const double seconds = watch.ElapsedSeconds();
-      if (lr.seconds < 0.0 || seconds < lr.seconds) lr.seconds = seconds;
-    }
-    if (threads == 1) learner_reference = ranking;
-    lr.scores_match = ranking.scores == learner_reference.scores;
-    lr.order_match = ranking.order == learner_reference.order;
-    learner_rank_match =
-        learner_rank_match && lr.scores_match && lr.order_match;
-    learner_ranks.push_back(lr);
-  }
-  std::printf("%8s %14s %13s %12s\n", "threads", "learner-rank-s",
-              "scores-match", "order-match");
-  for (const LearnerRank& lr : learner_ranks) {
-    std::printf("%8zu %14.4f %13s %12s\n", lr.threads, lr.seconds,
-                lr.scores_match ? "yes" : "NO", lr.order_match ? "yes" : "NO");
-  }
+  // Rank with the live learner's batched p~ installed.
+  ranker.set_batch_probability_fn(
+      [&bank](std::span<const Update> batch, std::vector<double>* out) {
+        bank.ConfirmProbabilities(batch, out);
+      });
+  const double learner_rank_seconds =
+      TimeRank(ranker, groups, repeats, &ranking);
+  std::printf("learner: rank=%.4fs\n", learner_rank_seconds);
   // The bank's phase counters, accumulated over everything above — the
   // same numbers GdrStats::timings and the server `stats` reply surface.
   const PerfCounters& bank_perf = bank.perf_counters();
 
-  std::vector<Measurement> results;
-  results.push_back({1, serial_seconds, 1.0, true});
-  for (std::size_t threads = 2; threads <= threads_max; threads *= 2) {
-    ThreadPool pool(threads);
-    VoiRanker ranker(&engine.index(), &engine.rule_weights(), &pool);
-    VoiRanker::Ranking ranking;
-    Measurement m;
-    m.threads = threads;
-    m.seconds = TimeRank(ranker, groups, repeats, &ranking);
-    m.speedup = m.seconds > 0.0 ? serial_seconds / m.seconds : 0.0;
-    m.scores_match = ranking.scores == reference.scores &&
-                     ranking.order == reference.order;
-    results.push_back(m);
-  }
-
-  std::printf("%8s %14s %10s %14s\n", "threads", "rank-seconds", "speedup",
-              "scores-match");
-  bool all_match = true;
-  for (const Measurement& m : results) {
-    std::printf("%8zu %14.4f %9.2fx %14s\n", m.threads, m.seconds, m.speedup,
-                m.scores_match ? "yes" : "NO");
-    all_match = all_match && m.scores_match;
-  }
-
-  const bool scores_match =
-      all_match && learner_scores_match && learner_rank_match;
   const std::string out_path = flags.GetString("out", "BENCH_hotpath.json");
   if (FILE* out = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(
@@ -389,26 +308,13 @@ int RunBench(int argc, char** argv) {
         "  \"hardware_concurrency\": %u,\n"
         "  \"index_build_seconds\": %.6f,\n"
         "  \"update_benefit_ns_batched\": %.1f,\n"
-        "  \"serial_rank_seconds\": %.6f,\n"
-        "  \"scores_match\": %s,\n"
-        "  \"rank_threads\": [\n",
+        "  \"rank_seconds\": %.6f,\n",
         dataset.name.c_str(), specs.front().c_str(), resolved_rows,
         groups.size(), updates, repeats, std::thread::hardware_concurrency(),
-        build_seconds, ns_per_update_batched, serial_seconds,
-        scores_match ? "true" : "false");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const Measurement& m = results[i];
-      std::fprintf(out,
-                   "    {\"threads\": %zu, \"rank_seconds\": %.6f, "
-                   "\"speedup\": %.3f, \"scores_match\": %s}%s\n",
-                   m.threads, m.seconds, m.speedup,
-                   m.scores_match ? "true" : "false",
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
+        build_seconds, ns_per_update_batched, rank_seconds);
     // The learner section: trained-committee p~ both ways (interleaved
-    // same-run numbers), Rank with batched p~ per thread count, and the
-    // bank's phase counters.
+    // same-run numbers), Rank with batched p~, and the bank's phase
+    // counters.
     std::fprintf(
         out,
         "  \"learner\": {\n"
@@ -420,23 +326,15 @@ int RunBench(int argc, char** argv) {
         "    \"encode_seconds\": %.6f,\n"
         "    \"tree_walk_seconds\": %.6f,\n"
         "    \"inferences\": %llu,\n"
-        "    \"rank\": [\n",
+        "    \"rank_seconds\": %.6f\n"
+        "  },\n",
         trained_attrs, ns_confirm_per_update, ns_confirm_batched,
         learner_batched_speedup, learner_scores_match ? "true" : "false",
         bank_perf.Seconds(PerfPhase::kLearnerEncode),
         bank_perf.Seconds(PerfPhase::kLearnerTreeWalk),
         static_cast<unsigned long long>(
-            bank_perf.Count(PerfPhase::kLearnerTreeWalk)));
-    for (std::size_t i = 0; i < learner_ranks.size(); ++i) {
-      const LearnerRank& lr = learner_ranks[i];
-      std::fprintf(out,
-                   "      {\"threads\": %zu, \"seconds\": %.6f, "
-                   "\"scores_match\": %s, \"order_match\": %s}%s\n",
-                   lr.threads, lr.seconds, lr.scores_match ? "true" : "false",
-                   lr.order_match ? "true" : "false",
-                   i + 1 < learner_ranks.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]\n  },\n");
+            bank_perf.Count(PerfPhase::kLearnerTreeWalk)),
+        learner_rank_seconds);
     std::fprintf(out, "  \"group_size_buckets\": [\n");
     bool first_bucket = true;
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
@@ -463,7 +361,7 @@ int RunBench(int argc, char** argv) {
   } else {
     std::printf("could not write %s\n", out_path.c_str());
   }
-  if (!scores_match) return 2;
+  if (!learner_scores_match) return 2;
   // The perf gate: batched learner inference may not lose to the
   // per-update calls it replaced at this workload's scale.
   if (trained_attrs > 0 && batched_prob_seconds > per_update_prob_seconds) {

@@ -16,7 +16,6 @@
 // portable signals are finals_match and evictions/rehydrations > 0.
 //
 // Flags: --sessions=N (default 120) --threads=N client threads (default 4)
-//        --workers=N shared ranking pool size (default 1)
 //        --budget-bytes=N (default 262144; 0 disables eviction)
 //        --feedback-budget=N per session (default 25) --seed=S (default 5)
 //        --spill-dir=DIR (default gdr_bench_spill)
@@ -127,10 +126,8 @@ int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const std::size_t num_sessions =
       static_cast<std::size_t>(flags.GetUint("sessions", 120));
-  const std::size_t num_threads =
+  const std::size_t client_threads =
       std::max<std::size_t>(1, flags.GetUint("threads", 4));
-  const std::size_t workers =
-      static_cast<std::size_t>(flags.GetUint("workers", 1));
   const std::size_t budget_bytes =
       static_cast<std::size_t>(flags.GetUint("budget-bytes", 262144));
   const std::size_t feedback_budget =
@@ -145,7 +142,6 @@ int Run(int argc, char** argv) {
   options.spill_dir = spill_dir;
   options.memory_budget_bytes = budget_bytes;
   options.max_sessions = num_sessions + 8;
-  options.num_threads = workers;
   SessionManager manager(options);
 
   const auto key_for = [](std::size_t i) {
@@ -160,8 +156,8 @@ int Run(int argc, char** argv) {
   std::atomic<std::size_t> next_session{0};
   const Stopwatch wall;
   std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
+  threads.reserve(client_threads);
+  for (std::size_t t = 0; t < client_threads; ++t) {
     threads.emplace_back([&] {
       while (true) {
         const std::size_t i = next_session.fetch_add(1);
@@ -248,7 +244,7 @@ int Run(int argc, char** argv) {
           : 0.0;
 
   std::printf("bench_server: %zu sessions, %zu client threads, budget %zu "
-              "bytes\n", num_sessions, num_threads, budget_bytes);
+              "bytes\n", num_sessions, client_threads, budget_bytes);
   std::printf("  wall     %.3fs  (%.1f sessions/sec to completion)\n",
               wall_seconds, sessions_per_sec);
   std::printf("  next     %zu calls, p50 %.3fms, p99 %.3fms\n",
@@ -265,8 +261,9 @@ int Run(int argc, char** argv) {
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"bench\": \"server\",\n");
     std::fprintf(out, "  \"sessions\": %zu,\n", num_sessions);
-    std::fprintf(out, "  \"client_threads\": %zu,\n", num_threads);
-    std::fprintf(out, "  \"ranking_workers\": %zu,\n", workers);
+    std::fprintf(out, "  \"client_threads\": %zu,\n", client_threads);
+    std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(out, "  \"memory_budget_bytes\": %zu,\n", budget_bytes);
     std::fprintf(out, "  \"feedback_budget\": %zu,\n", feedback_budget);
     std::fprintf(out, "  \"seed\": %llu,\n",

@@ -17,6 +17,7 @@
 // Flags: --workload=SPEC (repeatable; default two small built-ins)
 //        --strategies=CSV of GDR|GDR-S-Learning|GDR-Learning|Random
 //        --shards=CSV (default 1,2,4) --threads=CSV (default 1,2)
+//          (--threads is the shard-pool width; it has no effect at 1 shard)
 //        --seed=S (default 42) --ns=N (default 5)
 //        --sample-every=N (default 50) --budget=N (default unlimited)
 //        --cache-dir=PATH (default in-memory only)

@@ -12,7 +12,6 @@
 // Flags: --workload=name:key=val,... (repeatable; default dataset1 and
 //        dataset2, parameterized by the legacy flags below)
 //        --records=N (default 20000) --seed=S (default 42)
-//        --threads=T (VOI ranking workers; 1 serial, 0 = hardware)
 #include <cstdio>
 #include <vector>
 
@@ -24,7 +23,7 @@ namespace gdr {
 namespace {
 
 void RunFigure3(const Dataset& dataset, const char* figure,
-                std::uint64_t seed, std::size_t threads) {
+                std::uint64_t seed) {
   std::printf("== Figure 3%s: %s ==\n", figure, dataset.name.c_str());
   std::printf("%-16s %10s %12s\n", "strategy", "feedback%", "improvement%");
   for (Strategy strategy : {Strategy::kGdrNoLearning, Strategy::kGreedy,
@@ -34,7 +33,6 @@ void RunFigure3(const Dataset& dataset, const char* figure,
     config.strategy = strategy;
     config.seed = seed;
     config.sample_every = 50;
-    config.num_threads = threads;
     auto result = RunStrategyExperiment(dataset, config);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
@@ -70,8 +68,6 @@ int main(int argc, char** argv) {
   const gdr::bench::Flags flags(argc, argv);
   const std::string records = flags.GetString("records", "20000");
   const std::string seed = flags.GetString("seed", "42");
-  const std::size_t threads =
-      static_cast<std::size_t>(flags.GetInt("threads", 1));
 
   const auto specs = gdr::bench::WorkloadSpecsOrDefaults(
       flags, {"dataset1:records=" + records + ",seed=" + seed,
@@ -82,7 +78,7 @@ int main(int argc, char** argv) {
     const auto dataset = gdr::bench::ResolveWorkloadCachedOrReport(specs[i]);
     if (!dataset.ok()) return 1;
     const std::string figure = "(" + std::string(1, char('a' + i % 26)) + ")";
-    gdr::RunFigure3(**dataset, figure.c_str(), experiment_seed, threads);
+    gdr::RunFigure3(**dataset, figure.c_str(), experiment_seed);
   }
   return 0;
 }

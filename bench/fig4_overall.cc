@@ -13,7 +13,6 @@
 //         scale — the interactive loop re-ranks the whole candidate pool
 //         after every n_s labels, so full scale takes tens of minutes)
 //         --seed=S (default 42)
-//         --threads=T (VOI ranking workers; 1 serial, 0 = hardware)
 //        --budget_pct=P (default 100, user budget as % of E)
 #include <cstdio>
 
@@ -32,8 +31,7 @@ std::size_t InitialDirtyCount(const Dataset& dataset) {
 }
 
 void RunFigure4(const Dataset& dataset, const char* figure,
-                std::uint64_t seed, double budget_pct,
-                std::size_t threads) {
+                std::uint64_t seed, double budget_pct) {
   const std::size_t initial_dirty = InitialDirtyCount(dataset);
   const std::size_t budget = static_cast<std::size_t>(
       static_cast<double>(initial_dirty) * budget_pct / 100.0);
@@ -49,7 +47,6 @@ void RunFigure4(const Dataset& dataset, const char* figure,
     config.strategy = strategy;
     config.feedback_budget = budget;
     config.seed = seed;
-    config.num_threads = threads;
     config.sample_every = 50;
     auto result = RunStrategyExperiment(dataset, config);
     if (!result.ok()) {
@@ -99,8 +96,6 @@ int main(int argc, char** argv) {
   const std::string seed = flags.GetString("seed", "42");
   const std::uint64_t experiment_seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const std::size_t threads =
-      static_cast<std::size_t>(flags.GetInt("threads", 1));
   const double budget_pct = flags.GetDouble("budget_pct", 100.0);
 
   const auto specs = gdr::bench::WorkloadSpecsOrDefaults(
@@ -110,8 +105,7 @@ int main(int argc, char** argv) {
     const auto dataset = gdr::bench::ResolveWorkloadCachedOrReport(specs[i]);
     if (!dataset.ok()) return 1;
     const std::string figure = "(" + std::string(1, char('a' + i % 26)) + ")";
-    gdr::RunFigure4(**dataset, figure.c_str(), experiment_seed, budget_pct,
-                    threads);
+    gdr::RunFigure4(**dataset, figure.c_str(), experiment_seed, budget_pct);
   }
   return 0;
 }

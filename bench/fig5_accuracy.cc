@@ -10,7 +10,6 @@
 //         scale — the interactive loop re-ranks the whole candidate pool
 //         after every n_s labels, so full scale takes tens of minutes)
 //         --seed=S (default 42)
-//         --threads=T (VOI ranking workers; 1 serial, 0 = hardware)
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -22,7 +21,7 @@ namespace gdr {
 namespace {
 
 void RunFigure5(const Dataset& dataset, const char* figure,
-                std::uint64_t seed, std::size_t threads) {
+                std::uint64_t seed) {
   Table dirty = dataset.dirty;
   ViolationIndex index(&dirty, &dataset.rules);
   const std::size_t initial_dirty = index.DirtyRows().size();
@@ -38,7 +37,6 @@ void RunFigure5(const Dataset& dataset, const char* figure,
     config.feedback_budget = static_cast<std::size_t>(
         static_cast<double>(initial_dirty) * pct / 100.0);
     config.seed = seed;
-    config.num_threads = threads;
     config.sample_every = 1000000;  // only endpoints matter here
     auto result = RunStrategyExperiment(dataset, config);
     if (!result.ok()) {
@@ -62,8 +60,6 @@ int main(int argc, char** argv) {
   const std::string seed = flags.GetString("seed", "42");
   const std::uint64_t experiment_seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const std::size_t threads =
-      static_cast<std::size_t>(flags.GetInt("threads", 1));
 
   const auto specs = gdr::bench::WorkloadSpecsOrDefaults(
       flags, {"dataset1:records=" + records + ",seed=" + seed,
@@ -72,7 +68,7 @@ int main(int argc, char** argv) {
     const auto dataset = gdr::bench::ResolveWorkloadCachedOrReport(specs[i]);
     if (!dataset.ok()) return 1;
     const std::string figure = "(" + std::string(1, char('a' + i % 26)) + ")";
-    gdr::RunFigure5(**dataset, figure.c_str(), experiment_seed, threads);
+    gdr::RunFigure5(**dataset, figure.c_str(), experiment_seed);
   }
   return 0;
 }

@@ -6,7 +6,7 @@
 // difference (the differential tests pin this).
 //
 // Build & run:  ./build/examples/gdr_server [--spill-dir DIR]
-//               [--budget-bytes N] [--max-sessions N] [--threads N]
+//               [--budget-bytes N] [--max-sessions N]
 //
 // Then type commands, e.g.:
 //   open acme s1 figure1 seed=7
@@ -18,7 +18,9 @@
 //
 // Pipe a command file in for scripted use:
 //   ./build/examples/gdr_server < commands.txt
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -51,12 +53,10 @@ int main(int argc, char** argv) {
       options.memory_budget_bytes = numeric("--budget-bytes");
     } else if (arg == "--max-sessions") {
       options.max_sessions = numeric("--max-sessions");
-    } else if (arg == "--threads") {
-      options.num_threads = numeric("--threads");
     } else {
       std::fprintf(stderr,
                    "usage: %s [--spill-dir DIR] [--budget-bytes N] "
-                   "[--max-sessions N] [--threads N]\n",
+                   "[--max-sessions N]\n",
                    argv[0]);
       return 2;
     }

@@ -67,14 +67,7 @@ Status GdrEngine::Initialize() {
   bank_ = std::make_unique<LearnerBank>(table_, index_.get(), learner_options);
 
   weights_ = ContextRuleWeights(*index_);
-  ThreadPool* ranking_pool = options_.shared_pool;
-  if (ranking_pool == nullptr) {
-    const std::size_t threads =
-        ThreadPool::ResolveThreadCount(options_.num_threads);
-    if (threads > 1) workers_ = std::make_unique<ThreadPool>(threads);
-    ranking_pool = workers_.get();
-  }
-  voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_, ranking_pool);
+  voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_);
   voi_->set_batch_probability_fn(
       [bank = bank_.get()](std::span<const Update> updates,
                            std::vector<double>* out) {

@@ -20,7 +20,6 @@
 #include "repair/update_pool.h"
 #include "util/result.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace gdr {
 
@@ -83,18 +82,6 @@ struct GdrOptions {
   /// with the learner predictions" condition, measured rather than
   /// assumed).
   double learner_min_accuracy = 0.8;
-  /// Worker threads for VOI group ranking (Step 4): 1 = serial (default),
-  /// 0 = one per hardware thread, N = exactly N workers. Ranking output is
-  /// bit-identical for every setting — parallelism only changes wall-clock
-  /// time, never scores, order, or repair results.
-  std::size_t num_threads = 1;
-  /// Non-owning: when set, ranking fans out on this pool instead of a
-  /// per-engine one and `num_threads` is ignored. This is how a session
-  /// server multiplexes all sessions' ranking work onto one shared pool —
-  /// thousands of resident sessions must not mean thousands of worker
-  /// threads. The pool must outlive the engine. Scores stay bit-identical:
-  /// pool size never affects ranking output, only wall-clock time.
-  ThreadPool* shared_pool = nullptr;
 };
 
 /// Per-phase wall-clock timings (seconds), accumulated by the engine.
@@ -144,8 +131,7 @@ struct GdrStats {
   std::size_t appended_rows = 0;
   std::size_t admitted_dirty = 0;
   /// Wall-clock phase breakdown. Excluded from determinism comparisons —
-  /// every other field is identical run-to-run for a fixed seed,
-  /// regardless of num_threads.
+  /// every other field is identical run-to-run for a fixed seed.
   GdrTimings timings;
 };
 
@@ -279,7 +265,6 @@ class GdrEngine {
   std::unique_ptr<UpdateGenerator> generator_;
   std::unique_ptr<ConsistencyManager> manager_;
   std::unique_ptr<LearnerBank> bank_;
-  std::unique_ptr<ThreadPool> workers_;  // nullptr when ranking serially
   std::unique_ptr<VoiRanker> voi_;
   std::vector<double> weights_;
   mutable Rng rng_{0};

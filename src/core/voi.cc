@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/thread_pool.h"
-
 namespace gdr {
 
 VoiRanker::VoiRanker(const ViolationIndex* index,
-                     const std::vector<double>* weights, ThreadPool* workers)
-    : index_(index), weights_(weights), workers_(workers) {}
+                     const std::vector<double>* weights)
+    : index_(index), weights_(weights) {}
 
 double VoiRanker::UpdateBenefit(const Update& update) const {
   HypotheticalBatch batch(index_);
@@ -47,8 +45,7 @@ double VoiRanker::ScoreGroupTerms(const UpdateGroup& group,
                                   const std::vector<double>& probabilities,
                                   Scratch* scratch) const {
   // The one canonical accumulation: terms in update order, probability
-  // times benefit. Every scoring path funnels through here, which is what
-  // keeps scores bit-identical across serial, parallel, and ScoreGroup.
+  // times benefit. Rank and ScoreGroup both funnel through here.
   const std::size_t n = group.updates.size();
   ScopedPhaseTimer timer(&scratch->perf, PerfPhase::kVoiProbe, n);
   double score = 0.0;
@@ -101,43 +98,14 @@ VoiRanker::Ranking VoiRanker::Rank(
   Ranking ranking;
   ranking.scores.assign(groups.size(), 0.0);
 
-  if (workers_ == nullptr || workers_->size() <= 1 || groups.size() <= 1) {
-    // Serial path: one scratch and one probability buffer for the whole
-    // pass.
-    Scratch scratch(index_);
-    std::vector<double> probabilities;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      FillProbabilities(groups[i], confirm_probability, &probabilities);
-      ranking.scores[i] = ScoreGroupTerms(groups[i], probabilities, &scratch);
-    }
-    perf_.MergeFrom(scratch.perf);
-  } else {
-    // Confirm probabilities may touch the learner bank, which is not
-    // required to be thread-safe — evaluate them up front on this thread.
-    std::vector<std::vector<double>> probabilities(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      FillProbabilities(groups[i], confirm_probability, &probabilities[i]);
-    }
-    // One scratch per executor slot (workers + the calling thread); each
-    // slot runs on exactly one thread, so its scratch needs no
-    // synchronization and is reused across every group that slot scores.
-    std::vector<Scratch> scratches;
-    scratches.reserve(workers_->size() + 1);
-    for (std::size_t s = 0; s < workers_->size() + 1; ++s) {
-      scratches.emplace_back(index_);
-    }
-    // Each task runs the same canonical accumulation into its group's own
-    // slot, so the scores are bit-identical for every thread count.
-    workers_->ParallelForWithSlot(
-        groups.size(), [&](std::size_t slot, std::size_t i) {
-          ranking.scores[i] =
-              ScoreGroupTerms(groups[i], probabilities[i], &scratches[slot]);
-        });
-    // The barrier above is the synchronization point: every slot's
-    // counters are quiescent, so merging them on the calling thread races
-    // with nothing.
-    for (const Scratch& scratch : scratches) perf_.MergeFrom(scratch.perf);
+  // One scratch and one probability buffer for the whole pass.
+  Scratch scratch(index_);
+  std::vector<double> probabilities;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    FillProbabilities(groups[i], confirm_probability, &probabilities);
+    ranking.scores[i] = ScoreGroupTerms(groups[i], probabilities, &scratch);
   }
+  perf_.MergeFrom(scratch.perf);
 
   ranking.order.resize(groups.size());
   std::iota(ranking.order.begin(), ranking.order.end(), 0);

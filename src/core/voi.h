@@ -11,8 +11,6 @@
 
 namespace gdr {
 
-class ThreadPool;
-
 /// Supplies the learned confirm probability p̃_j for an update: the
 /// prediction probability of the user model once trained, falling back to
 /// the repair score s_j before any feedback exists (Section 4.1, "User
@@ -37,8 +35,7 @@ using ConfirmProbabilityBatchFn =
 /// materialized. All updates of one group share an (attr, value) write
 /// target, so the group's context is staged once into a HypotheticalBatch
 /// and each update's effect is a closed-form integer probe against the
-/// read-only shared index — scoring never mutates shared state, and any
-/// number of hypotheticals can be evaluated concurrently. Rules not
+/// read-only shared index — scoring never mutates shared state. Rules not
 /// mentioning the update's attribute contribute zero (their violation
 /// counts cannot change) and are skipped.
 ///
@@ -46,17 +43,13 @@ using ConfirmProbabilityBatchFn =
 /// installed (the engine installs the learner bank's), otherwise from the
 /// scalar fn passed to Rank/ScoreGroup.
 ///
-/// When constructed with a ThreadPool, Rank() fans group evaluations out
-/// across the workers. Scores are reduced into per-group slots and each
-/// group's terms are accumulated in the same order as the serial path, so
-/// ranking output is bit-identical for every thread count.
+/// Ranking is serial. Parallelism lives where the work is coarse: whole
+/// shards (RunShardedRepair) and concurrent sessions (SessionManager).
 class VoiRanker {
  public:
   /// `index` is read-only; `weights` must have one entry per rule (Eq. 3
-  /// weights); `workers` of nullptr means serial ranking. Non-owning
-  /// pointers.
-  VoiRanker(const ViolationIndex* index, const std::vector<double>* weights,
-            ThreadPool* workers = nullptr);
+  /// weights). Non-owning pointers.
+  VoiRanker(const ViolationIndex* index, const std::vector<double>* weights);
 
   /// Installs the group-batched p̃ supplier (one feature matrix and one
   /// tree-at-a-time forest pass per group). Once installed it replaces the
@@ -84,9 +77,6 @@ class VoiRanker {
 
   /// Scores all groups; returns indices into `groups` sorted by descending
   /// benefit (ties by ascending index), plus the scores themselves.
-  /// Confirm probabilities are always evaluated serially on the calling
-  /// thread (the learner bank is not required to be thread-safe); only the
-  /// pure index-delta evaluations run on the pool.
   struct Ranking {
     std::vector<std::size_t> order;  // group indices, best first
     std::vector<double> scores;      // aligned with `groups`
@@ -102,15 +92,15 @@ class VoiRanker {
                const ConfirmProbabilityFn& confirm_probability) const;
 
   /// Cumulative probe-phase counters (kVoiProbe: benefit-probe ns plus the
-  /// number of updates probed), merged from every scratch after each
+  /// number of updates probed), merged from the scratch after each
   /// ranking pass. Not thread-safe w.r.t. concurrent Rank calls on the
   /// *same* ranker — each engine owns its ranker, so that never happens.
   const PerfCounters& perf_counters() const { return perf_; }
   void ResetPerfCounters() { perf_.Reset(); }
 
  private:
-  // Per-worker scoring state: the batched evaluator and the slot's probe
-  // counters (merged into perf_ after the fan-out barrier).
+  // Per-pass scoring state: the batched evaluator and the pass's probe
+  // counters (merged into perf_ when the pass ends).
   struct Scratch {
     explicit Scratch(const ViolationIndex* index) : batch(index) {}
     HypotheticalBatch batch;
@@ -118,8 +108,8 @@ class VoiRanker {
   };
 
   // The one canonical per-group accumulation (terms in update order);
-  // serial and parallel ranking and ScoreGroup all funnel through it,
-  // which is what keeps scores bit-identical across thread counts.
+  // Rank and ScoreGroup both funnel through it, so a group scores the
+  // same either way.
   double ScoreGroupTerms(const UpdateGroup& group,
                          const std::vector<double>& probabilities,
                          Scratch* scratch) const;
@@ -129,7 +119,6 @@ class VoiRanker {
 
   const ViolationIndex* index_;
   const std::vector<double>* weights_;
-  ThreadPool* workers_;
   ConfirmProbabilityBatchFn batch_probability_;
   mutable PerfCounters perf_;
 };

@@ -181,14 +181,6 @@ Result<ShardedRepairResult> RunShardedRepair(
   auto run_shard = [&](std::size_t shard) {
     ExperimentConfig experiment = config.experiment;
     experiment.seed = config.experiment.seed + shard;
-    if (n > 1) {
-      // Shard-level fan-out owns the parallelism; nested ranking futures
-      // on the same pool would deadlock its fixed worker set.
-      experiment.num_threads = 1;
-      experiment.shared_pool = nullptr;
-    } else {
-      experiment.shared_pool = config.pool;
-    }
     auto outcome = RunStrategyExperiment(slices[shard], experiment);
     if (outcome.ok()) {
       result.shards[shard] = *std::move(outcome);

@@ -20,15 +20,9 @@ struct ShardedRepairConfig {
   /// nothing to the merge.
   std::size_t shard_count = 1;
   /// Non-owning shard-level executor. When set, per-shard repair sessions
-  /// run concurrently on this pool (GdrOptions::shared_pool reused at the
-  /// shard granularity) and each shard's own VOI ranking is forced serial:
-  /// a shard task blocking on nested ranking futures of the same
-  /// exhausted pool would deadlock, and shard-level fan-out already owns
-  /// the parallelism budget. nullptr runs shards serially on the caller.
-  /// Exception: a single-shard run has no shard-level fan-out, so the pool
-  /// is handed to the experiment as its ranking pool instead — that is
-  /// what lets a thread-count sweep exercise ranking scaling at
-  /// shard_count=1 and shard scaling above it, on one pool.
+  /// run concurrently on this pool; nullptr runs shards serially on the
+  /// caller. A single-shard run has nothing to fan out and never touches
+  /// the pool.
   ThreadPool* pool = nullptr;
   /// Execute shards in reverse index order (a determinism probe for the
   /// differential tests: results are collected into index-addressed slots,
@@ -36,8 +30,7 @@ struct ShardedRepairConfig {
   bool reverse_execution = false;
   /// The per-shard experiment. Each shard s runs with seed
   /// `experiment.seed + s` (deterministic in the shard index, never in
-  /// execution order) over its own Dataset slice; `num_threads` and
-  /// `shared_pool` are overridden per the pool rules above.
+  /// execution order) over its own Dataset slice.
   ExperimentConfig experiment;
 };
 

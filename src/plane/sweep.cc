@@ -122,7 +122,6 @@ Result<SweepReport> RunSweep(const SweepConfig& config) {
           run.experiment.ns = config.ns;
           run.experiment.sample_every = config.sample_every;
           run.experiment.feedback_budget = config.feedback_budget;
-          run.experiment.num_threads = 1;
 
           const std::uint64_t completed_before =
               run.pool != nullptr ? run.pool->tasks_completed() : 0;

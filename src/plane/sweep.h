@@ -25,8 +25,9 @@ struct SweepConfig {
   std::vector<Strategy> strategies;
   /// Row-range shard counts (ShardPlan::Split); 1 = unsharded.
   std::vector<std::size_t> shard_counts;
-  /// Pool sizes (0 = hardware concurrency). At shard_count 1 the pool
-  /// parallelizes VOI ranking; above it, whole shards.
+  /// Shard-pool sizes (0 = hardware concurrency): how many shards run at
+  /// once. At shard_count 1 there is nothing to fan out and the thread
+  /// count has no effect.
   std::vector<std::size_t> thread_counts;
   std::uint64_t seed = 42;
   int ns = 5;

@@ -84,12 +84,6 @@ struct WireServerStats {
   std::size_t opens = 0;
   std::size_t evictions = 0;
   std::size_t rehydrations = 0;
-  /// Shared ranking pool observability: worker count (1 when the backend
-  /// runs ranking serially and owns no pool), queued-but-unstarted tasks at
-  /// sample time, and tasks completed since the pool was built.
-  std::size_t pool_threads = 1;
-  std::size_t pool_queue_depth = 0;
-  std::uint64_t pool_tasks_completed = 0;
   /// Hot-path phase counters aggregated over the resident sessions
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
   /// benefit-probe seconds and probe count, forest-retrain seconds and

@@ -132,9 +132,6 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " budget=" << stats.memory_budget_bytes << " opens=" << stats.opens
         << " evictions=" << stats.evictions
         << " rehydrations=" << stats.rehydrations
-        << " pool-threads=" << stats.pool_threads
-        << " pool-depth=" << stats.pool_queue_depth
-        << " pool-completed=" << stats.pool_tasks_completed
         << " learner-encode-s=" << stats.learner_encode_seconds
         << " learner-treewalk-s=" << stats.learner_tree_walk_seconds
         << " voi-probe-s=" << stats.voi_probe_seconds

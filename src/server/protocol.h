@@ -37,8 +37,11 @@ namespace gdr::server {
 ///   stats                               -> OK resident=N evicted=N
 ///                                          bytes=N budget=N opens=N
 ///                                          evictions=N rehydrations=N
-///                                          pool-threads=N pool-depth=N
-///                                          pool-completed=N
+///                                          learner-encode-s=X
+///                                          learner-treewalk-s=X
+///                                          voi-probe-s=X voi-probes=N
+///                                          learner-train-s=X
+///                                          learner-trains=N
 ///   quit                                -> OK bye (and the loop returns)
 ///
 /// Blank lines and lines starting with '#' are ignored without reply.

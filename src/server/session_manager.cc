@@ -95,11 +95,7 @@ struct SessionManager::ManagedSession {
 };
 
 SessionManager::SessionManager(SessionManagerOptions options)
-    : options_(std::move(options)) {
-  const std::size_t threads =
-      ThreadPool::ResolveThreadCount(options_.num_threads);
-  if (threads > 1) ranking_pool_ = std::make_unique<ThreadPool>(threads);
-}
+    : options_(std::move(options)) {}
 
 SessionManager::~SessionManager() = default;
 
@@ -243,8 +239,6 @@ Result<WireOpenResult> SessionManager::Open(const SessionKey& key,
   session->gdr_options.feedback_budget = config.feedback_budget;
   session->gdr_options.seed = config.seed;
   session->gdr_options.max_outer_iterations = config.max_outer_iterations;
-  session->gdr_options.num_threads = 1;  // the shared pool does the fanning
-  session->gdr_options.shared_pool = ranking_pool_.get();
   session->spill_path =
       (std::filesystem::path(options_.spill_dir) /
        (key.tenant + "__" + key.session + ".snapshot")).string();
@@ -470,11 +464,6 @@ WireServerStats SessionManager::Stats() const {
   stats.opens = opens_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.rehydrations = rehydrations_.load(std::memory_order_relaxed);
-  if (ranking_pool_ != nullptr) {
-    stats.pool_threads = ranking_pool_->size();
-    stats.pool_queue_depth = ranking_pool_->queue_depth();
-    stats.pool_tasks_completed = ranking_pool_->tasks_completed();
-  }
   return stats;
 }
 

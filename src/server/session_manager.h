@@ -13,7 +13,6 @@
 #include "core/session.h"
 #include "server/backend.h"
 #include "sim/dataset.h"
-#include "util/thread_pool.h"
 
 namespace gdr::server {
 
@@ -28,8 +27,10 @@ struct SessionManagerOptions {
   /// Admission cap: `open` beyond this many live sessions (resident +
   /// evicted) is rejected.
   std::size_t max_sessions = 4096;
-  /// Workers of the shared ranking pool all sessions multiplex onto
-  /// (0 = one per hardware thread, 1 = serial/no pool).
+  /// Unused: the manager builds no thread pool and reads this nowhere.
+  /// Sessions rank serially; concurrency comes from client threads
+  /// driving different sessions. The field stays declared only because
+  /// perfbench/service.cc still assigns it; delete both together.
   std::size_t num_threads = 1;
 };
 
@@ -49,8 +50,7 @@ struct SessionManagerOptions {
 /// Concurrency: any number of client threads may call any operation. A
 /// manager-wide mutex guards only the session map; each session has its
 /// own mutex serializing its (stateful, single-threaded) GdrSession, so
-/// operations on different sessions run concurrently, and each session's
-/// ranking work fans out on the one shared ThreadPool. Eviction scans
+/// operations on different sessions run concurrently. Eviction scans
 /// take the map lock and only try_lock victims, so no lock-order cycle
 /// exists and a session mid-operation is never evicted under its caller.
 class SessionManager {
@@ -119,7 +119,6 @@ class SessionManager {
   void EnforceBudget();
 
   SessionManagerOptions options_;
-  std::unique_ptr<ThreadPool> ranking_pool_;  // shared by every session
 
   mutable std::mutex mutex_;  // guards sessions_ (the map only)
   std::map<SessionKey, std::shared_ptr<ManagedSession>> sessions_;

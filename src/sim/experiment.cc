@@ -22,8 +22,6 @@ Result<ExperimentResult> RunStrategyExperiment(
   options.feedback_budget = config.feedback_budget;
   options.ns = config.ns;
   options.seed = config.seed;
-  options.num_threads = config.num_threads;
-  options.shared_pool = config.shared_pool;
 
   const Stopwatch wall_watch;
   GdrSession session(&working, &dataset.rules, options);

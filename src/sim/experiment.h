@@ -30,14 +30,6 @@ struct ExperimentConfig {
   /// Curve granularity: a point is recorded every `sample_every` labels
   /// (plus the final state).
   std::size_t sample_every = 25;
-  /// Worker threads for VOI ranking (GdrOptions::num_threads: 1 = serial,
-  /// 0 = hardware concurrency). Never changes results, only wall-clock.
-  std::size_t num_threads = 1;
-  /// Non-owning: when set, VOI ranking fans out on this pool and
-  /// `num_threads` is ignored (GdrOptions::shared_pool semantics). Lets a
-  /// harness run many experiments against one pool instead of paying a
-  /// pool construction per run. Must outlive the call.
-  ThreadPool* shared_pool = nullptr;
 };
 
 struct ExperimentResult {

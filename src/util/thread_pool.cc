@@ -49,42 +49,35 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
-  ParallelForWithSlot(n, [&fn](std::size_t, std::size_t i) { fn(i); });
-}
-
-void ThreadPool::ParallelForWithSlot(
-    std::size_t n,
-    const std::function<void(std::size_t slot, std::size_t i)>& fn) {
   if (n == 0) return;
-  // More chunks than threads smooths imbalance between groups of very
+  // More chunks than threads smooths imbalance between tasks of very
   // different sizes; each chunk is a fixed contiguous index range, so the
   // work a given index performs is identical however chunks land on
   // threads.
   const std::size_t chunks = std::min(n, (size() + 1) * 4);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
   auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  // Each submitted task owns one slot and runs entirely on one worker
-  // thread; the caller drives the last slot. That single-threadedness per
-  // slot is what lets callers keep unsynchronized per-slot scratch state.
-  auto run_chunks = [n, chunk_size, cursor, &fn](std::size_t slot) {
+  // One driver task per worker, plus the calling thread, each claiming
+  // chunks until none are left.
+  auto run_chunks = [n, chunk_size, cursor, &fn] {
     for (;;) {
       const std::size_t chunk = cursor->fetch_add(1);
       const std::size_t begin = chunk * chunk_size;
       if (begin >= n) return;
       const std::size_t end = std::min(n, begin + chunk_size);
-      for (std::size_t i = begin; i < end; ++i) fn(slot, i);
+      for (std::size_t i = begin; i < end; ++i) fn(i);
     }
   };
   std::vector<std::future<void>> futures;
   futures.reserve(size());
   for (std::size_t t = 0; t < size(); ++t) {
-    futures.push_back(Submit([run_chunks, t] { run_chunks(t); }));
+    futures.push_back(Submit(run_chunks));
   }
   // The caller works too. Whatever happens, every future must be waited on
   // before returning — the submitted tasks reference `fn` and `cursor`.
   std::exception_ptr caller_error;
   try {
-    run_chunks(size());  // the calling thread drives the last slot
+    run_chunks();
   } catch (...) {
     caller_error = std::current_exception();
   }

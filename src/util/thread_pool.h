@@ -15,11 +15,11 @@
 
 namespace gdr {
 
-/// Fixed-size worker pool for embarrassingly parallel phases (VOI group
-/// scoring, future sharded scans). Tasks are plain callables; Submit
-/// returns a std::future so callers can collect results or propagate
-/// exceptions. Workers are started once in the constructor and joined in
-/// the destructor — no dynamic resizing, no task priorities.
+/// Fixed-size worker pool for coarse, embarrassingly parallel work (whole
+/// shards of a sharded repair). Tasks are plain callables; Submit returns a
+/// std::future so callers can collect results or propagate exceptions.
+/// Workers are started once in the constructor and joined in the
+/// destructor — no dynamic resizing, no task priorities.
 ///
 /// Determinism contract: the pool never reorders *results*. Helpers like
 /// ParallelFor assign each index a fixed output slot, so which worker runs
@@ -38,19 +38,19 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
 
-  /// The library-wide num_threads convention: 0 means "use the hardware",
+  /// The library-wide thread-count convention: 0 means "use the hardware",
   /// any other value is taken literally (1 = serial, no pool needed).
   static std::size_t ResolveThreadCount(std::size_t requested);
 
   /// Tasks currently queued and not yet picked up by a worker (a point-in-
   /// time sample; another thread may dequeue immediately after). Together
   /// with tasks_completed() this makes pool saturation observable — the
-  /// server `stats` reply and the sweep bench surface both.
+  /// sweep bench surfaces both.
   std::size_t queue_depth() const;
 
   /// Total submitted tasks that have finished executing on a worker since
-  /// construction. Counts Submit()ed callables (including the per-slot
-  /// drivers ParallelFor* submits); chunks the *calling* thread drives
+  /// construction. Counts Submit()ed callables (including the per-worker
+  /// drivers ParallelFor submits); chunks the *calling* thread drives
   /// in-place are not separate tasks and are not counted. Monotonic.
   std::uint64_t tasks_completed() const {
     return completed_.load(std::memory_order_relaxed);
@@ -79,17 +79,6 @@ class ThreadPool {
   /// concurrently from multiple threads for distinct indices. The first
   /// exception thrown by fn is rethrown on the caller.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// As ParallelFor, but fn also receives the executor slot: slots
-  /// [0, size()) are the pool workers, slot size() is the calling thread.
-  /// Each slot is driven by exactly one thread for the duration of the
-  /// call, so per-slot scratch state (e.g. a reusable HypotheticalBatch)
-  /// needs no synchronization. Slot-to-chunk assignment is dynamic; only
-  /// the slot's single-threadedness is guaranteed, not which indices land
-  /// on which slot.
-  void ParallelForWithSlot(
-      std::size_t n,
-      const std::function<void(std::size_t slot, std::size_t i)>& fn);
 
  private:
   void WorkerLoop();

@@ -368,40 +368,5 @@ TEST(ProtocolTest, QuitStopsTheLoop) {
   EXPECT_EQ(ServerLoop(backend, in, out), 2u);  // the trailing stats never ran
 }
 
-TEST(SessionManagerTest, StatsReportSerialBackendWithoutPool) {
-  // num_threads=1 (the default): ranking is serial, no pool is built, and
-  // the stats present the serial facts rather than garbage.
-  SessionManager manager(TestOptions("gdr_spill_pool_stats_serial"));
-  const WireServerStats stats = manager.Stats();
-  EXPECT_EQ(stats.pool_threads, 1u);
-  EXPECT_EQ(stats.pool_queue_depth, 0u);
-  EXPECT_EQ(stats.pool_tasks_completed, 0u);
-}
-
-TEST(SessionManagerTest, StatsSurfaceSharedRankingPoolCounters) {
-  SessionManagerOptions options = TestOptions("gdr_spill_pool_stats");
-  options.num_threads = 2;
-  SessionManager manager(options);
-  EXPECT_EQ(manager.Stats().pool_threads, 2u);
-
-  const Backend backend = MakeSessionManagerBackend(&manager);
-  ASSERT_TRUE(manager.Open({"t", "s"}, Figure1Config()).ok());
-  DriveToDone(backend, {"t", "s"}, /*evict_between=*/false);
-
-  const WireServerStats stats = manager.Stats();
-  EXPECT_EQ(stats.pool_threads, 2u);
-  // The drive fanned VOI ranking onto the shared pool at least once.
-  EXPECT_GT(stats.pool_tasks_completed, 0u);
-}
-
-TEST(ProtocolTest, StatsReplyCarriesPoolFields) {
-  const auto lines = RunScript("stats\nquit\n", "gdr_spill_pool_proto");
-  ASSERT_GE(lines.size(), 2u);
-  EXPECT_EQ(lines[0].rfind("OK resident=0", 0), 0u);
-  EXPECT_NE(lines[0].find(" pool-threads="), std::string::npos);
-  EXPECT_NE(lines[0].find(" pool-depth="), std::string::npos);
-  EXPECT_NE(lines[0].find(" pool-completed="), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gdr::server

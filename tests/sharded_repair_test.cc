@@ -48,6 +48,22 @@ TEST(ShardedRepairTest, SingleShardMatchesPlainExperiment) {
   EXPECT_TRUE(sharded->merge_deterministic);
 }
 
+// One shard has nothing to fan out: a pool passed in is never used, and
+// the result is the pool-less one.
+TEST(ShardedRepairTest, SingleShardNeverTouchesThePool) {
+  const Dataset dataset = SmallDataset();
+  auto serial = RunShardedRepair(dataset, BaseConfig(1));
+  ASSERT_TRUE(serial.ok());
+
+  ThreadPool pool(2);
+  ShardedRepairConfig config = BaseConfig(1);
+  config.pool = &pool;
+  auto pooled = RunShardedRepair(dataset, config);
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_EQ(pooled->fingerprint, serial->fingerprint);
+  EXPECT_EQ(pool.tasks_completed(), 0u);
+}
+
 TEST(ShardedRepairTest, FingerprintInvariantAcrossThreadCountsAndOrder) {
   const Dataset dataset = SmallDataset();
   const std::size_t kShards = 4;
@@ -67,8 +83,10 @@ TEST(ShardedRepairTest, FingerprintInvariantAcrossThreadCountsAndOrder) {
     EXPECT_EQ(reversed->fingerprint, baseline->fingerprint);
   }
 
-  // Pooled at 2/4/8 workers, forward and reverse.
-  for (const std::size_t threads : {2u, 4u, 8u}) {
+  // Pooled at 1/2/4/8 workers, forward and reverse. One worker running
+  // four shards is the tightest pool: a shard that submitted work to the
+  // pool it runs on would wait on itself here.
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
     for (const bool reverse : {false, true}) {
       ShardedRepairConfig config = BaseConfig(kShards);

@@ -10,7 +10,6 @@
 
 #include "core/voi.h"
 #include "testing/voi_oracle.h"
-#include "util/thread_pool.h"
 
 namespace gdr {
 namespace {
@@ -20,6 +19,18 @@ using voi_testing::Probability;
 using voi_testing::RandomVoiInstance;
 
 class VoiBatchedTest : public ::testing::TestWithParam<int> {};
+
+// E[g(c)] by the oracle: p̃ times the brute-force benefit, summed in
+// update order.
+double BruteForceGroupScore(const RandomVoiInstance& inst,
+                            const UpdateGroup& group) {
+  double score = 0.0;
+  for (const Update& update : group.updates) {
+    score += Probability(update) *
+             BruteForceBenefit(inst.table, inst.rules, inst.weights, update);
+  }
+  return score;
+}
 
 // The batched closed-form benefit equals the brute-force oracle for every
 // pooled update, with the batch staged once per group (the hot-path access
@@ -68,8 +79,7 @@ TEST_P(VoiBatchedTest, BatchedScoringNeverMutatesSharedState) {
   const std::int64_t vio_before = inst.index->TotalViolations();
   const std::uint64_t version_before = inst.index->version();
 
-  ThreadPool pool(4);
-  VoiRanker ranker(inst.index.get(), &inst.weights, &pool);
+  VoiRanker ranker(inst.index.get(), &inst.weights);
   ranker.Rank(inst.groups, Probability);
 
   EXPECT_EQ(inst.index->TotalViolations(), vio_before);
@@ -83,13 +93,40 @@ TEST_P(VoiBatchedTest, ScoreGroupMatchesBruteForce) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
   VoiRanker ranker(inst.index.get(), &inst.weights);
   for (const UpdateGroup& group : inst.groups) {
-    double expected = 0.0;
-    for (const Update& update : group.updates) {
-      expected += Probability(update) *
-                  BruteForceBenefit(inst.table, inst.rules, inst.weights,
-                                    update);
-    }
-    EXPECT_EQ(ranker.ScoreGroup(group, Probability), expected);
+    EXPECT_EQ(ranker.ScoreGroup(group, Probability),
+              BruteForceGroupScore(inst, group));
+  }
+}
+
+// Rank scores every group as the brute-force benefits summed in update
+// order, and orders groups by descending score with ties broken by
+// ascending group index.
+TEST_P(VoiBatchedTest, RankMatchesBruteForceAndOrdersByScore) {
+  RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
+  VoiRanker ranker(inst.index.get(), &inst.weights);
+  const VoiRanker::Ranking ranking = ranker.Rank(inst.groups, Probability);
+  ASSERT_EQ(ranking.scores.size(), inst.groups.size());
+  ASSERT_EQ(ranking.order.size(), inst.groups.size());
+
+  for (std::size_t i = 0; i < inst.groups.size(); ++i) {
+    EXPECT_EQ(ranking.scores[i], BruteForceGroupScore(inst, inst.groups[i]))
+        << "group " << i;
+  }
+
+  std::vector<bool> seen(inst.groups.size(), false);
+  for (const std::size_t i : ranking.order) {
+    ASSERT_LT(i, inst.groups.size());
+    EXPECT_FALSE(seen[i]) << "group " << i << " ranked twice";
+    seen[i] = true;
+  }
+  for (std::size_t k = 1; k < ranking.order.size(); ++k) {
+    const std::size_t a = ranking.order[k - 1];
+    const std::size_t b = ranking.order[k];
+    const double score_a = ranking.scores[a];
+    const double score_b = ranking.scores[b];
+    EXPECT_TRUE(score_a > score_b || (score_a == score_b && a < b))
+        << "position " << k << ": group " << a << " (" << score_a
+        << ") before group " << b << " (" << score_b << ")";
   }
 }
 
