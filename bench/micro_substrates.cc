@@ -269,6 +269,62 @@ void BM_UpdateGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateGeneration);
 
+// The feedback cascade's shape at paper scale: one effective cell change
+// on a scenario-3 projection's key attribute, then regeneration of a
+// scenario-3 cell. The change toggles another row into and out of the
+// regenerated cell's bucket, so every iteration touches that bucket.
+void BM_RegenerateAfterChange(benchmark::State& state) {
+  static const Dataset* dataset = []() {
+    auto resolved =
+        WorkloadRegistry::Global().Resolve("dataset1:records=20000,seed=11");
+    if (!resolved.ok()) {
+      std::fprintf(stderr, "dataset1: %s\n",
+                   resolved.status().ToString().c_str());
+      std::exit(1);
+    }
+    return new Dataset(*resolved);
+  }();
+  Table table = dataset->dirty;
+  ViolationIndex index(&table, &dataset->rules);
+  RepairState repair_state;
+  UpdateGenerator generator(&index, &table, &repair_state);
+
+  // First dirty cell (t, B) with B in the LHS of a rule t violates; the
+  // rule's RHS attribute is then a key attribute of that projection.
+  RowId row = 0;
+  AttrId attr = kInvalidAttrId;
+  AttrId key_attr = kInvalidAttrId;
+  for (RowId r : index.DirtyRows()) {
+    for (RuleId rid : index.ViolatedRules(r)) {
+      const Cfd& rule = dataset->rules.rule(rid);
+      if (rule.lhs().empty()) continue;
+      row = r;
+      attr = rule.lhs().front().attr;
+      key_attr = rule.rhs().attr;
+      break;
+    }
+    if (attr != kInvalidAttrId) break;
+  }
+  if (attr == kInvalidAttrId) {
+    state.SkipWithError("workload has no scenario-3 cell");
+    return;
+  }
+  const RowId other =
+      static_cast<RowId>((static_cast<std::size_t>(row) + 1) %
+                         table.num_rows());
+  const ValueId joined = table.id_at(row, key_attr);
+  ValueId left = table.id_at(other, key_attr);
+  if (left == joined) left = table.InternValue(key_attr, "bench-elsewhere");
+  bool in_bucket = false;
+  for (auto _ : state) {
+    in_bucket = !in_bucket;
+    index.ApplyCellChange(other, key_attr, in_bucket ? joined : left);
+    benchmark::DoNotOptimize(generator.UpdateAttributeTuple(row, attr));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RegenerateAfterChange);
+
 // The key → GroupId map substrate, head-to-head: the violation index's
 // flat open-addressing table vs the std::unordered_map it replaced, over
 // small vector keys with the index's FNV-1a hash. Misses are as common as

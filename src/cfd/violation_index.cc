@@ -44,12 +44,15 @@ ViolationIndex::ViolationIndex(Table* table, const RuleSet* rules)
       AddRow(rs, static_cast<RowId>(r));
     }
   }
+  projection_slot_.assign(rules_->size() * table_->num_attrs(), -1);
+  projections_on_attr_.resize(table_->num_attrs());
 }
 
 Result<RowId> ViolationIndex::AppendRow(const std::vector<std::string>& values) {
   GDR_ASSIGN_OR_RETURN(const RowId row, table_->AppendRow(values));
   ++version_;
   for (RuleStats& rs : stats_) AddRow(rs, row);
+  for (Projection& proj : projections_) JoinBucket(proj, row);
   return row;
 }
 
@@ -77,6 +80,7 @@ Result<RowId> ViolationIndex::AppendRows(
     const Result<RowId> row = table_->AppendRow(values);
     assert(row.ok());
     for (RuleStats& rs : stats_) AddRow(rs, *row);
+    for (Projection& proj : projections_) JoinBucket(proj, *row);
   }
   return first;
 }
@@ -212,9 +216,25 @@ ValueId ViolationIndex::ApplyCellChange(RowId row, AttrId attr,
   for (RuleId id : affected) {
     RemoveRow(stats_[static_cast<std::size_t>(id)], row);
   }
+  // Projections keyed on attr move the row between buckets; a projection
+  // whose value attribute is attr keeps the row in place.
+  const std::vector<std::int32_t>& projections =
+      projections_on_attr_[static_cast<std::size_t>(attr)];
+  for (std::int32_t p : projections) {
+    Projection& proj = projections_[static_cast<std::size_t>(p)];
+    if (proj.value_attr != attr) LeaveBucket(proj, row);
+  }
   table_->SetById(row, attr, value);
   for (RuleId id : affected) {
     AddRow(stats_[static_cast<std::size_t>(id)], row);
+  }
+  for (std::int32_t p : projections) {
+    Projection& proj = projections_[static_cast<std::size_t>(p)];
+    if (proj.value_attr != attr) {
+      JoinBucket(proj, row);
+    } else if (const GroupId bid = BucketOf(proj, row); bid != kNoGroup) {
+      proj.buckets[static_cast<std::size_t>(bid)].stale = true;
+    }
   }
   return old;
 }
@@ -391,6 +411,129 @@ std::vector<RowId> ViolationIndex::GroupMembers(RowId row, RuleId rule) const {
   out = rs.members[static_cast<std::size_t>(gid)];
   std::sort(out.begin(), out.end());
   return out;
+}
+
+ViolationIndex::Projection& ViolationIndex::ProjectionFor(RuleId rule,
+                                                          AttrId attr) {
+  const std::size_t slot =
+      static_cast<std::size_t>(rule) * table_->num_attrs() +
+      static_cast<std::size_t>(attr);
+  if (projection_slot_[slot] >= 0) {
+    return projections_[static_cast<std::size_t>(projection_slot_[slot])];
+  }
+
+  const Cfd& cfd = rules_->rule(rule);
+  std::vector<AttrId> key_attrs;
+  for (const PatternCell& cell : cfd.lhs()) {
+    if (cell.attr != attr) key_attrs.push_back(cell.attr);
+  }
+  if (cfd.rhs().attr != attr) key_attrs.push_back(cfd.rhs().attr);
+
+  // Buckets depend only on the key attribute *set*, so a rule whose set
+  // matches an earlier registrant's reuses its projection.
+  for (std::size_t p = 0; p < projections_.size(); ++p) {
+    const Projection& proj = projections_[p];
+    if (proj.value_attr == attr &&
+        std::is_permutation(proj.key_attrs.begin(), proj.key_attrs.end(),
+                            key_attrs.begin(), key_attrs.end())) {
+      projection_slot_[slot] = static_cast<std::int32_t>(p);
+      return projections_[p];
+    }
+  }
+
+  const std::int32_t id = static_cast<std::int32_t>(projections_.size());
+  projection_slot_[slot] = id;
+  Projection& proj = projections_.emplace_back();
+  proj.value_attr = attr;
+  proj.key_attrs = std::move(key_attrs);
+  projections_on_attr_[static_cast<std::size_t>(attr)].push_back(id);
+  for (AttrId a : proj.key_attrs) {
+    std::vector<std::int32_t>& on_attr =
+        projections_on_attr_[static_cast<std::size_t>(a)];
+    if (on_attr.empty() || on_attr.back() != id) on_attr.push_back(id);
+  }
+  // Ascending scan: every bucket's rows come out sorted.
+  proj.row_bucket.reserve(table_->num_rows());
+  for (std::size_t r = 0; r < table_->num_rows(); ++r) {
+    JoinBucket(proj, static_cast<RowId>(r));
+  }
+  return proj;
+}
+
+void ViolationIndex::BuildProjKey(const Projection& proj, RowId row,
+                                  GroupKey* key) const {
+  key->resize(proj.key_attrs.size());
+  for (std::size_t k = 0; k < proj.key_attrs.size(); ++k) {
+    (*key)[k] = table_->id_at(row, proj.key_attrs[k]);
+  }
+}
+
+void ViolationIndex::JoinBucket(Projection& proj, RowId row) {
+  BuildProjKey(proj, row, &key_scratch_);
+  bool minted = false;
+  GroupId& slot = proj.key_to_bucket.FindOrInsert(key_scratch_, &minted);
+  if (minted) {
+    if (!proj.free_buckets.empty()) {
+      slot = proj.free_buckets.back();
+      proj.free_buckets.pop_back();
+    } else {
+      slot = static_cast<GroupId>(proj.buckets.size());
+      proj.buckets.emplace_back();
+    }
+  }
+  const GroupId bid = slot;
+  ProjBucket& bucket = proj.buckets[static_cast<std::size_t>(bid)];
+  bucket.rows.insert(
+      std::lower_bound(bucket.rows.begin(), bucket.rows.end(), row), row);
+  bucket.stale = true;
+  if (static_cast<std::size_t>(row) >= proj.row_bucket.size()) {
+    proj.row_bucket.resize(static_cast<std::size_t>(row) + 1, kNoGroup);
+  }
+  proj.row_bucket[static_cast<std::size_t>(row)] = bid;
+}
+
+void ViolationIndex::LeaveBucket(Projection& proj, RowId row) {
+  const GroupId bid = BucketOf(proj, row);
+  if (bid == kNoGroup) return;
+  ProjBucket& bucket = proj.buckets[static_cast<std::size_t>(bid)];
+  const auto it =
+      std::lower_bound(bucket.rows.begin(), bucket.rows.end(), row);
+  assert(it != bucket.rows.end() && *it == row);
+  bucket.rows.erase(it);
+  bucket.stale = true;
+  proj.row_bucket[static_cast<std::size_t>(row)] = kNoGroup;
+  if (bucket.rows.empty()) {
+    BuildProjKey(proj, row, &key_scratch_);
+    proj.key_to_bucket.Erase(key_scratch_);
+    proj.free_buckets.push_back(bid);
+  }
+}
+
+void ViolationIndex::DeriveBucket(const Projection& proj,
+                                  ProjBucket* bucket) const {
+  bucket->values.clear();
+  for (RowId r : bucket->rows) {
+    const ValueId v = table_->id_at(r, proj.value_attr);
+    auto it = std::find_if(bucket->values.begin(), bucket->values.end(),
+                           [v](const auto& entry) { return entry.first == v; });
+    if (it != bucket->values.end()) {
+      ++it->second;
+    } else if (bucket->values.size() < kMaxValuesPerProjection) {
+      bucket->values.emplace_back(v, 1);
+    }
+  }
+  bucket->stale = false;
+}
+
+const ViolationIndex::ProjectionValues& ViolationIndex::ProjectionBucket(
+    RuleId rule, AttrId attr, RowId row) {
+  static const ProjectionValues kEmpty;
+  Projection& proj = ProjectionFor(rule, attr);
+  const GroupId bid = BucketOf(proj, row);
+  if (bid == kNoGroup) return kEmpty;
+  ProjBucket& bucket = proj.buckets[static_cast<std::size_t>(bid)];
+  if (bucket.stale) DeriveBucket(proj, &bucket);
+  return bucket.values;
 }
 
 // ---------------------------------------------------------------------------

@@ -76,9 +76,9 @@ class ViolationIndex {
   /// mentioning `attr`. Returns the previous value id.
   ValueId ApplyCellChange(RowId row, AttrId attr, ValueId value);
 
-  /// Monotonic counter bumped by every effective cell change; consumers
-  /// (e.g., the update generator's projection caches) use it to detect
-  /// staleness without subscribing to change events.
+  /// Monotonic counter bumped by every effective cell change and every
+  /// append; consumers (e.g., HypotheticalBatch's staging) use it to
+  /// detect staleness without subscribing to change events.
   std::uint64_t version() const { return version_; }
 
   /// String-value convenience overload (interns `value` first).
@@ -171,6 +171,37 @@ class ViolationIndex {
   /// rules or rows outside the context. Used by the update generator
   /// (scenario 2).
   std::vector<RowId> GroupMembers(RowId row, RuleId rule) const;
+
+  /// Distinct values of a projection bucket with their in-bucket counts.
+  using ProjectionValues = std::vector<std::pair<ValueId, std::int64_t>>;
+
+  /// Caps the distinct values a projection bucket lists; beyond this the
+  /// candidate set is no longer "semantically tight" anyway.
+  static constexpr std::size_t kMaxValuesPerProjection = 32;
+
+  /// The update generator's scenario-3 evidence (Algorithm 1: "the tuples
+  /// identified by the pattern t[X ∪ A − {B}]"): over every row t' with
+  /// t'[(X ∪ A) − {B}] = t[(X ∪ A) − {B}] for rule φ = `rule` and
+  /// B = `attr`, the first kMaxValuesPerProjection distinct t'[B] values
+  /// in ascending order of the first row holding them, each with its full
+  /// count in the bucket. No context test: the pattern constants of φ
+  /// play no part.
+  ///
+  /// A (rule, B) projection is registered on its first query with one
+  /// full scan; rules sharing the attribute set (X ∪ A) − {B} share it.
+  /// From then on ApplyCellChange / AppendRow / AppendRows keep its
+  /// buckets current: a cell change moves the row between the buckets it
+  /// leaves and joins (or marks its bucket when B itself changed), and a
+  /// query re-derives only a bucket that was touched since its last
+  /// query — O(bucket size), never O(rows). Registration and re-derivation
+  /// are why this query is non-const; neither bumps version(). The
+  /// reference is invalidated by the next mutation or ProjectionBucket
+  /// call. Empty for a row the index has not seen.
+  const ProjectionValues& ProjectionBucket(RuleId rule, AttrId attr,
+                                           RowId row);
+
+  /// Introspection for tests: distinct projections registered so far.
+  std::size_t num_projections() const { return projections_.size(); }
 
   /// Number of rules `row` currently violates.
   std::int64_t ViolatedRuleCount(RowId row) const;
@@ -350,13 +381,58 @@ class ViolationIndex {
   void RemoveRow(RuleStats& rs, RowId row);
   void AddRow(RuleStats& rs, RowId row);
 
+  // One bucket of a projection: its rows, ascending, and the values list
+  // derived from them by the first query after the bucket was touched.
+  struct ProjBucket {
+    std::vector<RowId> rows;
+    ProjectionValues values;
+    bool stale = true;  // values predates a change to rows or their B cells
+  };
+
+  // A registered scenario-3 projection: every row bucketed by its values
+  // of key_attrs, laid out like a variable rule's groups (dense bucket
+  // ids recycled through a free list, row → bucket array, key → bucket
+  // map). Bucket keys are not stored: a bucket only empties when its last
+  // row leaves, and that row's current cells still spell the key.
+  struct Projection {
+    AttrId value_attr = kInvalidAttrId;  // B
+    std::vector<AttrId> key_attrs;       // (X ∪ A) − {B}, in rule order
+    std::vector<GroupId> row_bucket;
+    std::vector<ProjBucket> buckets;
+    std::vector<GroupId> free_buckets;
+    FlatTable<GroupKey, GroupId, GroupKeyHash> key_to_bucket;
+  };
+
+  // Bounds-guarded like RuleStats::GroupIdOf: a row the index has not
+  // seen is in no bucket.
+  static GroupId BucketOf(const Projection& proj, RowId row) {
+    const std::size_t r = static_cast<std::size_t>(row);
+    return r < proj.row_bucket.size() ? proj.row_bucket[r] : kNoGroup;
+  }
+
+  // The projection serving (rule, attr), registering it on first use.
+  Projection& ProjectionFor(RuleId rule, AttrId attr);
+  void BuildProjKey(const Projection& proj, RowId row, GroupKey* key) const;
+  // Adds `row` to the bucket of its current key, minting one if needed.
+  void JoinBucket(Projection& proj, RowId row);
+  // Removes `row` from its bucket; call while the row's cells still hold
+  // the bucket key (the key is rebuilt to retire an emptied bucket).
+  void LeaveBucket(Projection& proj, RowId row);
+  void DeriveBucket(const Projection& proj, ProjBucket* bucket) const;
+
   friend class HypotheticalBatch;
 
   Table* table_;
   const RuleSet* rules_;
   std::vector<RuleStats> stats_;
   std::uint64_t version_ = 0;
-  GroupKey key_scratch_;  // mutation-path scratch; queries never touch it
+  GroupKey key_scratch_;  // mutation scratch; const queries never touch it
+
+  std::vector<Projection> projections_;
+  // rule * num_attrs + attr → index into projections_; -1 = unregistered.
+  std::vector<std::int32_t> projection_slot_;
+  // attr → projections whose key or value attribute it is.
+  std::vector<std::vector<std::int32_t>> projections_on_attr_;
 
  public:
   /// Lightweight, non-owning handle to `row`'s LHS group under a variable

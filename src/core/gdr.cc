@@ -77,6 +77,7 @@ Status GdrEngine::Initialize() {
   stats_ = GdrStats{};
   stats_.initial_dirty = manager_->Initialize();
   stats_.timings.init_seconds = init_watch.ElapsedSeconds();
+  SyncPerfTimings();
   initialized_ = true;
   return Status::OK();
 }
@@ -93,6 +94,9 @@ void GdrEngine::SyncPerfTimings() {
   timings.learner_trains = learner.Count(PerfPhase::kLearnerTrain);
   timings.voi_probe_seconds = voi.Seconds(PerfPhase::kVoiProbe);
   timings.voi_probes = voi.Count(PerfPhase::kVoiProbe);
+  const PerfCounters& generator = generator_->perf_counters();
+  timings.regenerate_seconds = generator.Seconds(PerfPhase::kRegenerate);
+  timings.regenerations = generator.Count(PerfPhase::kRegenerate);
 }
 
 Result<GdrEngine::AppendOutcome> GdrEngine::AppendDirtyRows(
@@ -109,6 +113,7 @@ Result<GdrEngine::AppendOutcome> GdrEngine::AppendDirtyRows(
   weights_ = ContextRuleWeights(*index_);
   stats_.appended_rows += rows.size();
   stats_.admitted_dirty += outcome.newly_dirty;
+  SyncPerfTimings();
   return outcome;
 }
 
@@ -276,6 +281,7 @@ Status GdrEngine::ApplyUserFeedback(
   for (const AppliedChange& change : changes) {
     if (change.forced) ++stats_.forced_repairs;
   }
+  SyncPerfTimings();
   if (callback) callback(*this, stats_.user_feedback);
   return Status::OK();
 }
@@ -289,6 +295,7 @@ Status GdrEngine::ApplyLearnerDecision(const Update& update,
   for (const AppliedChange& change : changes) {
     if (change.forced) ++stats_.forced_repairs;
   }
+  SyncPerfTimings();
   return Status::OK();
 }
 

@@ -102,13 +102,19 @@ struct GdrTimings {
   /// learner_train_* covers forest retraining after feedback (time inside
   /// RandomForest::Train; `learner_trains` counts training examples
   /// summed over retrains) and is synced after every retrain too.
+  /// regenerate_* covers candidate-update generation (time inside
+  /// UpdateGenerator::UpdateAttributeTuple; `regenerations` counts its
+  /// calls) — pool seeding, feedback cascades and appends — and is synced
+  /// after each of those as well.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
   double learner_train_seconds = 0.0;
+  double regenerate_seconds = 0.0;
   std::uint64_t learner_inferences = 0;
   std::uint64_t voi_probes = 0;
   std::uint64_t learner_trains = 0;
+  std::uint64_t regenerations = 0;
 };
 
 struct GdrStats {
@@ -247,9 +253,10 @@ class GdrEngine {
   // Orders `updates` for user inspection per strategy (in place).
   void OrderForSession(std::vector<Update>* updates);
 
-  // Copies the bank's and ranker's cumulative phase counters into
-  // stats_.timings (called after every ranking pass; both sources only
-  // ever grow, so assignment — not accumulation — is correct).
+  // Copies the bank's, ranker's and generator's cumulative phase counters
+  // into stats_.timings (called after every ranking pass, retrain, applied
+  // decision and append; the sources only ever grow, so assignment — not
+  // accumulation — is correct).
   void SyncPerfTimings();
 
   // Validated snapshot: updates of `group` still present in the pool.

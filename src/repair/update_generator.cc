@@ -6,16 +6,6 @@
 
 namespace gdr {
 
-std::size_t UpdateGenerator::ProjKeyHash::operator()(
-    const ProjKey& key) const {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (ValueId id : key) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(id));
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::size_t>(h);
-}
-
 UpdateGenerator::UpdateGenerator(ViolationIndex* index, Table* table,
                                  const RepairState* state)
     : index_(index), table_(table), state_(state) {
@@ -42,41 +32,9 @@ double UpdateGenerator::Sim(AttrId attr, ValueId from, ValueId to) const {
   return NormalizedEditSimilarity(dict.ToString(from), dict.ToString(to));
 }
 
-const UpdateGenerator::ProjIndex& UpdateGenerator::Projection(RuleId rule,
-                                                              AttrId attr) {
-  ProjIndex& proj = projections_[{rule, attr}];
-  if (proj.built_at_version == index_->version()) return proj;
-
-  const Cfd& cfd = index_->rules().rule(rule);
-  proj.key_attrs.clear();
-  for (const PatternCell& cell : cfd.lhs()) {
-    if (cell.attr != attr) proj.key_attrs.push_back(cell.attr);
-  }
-  if (cfd.rhs().attr != attr) proj.key_attrs.push_back(cfd.rhs().attr);
-
-  proj.values.clear();
-  ProjKey key(proj.key_attrs.size());
-  for (std::size_t r = 0; r < table_->num_rows(); ++r) {
-    const RowId row = static_cast<RowId>(r);
-    for (std::size_t k = 0; k < proj.key_attrs.size(); ++k) {
-      key[k] = table_->id_at(row, proj.key_attrs[k]);
-    }
-    auto& bucket = proj.values[key];
-    const ValueId v = table_->id_at(row, attr);
-    auto it = std::find_if(bucket.begin(), bucket.end(),
-                           [v](const auto& entry) { return entry.first == v; });
-    if (it != bucket.end()) {
-      ++it->second;
-    } else if (bucket.size() < kMaxValuesPerProjection) {
-      bucket.emplace_back(v, 1);
-    }
-  }
-  proj.built_at_version = index_->version();
-  return proj;
-}
-
 std::optional<Update> UpdateGenerator::UpdateAttributeTuple(RowId row,
                                                             AttrId attr) {
+  const ScopedPhaseTimer timer(&perf_, PerfPhase::kRegenerate, 1);
   const CellKey cell{row, attr};
   if (!state_->IsChangeable(cell)) return std::nullopt;
 
@@ -119,11 +77,19 @@ std::optional<Update> UpdateGenerator::UpdateAttributeTuple(RowId row,
         // Scenario 2: adopt a violation partner's RHS value, weighted by
         // its share of the violating group. Resolve the row's group once;
         // every support probe then hits the same small-vector counts
-        // instead of re-deriving the group per partner.
+        // instead of re-deriving the group per partner. Partners sharing
+        // a value score identically, so only a value's first partner can
+        // win the strict test: later ones are skipped unscored.
         const ViolationIndex::GroupView group = index_->GroupOf(row, rid);
         const std::int64_t current_count = group.ValueCount(current);
+        seen_scratch_.clear();
         for (RowId partner : index_->ViolationPartners(row, rid)) {
           const ValueId v = table_->id_at(partner, attr);
+          if (std::find(seen_scratch_.begin(), seen_scratch_.end(), v) !=
+              seen_scratch_.end()) {
+            continue;
+          }
+          seen_scratch_.push_back(v);
           const double conf =
               support_ratio(group.ValueCount(v), current_count);
           consider(v, Sim(attr, current, v) * conf);
@@ -143,18 +109,13 @@ std::optional<Update> UpdateGenerator::UpdateAttributeTuple(RowId row,
       consider(v, Sim(attr, current, v) * conf);
     }
     for (RuleId rid : lhs_of) {
-      const ProjIndex& proj = Projection(rid, attr);
-      ProjKey key(proj.key_attrs.size());
-      for (std::size_t k = 0; k < proj.key_attrs.size(); ++k) {
-        key[k] = table_->id_at(row, proj.key_attrs[k]);
-      }
-      auto it = proj.values.find(key);
-      if (it == proj.values.end()) continue;
+      const ViolationIndex::ProjectionValues& bucket =
+          index_->ProjectionBucket(rid, attr, row);
       std::int64_t current_in_bucket = 0;
-      for (const auto& [v, count] : it->second) {
+      for (const auto& [v, count] : bucket) {
         if (v == current) current_in_bucket = count;
       }
-      for (const auto& [v, count] : it->second) {
+      for (const auto& [v, count] : bucket) {
         const double conf = support_ratio(count, current_in_bucket);
         consider(v, Sim(attr, current, v) * conf);
       }

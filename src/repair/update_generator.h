@@ -1,15 +1,13 @@
 #ifndef GDR_REPAIR_UPDATE_GENERATOR_H_
 #define GDR_REPAIR_UPDATE_GENERATOR_H_
 
-#include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cfd/violation_index.h"
 #include "repair/repair_state.h"
 #include "repair/update.h"
+#include "util/perf_counters.h"
 
 namespace gdr {
 
@@ -29,8 +27,9 @@ namespace gdr {
 ///      tuples that agree with t on the rule's remaining attributes
 ///      (X ∪ A) − {B} ("searching in the tuples identified by the pattern
 ///      t[X ∪ A − {B}]") — the semantically related candidates. The
-///      projection lookup is served by a lazily built per-(rule, B) index
-///      invalidated whenever the database version advances.
+///      projection lookup is ViolationIndex::ProjectionBucket, whose
+///      buckets the index keeps current through every cell change and
+///      append.
 ///
 /// All scenarios skip values in the cell's prevented list and the cell's
 /// current value; the best score across scenarios wins (earlier candidates
@@ -78,42 +77,23 @@ class UpdateGenerator {
   /// sim(from, to) per Eq. 7 over `attr`'s dictionary.
   double Sim(AttrId attr, ValueId from, ValueId to) const;
 
+  /// PerfPhase::kRegenerate: wall time inside UpdateAttributeTuple and
+  /// the number of calls.
+  const PerfCounters& perf_counters() const { return perf_; }
+
  private:
-  using ProjKey = std::vector<ValueId>;
-
-  struct ProjKeyHash {
-    std::size_t operator()(const ProjKey& key) const;
-  };
-
-  // Distinct B values (with in-bucket support counts) per projection
-  // t[(X ∪ A) − {B}] for one (rule, B) pair, rebuilt lazily when the
-  // database version moves.
-  struct ProjIndex {
-    std::uint64_t built_at_version = ~0ULL;
-    std::vector<AttrId> key_attrs;  // (X ∪ A) − {B}, in rule order
-    std::unordered_map<ProjKey, std::vector<std::pair<ValueId, std::int64_t>>,
-                       ProjKeyHash>
-        values;
-  };
-
   // Constants for `attr` collected from all rules (LHS and RHS patterns),
   // interned once at construction.
   const std::vector<ValueId>& RuleConstants(AttrId attr) const {
     return rule_constants_[static_cast<std::size_t>(attr)];
   }
 
-  // The projection index for (rule, attr), rebuilt if stale.
-  const ProjIndex& Projection(RuleId rule, AttrId attr);
-
-  // Caps the distinct values remembered per projection key; beyond this
-  // the candidate set is no longer "semantically tight" anyway.
-  static constexpr std::size_t kMaxValuesPerProjection = 32;
-
   ViolationIndex* index_;
   Table* table_;
   const RepairState* state_;
   std::vector<std::vector<ValueId>> rule_constants_;
-  std::map<std::pair<RuleId, AttrId>, ProjIndex> projections_;
+  std::vector<ValueId> seen_scratch_;  // scenario 2's distinct partner values
+  PerfCounters perf_;
 };
 
 }  // namespace gdr

@@ -87,7 +87,8 @@ struct WireServerStats {
   /// Hot-path phase counters aggregated over the resident sessions
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
   /// benefit-probe seconds and probe count, forest-retrain seconds and
-  /// examples trained on). Evicted sessions' time is
+  /// examples trained on, update-regeneration seconds and
+  /// UpdateAttributeTuple calls). Evicted sessions' time is
   /// not replayed into these — they reset to their snapshot's history on
   /// rehydration like every other timing.
   double learner_encode_seconds = 0.0;
@@ -96,6 +97,8 @@ struct WireServerStats {
   std::uint64_t voi_probes = 0;
   double learner_train_seconds = 0.0;
   std::uint64_t learner_trains = 0;
+  double regenerate_seconds = 0.0;
+  std::uint64_t regenerations = 0;
 };
 
 /// The pluggable backend boundary: one struct of operations per backend

@@ -137,7 +137,9 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " voi-probe-s=" << stats.voi_probe_seconds
         << " voi-probes=" << stats.voi_probes
         << " learner-train-s=" << stats.learner_train_seconds
-        << " learner-trains=" << stats.learner_trains << "\n";
+        << " learner-trains=" << stats.learner_trains
+        << " regenerate-s=" << stats.regenerate_seconds
+        << " regenerations=" << stats.regenerations << "\n";
     reply->append(out.str());
     return true;
   }

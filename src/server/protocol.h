@@ -42,6 +42,8 @@ namespace gdr::server {
 ///                                          voi-probe-s=X voi-probes=N
 ///                                          learner-train-s=X
 ///                                          learner-trains=N
+///                                          regenerate-s=X
+///                                          regenerations=N
 ///   quit                                -> OK bye (and the loop returns)
 ///
 /// Blank lines and lines starting with '#' are ignored without reply.

@@ -458,6 +458,8 @@ WireServerStats SessionManager::Stats() const {
     stats.voi_probes += timings.voi_probes;
     stats.learner_train_seconds += timings.learner_train_seconds;
     stats.learner_trains += timings.learner_trains;
+    stats.regenerate_seconds += timings.regenerate_seconds;
+    stats.regenerations += timings.regenerations;
   }
   stats.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   stats.memory_budget_bytes = options_.memory_budget_bytes;

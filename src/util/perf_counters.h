@@ -20,9 +20,11 @@ enum class PerfPhase : std::size_t {
   kVoiProbe,
   /// Forest (re)training after feedback; count = training examples.
   kLearnerTrain,
+  /// Candidate-update (re)generation: UpdateAttributeTuple calls.
+  kRegenerate,
 };
 
-inline constexpr std::size_t kNumPerfPhases = 4;
+inline constexpr std::size_t kNumPerfPhases = 5;
 
 /// Alloc-free cumulative phase counters: wall nanoseconds plus an item
 /// count per phase (updates encoded, rows walked, updates probed, examples

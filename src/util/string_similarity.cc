@@ -7,10 +7,29 @@
 namespace gdr {
 
 std::size_t EditDistance(std::string_view a, std::string_view b) {
+  // A common prefix or suffix never changes the distance, and typo pairs
+  // share most of theirs, so the DP only runs over the differing middle.
+  while (!a.empty() && !b.empty() && a.front() == b.front()) {
+    a.remove_prefix(1);
+    b.remove_prefix(1);
+  }
+  while (!a.empty() && !b.empty() && a.back() == b.back()) {
+    a.remove_suffix(1);
+    b.remove_suffix(1);
+  }
   if (a.size() < b.size()) std::swap(a, b);  // ensure |b| <= |a|
   if (b.empty()) return a.size();
 
-  std::vector<std::size_t> row(b.size() + 1);
+  // One DP row of |b| + 1 cells: on the stack for the short strings the
+  // update generator scores millions of times, on the heap past that.
+  constexpr std::size_t kStackCells = 64;
+  std::size_t stack_row[kStackCells];
+  std::vector<std::size_t> heap_row;
+  std::size_t* row = stack_row;
+  if (b.size() + 1 > kStackCells) {
+    heap_row.resize(b.size() + 1);
+    row = heap_row.data();
+  }
   for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
 
   for (std::size_t i = 1; i <= a.size(); ++i) {

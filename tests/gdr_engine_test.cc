@@ -163,6 +163,38 @@ TEST(GdrEngineTest, RetrainTimeIsCountedOnlyWhenLearning) {
   }
 }
 
+TEST(GdrEngineTest, RegenerationIsCountedThroughCascades) {
+  Dataset dataset = SmallDataset();
+  Table working = dataset.dirty;
+  UserOracle oracle(&dataset.clean);
+  GdrOptions options;
+  options.strategy = Strategy::kGdrNoLearning;
+  options.feedback_budget = 200;
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(session.Start().ok());
+  // Pool seeding already generated candidates.
+  const std::uint64_t seeded = session.stats().timings.regenerations;
+  EXPECT_GT(seeded, 0u);
+
+  // Confirm suggestions until one cascades (a confirm that forces
+  // repairs or revisits partners regenerates their candidates).
+  bool cascaded = false;
+  while (!cascaded && session.state() != SessionState::kDone) {
+    auto batch = session.NextBatch();
+    ASSERT_TRUE(batch.ok());
+    for (const SuggestedUpdate& s : *batch) {
+      const std::uint64_t before = session.stats().timings.regenerations;
+      const auto outcome =
+          session.SubmitFeedback(s.update_id, Feedback::kConfirm);
+      ASSERT_TRUE(outcome.ok());
+      if (session.stats().timings.regenerations > before) cascaded = true;
+    }
+  }
+  EXPECT_TRUE(cascaded);
+  EXPECT_GT(session.stats().timings.regenerations, seeded);
+  EXPECT_GT(session.stats().timings.regenerate_seconds, 0.0);
+}
+
 TEST(GdrEngineTest, UserOnlyStrategiesApplyOnlyConfirmedValues) {
   // With a ground-truth oracle and no learner, every applied change must
   // be correct: precision 1.0 by construction.

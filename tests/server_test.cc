@@ -292,6 +292,25 @@ TEST(ProtocolTest, StatsReplyCarriesRetrainCounters) {
       << lines[0];
 }
 
+TEST(ProtocolTest, StatsReplyCarriesRegenerationCounters) {
+  // Opening a session seeds its pool through the update generator, so a
+  // resident session contributes a positive call count.
+  const auto lines = RunScript(
+      "stats\n"
+      "open acme s1 figure1 seed=7 budget=40\n"
+      "stats\n"
+      "quit\n",
+      "gdr_spill_protocol_regen");
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_NE(lines[0].find(" regenerate-s=0 regenerations=0"),
+            std::string::npos)
+      << lines[0];
+  const std::size_t at = lines[2].find(" regenerations=");
+  ASSERT_NE(at, std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find(" regenerate-s="), std::string::npos) << lines[2];
+  EXPECT_GT(std::stoull(lines[2].substr(at + 15)), 0u) << lines[2];
+}
+
 TEST(ProtocolTest, MalformedInputGetsTypedErrorsNeverCrashes) {
   const auto lines = RunScript(
       "bogus\n"

@@ -1,7 +1,9 @@
 #include "util/string_similarity.h"
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,46 @@ TEST(EditDistanceTest, KnownValues) {
 TEST(EditDistanceTest, Symmetry) {
   EXPECT_EQ(EditDistance("Fort Wayne", "FT Wayne"),
             EditDistance("FT Wayne", "Fort Wayne"));
+}
+
+// Full (|a|+1) x (|b|+1) Levenshtein matrix: the textbook recurrence with
+// no row reuse.
+std::size_t MatrixEditDistance(const std::string& a, const std::string& b) {
+  std::vector<std::vector<std::size_t>> dp(
+      a.size() + 1, std::vector<std::size_t>(b.size() + 1));
+  for (std::size_t i = 0; i <= a.size(); ++i) dp[i][0] = i;
+  for (std::size_t j = 0; j <= b.size(); ++j) dp[0][j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      dp[i][j] = std::min({dp[i - 1][j] + 1, dp[i][j - 1] + 1,
+                           dp[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1)});
+    }
+  }
+  return dp[a.size()][b.size()];
+}
+
+TEST(EditDistanceTest, MatchesFullMatrixAcrossRowBufferSizes) {
+  // Lengths straddle the 64-cell stack row, so both the stack and the
+  // heap row paths run; half the pairs share a prefix and a suffix, as
+  // typo pairs do, which the production path trims before its DP.
+  Rng rng(17);
+  auto random_string = [&rng](std::size_t max_len) {
+    std::string s(rng.NextBounded(max_len), ' ');
+    for (char& c : s) c = static_cast<char>('a' + rng.NextBounded(4));
+    return s;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string a = random_string(140);
+    std::string b = random_string(140);
+    if (trial % 2 == 1) {
+      const std::string prefix = random_string(20);
+      const std::string suffix = random_string(20);
+      a = prefix + a + suffix;
+      b = prefix + b + suffix;
+    }
+    ASSERT_EQ(EditDistance(a, b), MatrixEditDistance(a, b))
+        << "|a|=" << a.size() << " |b|=" << b.size();
+  }
 }
 
 TEST(NormalizedEditSimilarityTest, PaperEq7Examples) {

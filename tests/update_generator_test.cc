@@ -166,7 +166,7 @@ TEST_F(GeneratorFixture, ZeroSimilarityCandidatesAreAdmissible) {
   EXPECT_DOUBLE_EQ(update->score, 0.0);
 }
 
-TEST_F(GeneratorFixture, ProjectionCacheInvalidatesOnChange) {
+TEST_F(GeneratorFixture, ProjectionBucketsFollowCellChanges) {
   ASSERT_TRUE(rules_.AddRuleFromString("phi5", "STR, CT -> ZIP").ok());
   Append("Maple Rd", "Fort Wayne", "IN", "46802");
   Append("Maple Rd", "Fort Wayne", "IN", "46803");
@@ -177,7 +177,8 @@ TEST_F(GeneratorFixture, ProjectionCacheInvalidatesOnChange) {
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(ValueOf(*first), "Maple Dr");
 
-  // Rename the t2 street through the index; the projection must rebuild.
+  // Rename the t2 street through the index; its maintained bucket must
+  // list the new value.
   index_->ApplyCellChange(2, str, std::string_view("Maple Ct"));
   auto second = generator_->UpdateAttributeTuple(0, str);
   ASSERT_TRUE(second.has_value());
