@@ -13,7 +13,7 @@
 // bank learns from ground-truth oracle feedback over the whole pool, then
 // ConfirmProbability per update and ConfirmProbabilities per group run
 // interleaved within each repeat (same forests, same thermal state), plus
-// Rank with the batched p~ installed. The bank's phase counters
+// Rank fed the batched p~. The bank's phase counters
 // (feature-encode / tree-walk seconds) land in the JSON so the learner's
 // share of ranking time is trackable.
 //
@@ -72,12 +72,16 @@ std::size_t BucketOf(std::size_t size) {
   return 5;
 }
 
+// Best-of-`repeats` seconds of one Rank pass with p̃ from
+// `confirm_probability` (per-update or group-batched).
+template <typename ProbabilityFn>
 double TimeRank(const VoiRanker& ranker, const std::vector<UpdateGroup>& groups,
-                int repeats, VoiRanker::Ranking* out) {
+                const ProbabilityFn& confirm_probability, int repeats,
+                VoiRanker::Ranking* out) {
   double best = -1.0;
   for (int r = 0; r < repeats; ++r) {
     Stopwatch watch;
-    *out = ranker.Rank(groups, [](const Update& u) { return u.score; });
+    *out = ranker.Rank(groups, confirm_probability);
     const double seconds = watch.ElapsedSeconds();
     if (best < 0.0 || seconds < best) best = seconds;
   }
@@ -130,7 +134,9 @@ int RunBench(int argc, char** argv) {
 
   VoiRanker ranker(&engine.index(), &engine.rule_weights());
   VoiRanker::Ranking ranking;
-  const double rank_seconds = TimeRank(ranker, groups, repeats, &ranking);
+  const double rank_seconds = TimeRank(
+      ranker, groups, [](const Update& u) { return u.score; }, repeats,
+      &ranking);
 
   // ---- Index build and benefit probes ----------------------------------
   // Index build: full scan over the dirty instance.
@@ -281,13 +287,13 @@ int RunBench(int argc, char** argv) {
       trained_attrs, ns_confirm_per_update, ns_confirm_batched,
       learner_batched_speedup, learner_scores_match ? "yes" : "NO");
 
-  // Rank with the live learner's batched p~ installed.
-  ranker.set_batch_probability_fn(
+  // Rank with the live learner's batched p~, as the session calls it.
+  const double learner_rank_seconds = TimeRank(
+      ranker, groups,
       [&bank](std::span<const Update> batch, std::vector<double>* out) {
         bank.ConfirmProbabilities(batch, out);
-      });
-  const double learner_rank_seconds =
-      TimeRank(ranker, groups, repeats, &ranking);
+      },
+      repeats, &ranking);
   std::printf("learner: rank=%.4fs\n", learner_rank_seconds);
   // The bank's phase counters, accumulated over everything above — the
   // same numbers GdrStats::timings and the server `stats` reply surface.

@@ -68,11 +68,6 @@ Status GdrEngine::Initialize() {
 
   weights_ = ContextRuleWeights(*index_);
   voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_);
-  voi_->set_batch_probability_fn(
-      [bank = bank_.get()](std::span<const Update> updates,
-                           std::vector<double>* out) {
-        bank->ConfirmProbabilities(updates, out);
-      });
 
   stats_ = GdrStats{};
   stats_.initial_dirty = manager_->Initialize();

@@ -87,6 +87,7 @@ struct GdrOptions {
 /// Per-phase wall-clock timings (seconds), accumulated by the engine.
 struct GdrTimings {
   double init_seconds = 0.0;     // Initialize(): index build + pool seeding
+  double grouping_seconds = 0.0;  // Step 4: grouping the pool
   double ranking_seconds = 0.0;  // Step 4: VOI group ranking
   double session_seconds = 0.0;  // group sessions: labels + cascades
   double learner_sweep_seconds = 0.0;  // budget-exhaustion sweeps

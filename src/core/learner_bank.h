@@ -82,6 +82,8 @@ class LearnerBank {
 
   /// p̃_j for VOI: the committee's confirm-vote fraction when trained,
   /// otherwise the update's repair score s_j (Section 4.1, "User Model").
+  /// The per-update reference for ConfirmProbabilities, which is what the
+  /// session ranks with.
   double ConfirmProbability(const Update& update) const;
 
   /// Batched p̃: fills `out` (resized to updates.size()) with each

@@ -1,7 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -321,13 +321,11 @@ Result<SessionAppendOutcome> GdrSession::AppendDirtyRows(
 
   if (outcome.newly_dirty > 0 || outcome.pool_delta != 0) {
     // The admission must count as progress in the no-progress epilogues:
-    // the merged-in groups deserve an iteration before the loop may end.
+    // the admitted groups deserve an iteration before the loop may end.
     admitted_since_iteration_ = true;
-    if (phase_ == Phase::kBatchOut) {
-      // A grouped iteration is in flight: merge the admitted updates into
-      // the live ranking without rescoring untouched groups.
-      outcome.groups_rescored = MergeAdmittedGroups();
-    }
+    // A grouped iteration is in flight: admitted updates that join the
+    // picked (attr, value) enter its remaining rounds.
+    if (phase_ == Phase::kBatchOut) RefreshPickedGroup();
   }
   if (state_ == SessionState::kDone && engine.manager_->HasDirtyRows() &&
       !engine.pool_->empty()) {
@@ -348,82 +346,14 @@ Result<SessionAppendOutcome> GdrSession::AppendDirtyRows(
   return outcome;
 }
 
-std::size_t GdrSession::MergeAdmittedGroups() {
-  GdrEngine& engine = *engine_;
-  const Stopwatch merge_watch;
-  const UpdateGroup picked_old = groups_[picked_group_];
-  const double picked_score = group_score_;
-
-  std::vector<UpdateGroup> fresh = GroupUpdates(*engine.pool_);
-  std::map<std::pair<AttrId, ValueId>, std::size_t> old_index;
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    old_index.emplace(std::make_pair(groups_[i].attr, groups_[i].value), i);
-  }
-  // Update::operator== ignores the score, but a regenerated suggestion
-  // with a different score must count as a changed group.
-  const auto same_updates = [](const UpdateGroup& a, const UpdateGroup& b) {
-    if (a.updates.size() != b.updates.size()) return false;
-    for (std::size_t i = 0; i < a.updates.size(); ++i) {
-      if (!(a.updates[i] == b.updates[i]) ||
-          a.updates[i].score != b.updates[i].score) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  const bool voi = RanksByVoi();
-  std::vector<double> scores(fresh.size(), 0.0);
-  std::size_t rescored = 0;
-  std::size_t new_picked = fresh.size();
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    const auto it = old_index.find({fresh[i].attr, fresh[i].value});
-    const bool unchanged =
-        it != old_index.end() && same_updates(fresh[i], groups_[it->second]);
-    if (unchanged) {
-      if (voi) scores[i] = ranking_.ScoreOf(it->second);
-    } else {
-      // Minted or changed by the admission: (re)score it. Untouched
-      // groups above keep the score computed at iteration start — that
-      // score may be stale w.r.t. the grown denominators, which is the
-      // documented staleness tolerance (full rescore next iteration).
-      if (voi) {
-        scores[i] = engine.voi_->ScoreGroup(fresh[i], [&engine](const Update& u) {
-          return engine.bank_->ConfirmProbability(u);
-        });
-      }
-      ++rescored;
-    }
-    if (fresh[i].attr == picked_old.attr &&
-        fresh[i].value == picked_old.value) {
-      new_picked = i;
+void GdrSession::RefreshPickedGroup() {
+  const ScopedTimer timer(&engine_->stats_.timings.grouping_seconds);
+  for (UpdateGroup& group : GroupUpdates(*engine_->pool_)) {
+    if (group.attr == picked_.attr && group.value == picked_.value) {
+      picked_ = std::move(group);
+      return;
     }
   }
-  if (new_picked == fresh.size()) {
-    // The picked (attr, value) vanished — a partner revisit can replace a
-    // suggestion's value. Keep the old group object so the in-flight group
-    // session drains naturally: its dead updates fall out via
-    // LiveGroupUpdates and the session moves on to take-over.
-    fresh.push_back(picked_old);
-    scores.push_back(picked_score);
-    new_picked = fresh.size() - 1;
-  }
-  groups_ = std::move(fresh);
-  picked_group_ = new_picked;
-  if (voi) {
-    // Rebuild the order exactly as Rank() does: descending score, ties by
-    // ascending group index.
-    ranking_.scores = std::move(scores);
-    ranking_.order.resize(groups_.size());
-    for (std::size_t i = 0; i < groups_.size(); ++i) ranking_.order[i] = i;
-    std::stable_sort(ranking_.order.begin(), ranking_.order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return ranking_.scores[a] > ranking_.scores[b];
-                     });
-  }
-  engine.stats_.timings.ranking_seconds += merge_watch.ElapsedSeconds();
-  engine.SyncPerfTimings();
-  return rescored;
 }
 
 bool GdrSession::IsLive(std::uint64_t update_id) const {
@@ -496,27 +426,33 @@ Status GdrSession::StepIterationStart() {
   ++iterations_;
   ++engine.stats_.outer_iterations;
 
-  groups_ = GroupUpdates(*engine.pool_);
-  if (groups_.empty()) {
+  const Stopwatch grouping_watch;
+  std::vector<UpdateGroup> groups = GroupUpdates(*engine.pool_);
+  engine.stats_.timings.grouping_seconds += grouping_watch.ElapsedSeconds();
+  if (groups.empty()) {
     phase_ = Phase::kFinalSweep;
     return Status::OK();
   }
-  ranking_ = VoiRanker::Ranking{};
+  VoiRanker::Ranking ranking;
   if (RanksByVoi()) {
     const Stopwatch ranking_watch;
-    ranking_ = engine.voi_->Rank(groups_, [&engine](const Update& u) {
-      return engine.bank_->ConfirmProbability(u);
-    });
+    ranking = engine.voi_->Rank(
+        groups, [&engine](std::span<const Update> updates,
+                          std::vector<double>* out) {
+          engine.bank_->ConfirmProbabilities(updates, out);
+        });
     engine.stats_.timings.ranking_seconds += ranking_watch.ElapsedSeconds();
     engine.SyncPerfTimings();
   }
+  std::size_t picked = 0;
   double gmax = 0.0;
-  if (!engine.PickGroup(groups_, ranking_, &picked_group_, &gmax)) {
+  if (!engine.PickGroup(groups, ranking, &picked, &gmax)) {
     phase_ = Phase::kFinalSweep;
     return Status::OK();
   }
-  group_score_ = RanksByVoi() ? ranking_.ScoreOf(picked_group_) : 0.0;
-  quota_ = engine.GroupQuota(groups_[picked_group_], group_score_, gmax);
+  group_score_ = RanksByVoi() ? ranking.scores[picked] : 0.0;
+  picked_ = std::move(groups[picked]);
+  quota_ = engine.GroupQuota(picked_, group_score_, gmax);
   labeled_in_group_ = 0;
   before_feedback_ = engine.stats_.user_feedback;
   before_decisions_ = engine.stats_.learner_decisions;
@@ -532,8 +468,7 @@ Status GdrSession::StepRoundStart(std::vector<SuggestedUpdate>* batch) {
     phase_ = Phase::kTakeOver;
     return Status::OK();
   }
-  const UpdateGroup& group = groups_[picked_group_];
-  std::vector<Update> live = engine.LiveGroupUpdates(group);
+  std::vector<Update> live = engine.LiveGroupUpdates(picked_);
   if (live.empty()) {
     phase_ = Phase::kTakeOver;
     return Status::OK();
@@ -548,7 +483,7 @@ Status GdrSession::StepRoundStart(std::vector<SuggestedUpdate>* batch) {
     phase_ = Phase::kTakeOver;
     return Status::OK();
   }
-  DeliverBatch(live, count, group.attr, group.value, group_score_, batch);
+  DeliverBatch(live, count, picked_.attr, picked_.value, group_score_, batch);
   phase_ = Phase::kBatchOut;
   state_ = SessionState::kAwaitingFeedback;
   return Status::OK();
@@ -561,7 +496,7 @@ Status GdrSession::StepRoundEnd() {
   resolved_count_ = 0;
   Status status = Status::OK();
   if (engine.UsesLearner()) {
-    status = engine.bank_->Retrain(groups_[picked_group_].attr);
+    status = engine.bank_->Retrain(picked_.attr);
     engine.SyncPerfTimings();
   }
   phase_ = Phase::kRoundStart;
@@ -572,13 +507,12 @@ Status GdrSession::StepTakeOver() {
   GdrEngine& engine = *engine_;
   const ScopedTimer timer(&engine.stats_.timings.session_seconds);
   const Status status =
-      engine.TakeOverGroup(groups_[picked_group_],
-                           replaying_ ? GdrEngine::ProgressCallback()
-                                      : callback_);
+      engine.TakeOverGroup(picked_, replaying_ ? GdrEngine::ProgressCallback()
+                                               : callback_);
   // Iteration epilogue: a group session that produced neither user
   // feedback nor learner decisions cannot make progress (every suggestion
   // went stale); terminate rather than loop. A mid-iteration admission
-  // counts as progress — the merged-in groups have not been presented yet.
+  // counts as progress — the admitted groups have not been presented yet.
   if (engine.stats_.user_feedback == before_feedback_ &&
       engine.stats_.learner_decisions == before_decisions_ &&
       !admitted_since_iteration_) {
@@ -826,9 +760,7 @@ void GdrSession::ResetToNotStarted() {
   state_ = SessionState::kRanking;
   phase_ = Phase::kNotStarted;
   iterations_ = 0;
-  groups_.clear();
-  ranking_ = VoiRanker::Ranking{};
-  picked_group_ = 0;
+  picked_ = UpdateGroup{};
   group_score_ = 0.0;
   quota_ = 0;
   labeled_in_group_ = 0;

@@ -131,15 +131,11 @@ struct SessionAppendOutcome {
   std::size_t rows_appended = 0;
   /// Rows that entered the dirty set: arrivals that violate a rule plus
   /// existing rows their arrival implicated. 0 means the appends were
-  /// clean — nothing was admitted and the ranking is untouched.
+  /// clean — nothing was admitted and the loop is untouched.
   std::size_t newly_dirty = 0;
   /// Net change in pool size (admission adds suggestions; a partner
   /// revisit may retire one without replacement).
   std::int64_t pool_delta = 0;
-  /// Groups the live-ranking merge had to (re)score: groups minted or
-  /// changed by this admission. Untouched groups keep their scores —
-  /// the merge never rescores them.
-  std::size_t groups_rescored = 0;
   /// True when the appends re-armed a session that had already reached
   /// kDone (new dirt revives the loop).
   bool revived = false;
@@ -207,16 +203,14 @@ class GdrSession {
   /// Streaming admission: appends `rows` to the live instance mid-session
   /// — at any loop position, including mid-batch and after kDone. The
   /// engine indexes the rows incrementally and admits their violations
-  /// into the update pool; the session then merges the new state into the
-  /// *live* ranking: groups whose update lists the admission left alone
-  /// keep their scores verbatim (their next full rescore happens at the
-  /// next iteration, as always), while minted or changed groups are scored
-  /// against the grown index. The in-flight group session continues —
-  /// admitted updates that join the picked group's (attribute, value)
-  /// surface in its later rounds. Clean rows (violating nothing) admit
-  /// nothing and cause zero ranking churn. Appends are recorded in the
-  /// event log, so Snapshot()/Restore() replays them in position; a kDone
-  /// session with new dirt is re-armed (`revived`).
+  /// into the update pool. The in-flight group session continues under
+  /// its score and quota: the session refreshes the picked group from the
+  /// pool, so admitted updates that join its (attribute, value) surface in
+  /// its later rounds and in its learner take-over. Every other admitted
+  /// update is grouped and ranked at the next iteration, as always. Clean
+  /// rows (violating nothing) admit nothing and change nothing. Appends
+  /// are recorded in the event log, so Snapshot()/Restore() replays them
+  /// in position; a kDone session with new dirt is re-armed (`revived`).
   Result<SessionAppendOutcome> AppendDirtyRows(
       const std::vector<std::vector<std::string>>& rows);
 
@@ -307,10 +301,10 @@ class GdrSession {
 
   bool RanksByVoi() const;
 
-  // Splices an admission into the live grouped-iteration state: regroups
-  // the pool, carries unchanged groups' scores over, scores minted/changed
-  // groups, and remaps picked_group_. Returns the number of groups scored.
-  std::size_t MergeAdmittedGroups();
+  // After a mid-iteration admission: replaces picked_ with the pool's
+  // current group for its (attr, value), or keeps it if that group
+  // vanished (its dead updates then drain via LiveGroupUpdates).
+  void RefreshPickedGroup();
 
   // The fallible middle of Restore(): Start + pristine check + event
   // replay. Restore() wraps it with the all-or-nothing rollback.
@@ -326,9 +320,7 @@ class GdrSession {
 
   // Grouped-iteration position.
   int iterations_ = 0;
-  std::vector<UpdateGroup> groups_;
-  VoiRanker::Ranking ranking_;
-  std::size_t picked_group_ = 0;
+  UpdateGroup picked_;  // the group this iteration presents
   double group_score_ = 0.0;
   std::size_t quota_ = 0;
   std::size_t labeled_in_group_ = 0;

@@ -41,71 +41,41 @@ double VoiRanker::UpdateBenefit(const Update& update,
   return benefit;
 }
 
-double VoiRanker::ScoreGroupTerms(const UpdateGroup& group,
-                                  const std::vector<double>& probabilities,
-                                  Scratch* scratch) const {
-  // The one canonical accumulation: terms in update order, probability
-  // times benefit. Rank and ScoreGroup both funnel through here.
-  const std::size_t n = group.updates.size();
-  ScopedPhaseTimer timer(&scratch->perf, PerfPhase::kVoiProbe, n);
-  double score = 0.0;
-  if (n != 0) {
-    // Stage the group's shared (attr, value) context up front so the
-    // per-update prefetch below can resolve the affected rules before the
-    // first probe. Every update of a group shares the target, so this is
-    // the same single Stage the loop would have paid.
-    scratch->batch.Stage(group.updates.front().attr,
-                         group.updates.front().value);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    // Pull the next update's per-rule row→group slots toward the cache
-    // while the current update's closed forms execute.
-    if (j + 1 < n) scratch->batch.PrefetchRow(group.updates[j + 1].row);
-    score +=
-        probabilities[j] * UpdateBenefit(group.updates[j], &scratch->batch);
-  }
-  return score;
-}
-
-void VoiRanker::FillProbabilities(
-    const UpdateGroup& group, const ConfirmProbabilityFn& confirm_probability,
-    std::vector<double>* out) const {
-  if (batch_probability_) {
-    batch_probability_(std::span<const Update>(group.updates), out);
-    return;
-  }
-  out->clear();
-  out->reserve(group.updates.size());
-  for (const Update& update : group.updates) {
-    out->push_back(confirm_probability(update));
-  }
-}
-
-double VoiRanker::ScoreGroup(
-    const UpdateGroup& group,
-    const ConfirmProbabilityFn& confirm_probability) const {
-  Scratch scratch(index_);
-  std::vector<double> probabilities;
-  FillProbabilities(group, confirm_probability, &probabilities);
-  const double score = ScoreGroupTerms(group, probabilities, &scratch);
-  perf_.MergeFrom(scratch.perf);
-  return score;
-}
-
 VoiRanker::Ranking VoiRanker::Rank(
     const std::vector<UpdateGroup>& groups,
-    const ConfirmProbabilityFn& confirm_probability) const {
+    const ConfirmProbabilityBatchFn& confirm_probabilities) const {
   Ranking ranking;
   ranking.scores.assign(groups.size(), 0.0);
 
-  // One scratch and one probability buffer for the whole pass.
-  Scratch scratch(index_);
+  // One batch, one probability buffer and one set of probe counters for
+  // the whole pass; the counters merge into perf_ when it ends.
+  HypotheticalBatch batch(index_);
+  PerfCounters perf;
   std::vector<double> probabilities;
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    FillProbabilities(groups[i], confirm_probability, &probabilities);
-    ranking.scores[i] = ScoreGroupTerms(groups[i], probabilities, &scratch);
+    const UpdateGroup& group = groups[i];
+    confirm_probabilities(std::span<const Update>(group.updates),
+                          &probabilities);
+    const std::size_t n = group.updates.size();
+    ScopedPhaseTimer timer(&perf, PerfPhase::kVoiProbe, n);
+    if (n != 0) {
+      // Stage the group's shared (attr, value) context up front so the
+      // per-update prefetch below can resolve the affected rules before
+      // the first probe. Every update of a group shares the target, so
+      // this is the same single Stage the loop would have paid.
+      batch.Stage(group.updates.front().attr, group.updates.front().value);
+    }
+    // Terms in update order, probability times benefit.
+    double score = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      // Pull the next update's per-rule row→group slots toward the cache
+      // while the current update's closed forms execute.
+      if (j + 1 < n) batch.PrefetchRow(group.updates[j + 1].row);
+      score += probabilities[j] * UpdateBenefit(group.updates[j], &batch);
+    }
+    ranking.scores[i] = score;
   }
-  perf_.MergeFrom(scratch.perf);
+  perf_.MergeFrom(perf);
 
   ranking.order.resize(groups.size());
   std::iota(ranking.order.begin(), ranking.order.end(), 0);
@@ -114,6 +84,18 @@ VoiRanker::Ranking VoiRanker::Rank(
                      return ranking.scores[a] > ranking.scores[b];
                    });
   return ranking;
+}
+
+VoiRanker::Ranking VoiRanker::Rank(
+    const std::vector<UpdateGroup>& groups,
+    const ConfirmProbabilityFn& confirm_probability) const {
+  return Rank(groups, [&confirm_probability](std::span<const Update> updates,
+                                             std::vector<double>* out) {
+    out->clear();
+    for (const Update& update : updates) {
+      out->push_back(confirm_probability(update));
+    }
+  });
 }
 
 }  // namespace gdr

@@ -14,14 +14,13 @@ namespace gdr {
 /// Supplies the learned confirm probability p̃_j for an update: the
 /// prediction probability of the user model once trained, falling back to
 /// the repair score s_j before any feedback exists (Section 4.1, "User
-/// Model"). Wired to LearnerBank::ConfirmProbability in the engine.
+/// Model"). Tests and benches pass the repair score itself.
 using ConfirmProbabilityFn = std::function<double(const Update&)>;
 
 /// Group-batched form of the same contract: fills `out` (resized to the
-/// span's length) with each update's p̃_j. Wired to
-/// LearnerBank::ConfirmProbabilities in the engine; must be bit-identical
-/// to calling the scalar fn per update — the learner_batch suite enforces
-/// exactly that.
+/// span's length) with each update's p̃_j. The session passes
+/// LearnerBank::ConfirmProbabilities, which the learner_batch suite pins
+/// bit-identical to the scalar LearnerBank::ConfirmProbability.
 using ConfirmProbabilityBatchFn =
     std::function<void(std::span<const Update>, std::vector<double>*)>;
 
@@ -39,9 +38,7 @@ using ConfirmProbabilityBatchFn =
 /// mentioning the update's attribute contribute zero (their violation
 /// counts cannot change) and are skipped.
 ///
-/// p̃_j comes from the group-batched ConfirmProbabilityBatchFn when one is
-/// installed (the engine installs the learner bank's), otherwise from the
-/// scalar fn passed to Rank/ScoreGroup.
+/// p̃_j comes from the function passed to Rank, evaluated once per group.
 ///
 /// Ranking is serial. Parallelism lives where the work is coarse: whole
 /// shards (RunShardedRepair) and concurrent sessions (SessionManager).
@@ -50,18 +47,6 @@ class VoiRanker {
   /// `index` is read-only; `weights` must have one entry per rule (Eq. 3
   /// weights). Non-owning pointers.
   VoiRanker(const ViolationIndex* index, const std::vector<double>* weights);
-
-  /// Installs the group-batched p̃ supplier (one feature matrix and one
-  /// tree-at-a-time forest pass per group). Once installed it replaces the
-  /// scalar fn passed to Rank/ScoreGroup; without one, that scalar fn is
-  /// called per update.
-  void set_batch_probability_fn(ConfirmProbabilityBatchFn fn) {
-    batch_probability_ = std::move(fn);
-  }
-
-  /// E[g(c)] for one group, staged into one internal batch.
-  double ScoreGroup(const UpdateGroup& group,
-                    const ConfirmProbabilityFn& confirm_probability) const;
 
   /// The benefit term of a single update r_j:
   ///   Σ_φ w_φ (vio(D,{φ}) − vio(D^rj,{φ})) / |D^rj ⊨ φ|
@@ -76,50 +61,29 @@ class VoiRanker {
   double UpdateBenefit(const Update& update, HypotheticalBatch* batch) const;
 
   /// Scores all groups; returns indices into `groups` sorted by descending
-  /// benefit (ties by ascending index), plus the scores themselves.
+  /// benefit (ties by ascending index), plus the scores themselves. Each
+  /// group's score sums p̃_j times UpdateBenefit in update order.
   struct Ranking {
     std::vector<std::size_t> order;  // group indices, best first
     std::vector<double> scores;      // aligned with `groups`
-
-    /// Score of group `i`, or 0.0 when out of range — e.g. an empty
-    /// ranking produced by a strategy that does not rank by VOI. GdrSession
-    /// reads per-group scores through this.
-    double ScoreOf(std::size_t i) const {
-      return i < scores.size() ? scores[i] : 0.0;
-    }
   };
+  Ranking Rank(const std::vector<UpdateGroup>& groups,
+               const ConfirmProbabilityBatchFn& confirm_probabilities) const;
+  /// Adapter for a per-update p̃: bit-identical to the batched overload fed
+  /// the same values.
   Ranking Rank(const std::vector<UpdateGroup>& groups,
                const ConfirmProbabilityFn& confirm_probability) const;
 
   /// Cumulative probe-phase counters (kVoiProbe: benefit-probe ns plus the
-  /// number of updates probed), merged from the scratch after each
-  /// ranking pass. Not thread-safe w.r.t. concurrent Rank calls on the
-  /// *same* ranker — each engine owns its ranker, so that never happens.
+  /// number of updates probed), merged in after each ranking pass. Not
+  /// thread-safe w.r.t. concurrent Rank calls on the *same* ranker — each
+  /// engine owns its ranker, so that never happens.
   const PerfCounters& perf_counters() const { return perf_; }
   void ResetPerfCounters() { perf_.Reset(); }
 
  private:
-  // Per-pass scoring state: the batched evaluator and the pass's probe
-  // counters (merged into perf_ when the pass ends).
-  struct Scratch {
-    explicit Scratch(const ViolationIndex* index) : batch(index) {}
-    HypotheticalBatch batch;
-    PerfCounters perf;
-  };
-
-  // The one canonical per-group accumulation (terms in update order);
-  // Rank and ScoreGroup both funnel through it, so a group scores the
-  // same either way.
-  double ScoreGroupTerms(const UpdateGroup& group,
-                         const std::vector<double>& probabilities,
-                         Scratch* scratch) const;
-  void FillProbabilities(const UpdateGroup& group,
-                         const ConfirmProbabilityFn& confirm_probability,
-                         std::vector<double>* out) const;
-
   const ViolationIndex* index_;
   const std::vector<double>* weights_;
-  ConfirmProbabilityBatchFn batch_probability_;
   mutable PerfCounters perf_;
 };
 

@@ -46,6 +46,7 @@ ExperimentResult MergeShardResults(
     s.appended_rows += in.appended_rows;
     s.admitted_dirty += in.admitted_dirty;
     s.timings.init_seconds += in.timings.init_seconds;
+    s.timings.grouping_seconds += in.timings.grouping_seconds;
     s.timings.ranking_seconds += in.timings.ranking_seconds;
     s.timings.session_seconds += in.timings.session_seconds;
     s.timings.learner_sweep_seconds += in.timings.learner_sweep_seconds;

@@ -49,8 +49,8 @@ std::size_t ConsistencyManager::AdmitRows(RowId first_row, std::size_t count) {
   // but the appended row itself. Note what is deliberately *not* refreshed:
   // dirty rows that are no partner of any arrival keep their pooled
   // suggestions verbatim — their violations did not change, so invariant
-  // (ii) holds without touching them (this is what "admission without
-  // rescoring untouched groups" rests on).
+  // (ii) holds without touching them (admission costs O(arrivals and
+  // their partners), not O(pool)).
   std::unordered_set<RowId> partners;
   std::unordered_set<CellKey, CellKeyHash> revisit;
   for (std::size_t i = 0; i < count; ++i) {

@@ -88,9 +88,9 @@ struct WireServerStats {
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
   /// benefit-probe seconds and probe count, forest-retrain seconds and
   /// examples trained on, update-regeneration seconds and
-  /// UpdateAttributeTuple calls). Evicted sessions' time is
-  /// not replayed into these — they reset to their snapshot's history on
-  /// rehydration like every other timing.
+  /// UpdateAttributeTuple calls, pool-grouping seconds). Evicted sessions'
+  /// time is not replayed into these — they reset to their snapshot's
+  /// history on rehydration like every other timing.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
@@ -99,6 +99,7 @@ struct WireServerStats {
   std::uint64_t learner_trains = 0;
   double regenerate_seconds = 0.0;
   std::uint64_t regenerations = 0;
+  double grouping_seconds = 0.0;
 };
 
 /// The pluggable backend boundary: one struct of operations per backend

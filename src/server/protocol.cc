@@ -139,7 +139,8 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " learner-train-s=" << stats.learner_train_seconds
         << " learner-trains=" << stats.learner_trains
         << " regenerate-s=" << stats.regenerate_seconds
-        << " regenerations=" << stats.regenerations << "\n";
+        << " regenerations=" << stats.regenerations
+        << " grouping-s=" << stats.grouping_seconds << "\n";
     reply->append(out.str());
     return true;
   }

@@ -44,6 +44,7 @@ namespace gdr::server {
 ///                                          learner-trains=N
 ///                                          regenerate-s=X
 ///                                          regenerations=N
+///                                          grouping-s=X
 ///   quit                                -> OK bye (and the loop returns)
 ///
 /// Blank lines and lines starting with '#' are ignored without reply.

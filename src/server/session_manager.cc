@@ -460,6 +460,7 @@ WireServerStats SessionManager::Stats() const {
     stats.learner_trains += timings.learner_trains;
     stats.regenerate_seconds += timings.regenerate_seconds;
     stats.regenerations += timings.regenerations;
+    stats.grouping_seconds += timings.grouping_seconds;
   }
   stats.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   stats.memory_budget_bytes = options_.memory_budget_bytes;

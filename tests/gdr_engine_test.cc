@@ -195,6 +195,21 @@ TEST(GdrEngineTest, RegenerationIsCountedThroughCascades) {
   EXPECT_GT(session.stats().timings.regenerate_seconds, 0.0);
 }
 
+TEST(GdrEngineTest, GroupingIsTimedAtIterationStart) {
+  Dataset dataset = SmallDataset();
+  Table working = dataset.dirty;
+  GdrOptions options;
+  options.strategy = Strategy::kGdrNoLearning;
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(session.Start().ok());
+  EXPECT_EQ(session.stats().timings.grouping_seconds, 0.0);
+  // The first pull starts an iteration, which groups the pool.
+  const auto batch = session.NextBatch();
+  ASSERT_TRUE(batch.ok());
+  ASSERT_FALSE(batch->empty());
+  EXPECT_GT(session.stats().timings.grouping_seconds, 0.0);
+}
+
 TEST(GdrEngineTest, UserOnlyStrategiesApplyOnlyConfirmedValues) {
   // With a ground-truth oracle and no learner, every applied change must
   // be correct: precision 1.0 by construction.

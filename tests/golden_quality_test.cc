@@ -137,13 +137,13 @@ std::string AppendEntry() {
   EXPECT_TRUE(session.Start().ok());
   const QualityEvaluator evaluator(truth, &dataset.rules,
                                    session.engine().rule_weights());
-  std::size_t groups_rescored = 0;
+  std::size_t newly_dirty = 0;
   for (int pull = 1; session.state() != SessionState::kDone; ++pull) {
     if (pull == kAppendBeforePull) {
       const Result<SessionAppendOutcome> admitted =
           session.AppendDirtyRows(appended);
       EXPECT_TRUE(admitted.ok());
-      if (admitted.ok()) groups_rescored = admitted->groups_rescored;
+      if (admitted.ok()) newly_dirty = admitted->newly_dirty;
     }
     const Result<std::vector<SuggestedUpdate>> batch = session.NextBatch();
     if (!batch.ok()) {
@@ -156,8 +156,8 @@ std::string AppendEntry() {
       EXPECT_TRUE(session.SubmitFeedback(suggestion.update_id, feedback).ok());
     }
   }
-  // The entry exists to cover the merge's rescoring path.
-  EXPECT_GT(groups_rescored, 0u);
+  // The entry exists to cover admission in the middle of an iteration.
+  EXPECT_GT(newly_dirty, 0u);
 
   Table initial_copy = initial;
   const ViolationIndex initial_index(&initial_copy, &dataset.rules);

@@ -310,9 +310,9 @@ TEST_P(LearnerBatchTest, MixedAttrSpanMatchesOracle) {
   }
 }
 
-// Rank with the batch p̃ function installed is bit-identical — scores AND
-// order — to a ranker calling the scalar function per update, with trained
-// models in the loop.
+// Rank fed the bank's batch p̃ function (the session's call) is
+// bit-identical — scores AND order — to Rank calling the scalar function
+// per update, with trained models in the loop.
 TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalToScalar) {
   RandomLearnerInstance inst(static_cast<std::uint64_t>(GetParam()));
   inst.TrainAttrs({static_cast<AttrId>(0), static_cast<AttrId>(2)});
@@ -325,13 +325,11 @@ TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalToScalar) {
         inst.bank->ConfirmProbabilities(updates, out);
       };
 
-  const VoiRanker per_update(inst.index.get(), &inst.weights);
-  const VoiRanker::Ranking reference = per_update.Rank(inst.groups, scalar);
+  const VoiRanker ranker(inst.index.get(), &inst.weights);
+  const VoiRanker::Ranking reference = ranker.Rank(inst.groups, scalar);
   ASSERT_EQ(reference.scores.size(), inst.groups.size());
 
-  VoiRanker batched(inst.index.get(), &inst.weights);
-  batched.set_batch_probability_fn(batch_fn);
-  const VoiRanker::Ranking ranking = batched.Rank(inst.groups, scalar);
+  const VoiRanker::Ranking ranking = ranker.Rank(inst.groups, batch_fn);
   EXPECT_EQ(ranking.scores, reference.scores);
   EXPECT_EQ(ranking.order, reference.order);
 }

@@ -311,6 +311,25 @@ TEST(ProtocolTest, StatsReplyCarriesRegenerationCounters) {
   EXPECT_GT(std::stoull(lines[2].substr(at + 15)), 0u) << lines[2];
 }
 
+TEST(ProtocolTest, StatsReplyEndsWithGroupingTime) {
+  const auto lines = RunScript(
+      "stats\n"
+      "open acme s1 figure1 seed=7 budget=40\n"
+      "next acme s1\n"
+      "stats\n"
+      "quit\n",
+      "gdr_spill_protocol_grouping");
+  ASSERT_GE(lines.size(), 4u);
+  EXPECT_NE(lines.front().find(" regenerations=0 grouping-s=0"),
+            std::string::npos)
+      << lines.front();
+  // The pull started an iteration, which grouped the session's pool.
+  const std::string& after_pull = lines[lines.size() - 2];
+  const std::size_t at = after_pull.find(" grouping-s=");
+  ASSERT_NE(at, std::string::npos) << after_pull;
+  EXPECT_GT(std::stod(after_pull.substr(at + 12)), 0.0) << after_pull;
+}
+
 TEST(ProtocolTest, MalformedInputGetsTypedErrorsNeverCrashes) {
   const auto lines = RunScript(
       "bogus\n"

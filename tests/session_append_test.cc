@@ -1,6 +1,6 @@
 // Streaming admission through the session API: mid-stream
 // snapshot/restore determinism, clean appends causing zero ranking churn,
-// group merges, and kDone revival.
+// admitted updates joining the in-flight group, and kDone revival.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -122,7 +122,6 @@ void ExpectOutcomesEqual(const SessionAppendOutcome& a,
   EXPECT_EQ(a.rows_appended, b.rows_appended);
   EXPECT_EQ(a.newly_dirty, b.newly_dirty);
   EXPECT_EQ(a.pool_delta, b.pool_delta);
-  EXPECT_EQ(a.groups_rescored, b.groups_rescored);
   EXPECT_EQ(a.revived, b.revived);
 }
 
@@ -221,7 +220,6 @@ TEST(SessionAppendTest, CleanAppendCausesZeroRankingChurn) {
   EXPECT_EQ(outcome->rows_appended, 2u);
   EXPECT_EQ(outcome->newly_dirty, 0u);
   EXPECT_EQ(outcome->pool_delta, 0);
-  EXPECT_EQ(outcome->groups_rescored, 0u);
   EXPECT_FALSE(outcome->revived);
 
   // Answer both sessions' batches with the same policy; every subsequent
@@ -253,7 +251,7 @@ TEST(SessionAppendTest, CleanAppendCausesZeroRankingChurn) {
   EXPECT_EQ(table.num_rows(), 8u);
 }
 
-TEST(SessionAppendTest, AppendedRowJoinsExistingGroupAndRescores) {
+TEST(SessionAppendTest, AppendedRowJoinsExistingGroup) {
   const RuleSet rules = TestRules();
   Table table = BaseDirty();
   GdrSession session(&table, &rules, TestOptions());
@@ -272,13 +270,12 @@ TEST(SessionAppendTest, AppendedRowJoinsExistingGroupAndRescores) {
 
   // Another Springfield row with yet another wrong zip: its zip suggestion
   // lands in the existing (Zip := Z0) group (two dirty rows now back the
-  // same correction), and the implicated partners get rescored.
+  // same correction), and the implicated partners get regenerated.
   const auto outcome =
       session.AppendDirtyRows({{"Springfield", "Z8", "IL"}});
   ASSERT_TRUE(outcome.ok());
   EXPECT_GE(outcome->newly_dirty, 1u);
   EXPECT_GT(outcome->pool_delta, 0);
-  EXPECT_GE(outcome->groups_rescored, 1u);
 
   bool some_group_grew = false;
   for (const UpdateGroup& g : GroupUpdates(session.engine().pool())) {
@@ -288,6 +285,117 @@ TEST(SessionAppendTest, AppendedRowJoinsExistingGroupAndRescores) {
     }
   }
   EXPECT_TRUE(some_group_grew);
+}
+
+// An update admitted mid-batch into the in-flight group's (attr, value)
+// reaches that group's later rounds, before the next iteration regroups
+// and reranks the pool. Under GDR ordering (uncertainty ties broken by
+// repair score) the arrival outscores the member the caller left
+// unanswered, so it leads the group's next round.
+TEST(SessionAppendTest, AdmittedUpdateJoinsInFlightGroupBeforeNextIteration) {
+  const RuleSet rules = TestRules();
+  Table table = BaseDirty();
+  GdrOptions options = TestOptions();
+  options.strategy = Strategy::kGdr;
+  GdrSession session(&table, &rules, options);
+  ASSERT_TRUE(session.Start().ok());
+  const auto first = session.NextBatch();
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->size(), 1u);
+  // The picked group is Zip := Z0, backed by row 1 alone. Its suggestion
+  // stays unanswered, so the group's quota is not yet met.
+  const SuggestedUpdate held = first->front();
+  ASSERT_EQ(held.update.row, 1);
+  ASSERT_EQ(table.dict(held.group_attr).ToString(held.group_value), "Z0");
+  const std::size_t iteration = session.stats().outer_iterations;
+
+  // A Springfield row whose zip "Z00" is nearer Z0 than row 1's "Zx": its
+  // Z0 suggestion joins the group with the higher repair score.
+  const auto outcome = session.AppendDirtyRows({{"Springfield", "Z00", "IL"}});
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->newly_dirty, 1u);
+
+  const auto next = session.NextBatch();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(session.stats().outer_iterations, iteration);
+  ASSERT_EQ(next->size(), 1u);
+  EXPECT_EQ(next->front().update.row, 6);
+  EXPECT_EQ(next->front().group_attr, held.group_attr);
+  EXPECT_EQ(next->front().group_value, held.group_value);
+  // The group keeps the score it was picked with.
+  EXPECT_EQ(next->front().voi_score, held.voi_score);
+}
+
+// The learner take-over path of the same guarantee: once the Zip model
+// is trusted, the in-flight group's take-over also decides an update
+// admitted mid-batch into the group. Without the refresh the take-over
+// would see only the members the group was picked with, and the arrival
+// would wait for a later iteration's user round.
+TEST(SessionAppendTest, LearnerTakeOverDecidesUpdateAdmittedIntoInFlightGroup) {
+  const RuleSet rules = TestRules();
+  // Two cities, 20 clean rows each plus rows with distinct zip typos. The
+  // Zip := Z1 group (10 Shelby typos) comes first and trains the Zip
+  // model; the Zip := Z0 group (5 Springfield typos) follows.
+  Table table(TestSchema());
+  const auto add_city = [&table](const std::string& city,
+                                 const std::string& zip,
+                                 const std::string& state, int typos) {
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(table.AppendRow({city, zip, state}).ok());
+    }
+    for (int i = 0; i < typos; ++i) {
+      const std::string typo = zip + static_cast<char>('a' + i);
+      ASSERT_TRUE(table.AppendRow({city, typo, state}).ok());
+    }
+  };
+  add_city("Shelby", "Z1", "IN", 10);
+  add_city("Springfield", "Z0", "IL", 5);
+  GdrOptions options = TestOptions();
+  options.strategy = Strategy::kGdr;
+  options.ns = 1;  // one label per iteration, then the take-over
+  options.learner.min_training_examples = 1;
+  // Loose delegation: a trained model with enough sampled predictions
+  // decides, however uncertain or inaccurate.
+  options.learner_max_uncertainty = 1.0;
+  options.learner_min_accuracy = 0.0;
+  GdrSession session(&table, &rules, options);
+  ASSERT_TRUE(session.Start().ok());
+  const AttrId zip = 1;
+
+  // Confirm one Zip suggestion per pull until a batch of the Z0 group is
+  // out under a trusted model; append mid-batch into that group.
+  RowId arrival = -1;
+  while (arrival < 0) {
+    const auto batch = session.NextBatch();
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), 1u) << "the loop ended before the Z0 group";
+    const SuggestedUpdate& s = batch->front();
+    ASSERT_EQ(s.update.attr, zip);
+    if (table.dict(zip).ToString(s.update.value) == "Z0") {
+      ASSERT_TRUE(session.engine().learner().IsReliable(
+          zip, Feedback::kConfirm, options.learner_min_accuracy));
+      arrival = static_cast<RowId>(table.num_rows());
+      const auto outcome =
+          session.AppendDirtyRows({{"Springfield", "Z0z", "IL"}});
+      ASSERT_TRUE(outcome.ok());
+      ASSERT_EQ(outcome->newly_dirty, 1u);
+      const auto pooled = session.engine().pool().Get(CellKey{arrival, zip});
+      ASSERT_TRUE(pooled.has_value());
+      ASSERT_EQ(table.dict(zip).ToString(pooled->value), "Z0");
+    }
+    ASSERT_TRUE(session.SubmitFeedback(s.update_id, Feedback::kConfirm).ok());
+  }
+
+  // The next pull closes the group: its take-over repairs the arrival
+  // without asking the user.
+  const std::size_t user_labels = session.stats().user_feedback;
+  const std::size_t decisions = session.stats().learner_decisions;
+  const auto next = session.NextBatch();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(session.stats().user_feedback, user_labels);
+  EXPECT_GT(session.stats().learner_decisions, decisions);
+  EXPECT_EQ(table.at(arrival, zip), "Z0");
+  for (const SuggestedUpdate& s : *next) EXPECT_NE(s.update.row, arrival);
 }
 
 TEST(SessionAppendTest, AppendAfterDoneRevivesTheLoop) {

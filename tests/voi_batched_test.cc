@@ -1,7 +1,8 @@
 // Group-batched VOI scoring: the closed-form HypotheticalBatch probes
 // must agree bit for bit with the brute-force oracle (copy the table,
 // write the cell, rebuild the index, recount) under every staging
-// pattern, and p̃ must come from the installed batch function.
+// pattern, and Rank must score alike whether p̃ arrives per update or per
+// group.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,20 +88,10 @@ TEST_P(VoiBatchedTest, BatchedScoringNeverMutatesSharedState) {
   EXPECT_EQ(*inst.table.CountDifferingCells(before), 0u);
 }
 
-// ScoreGroup (the live-ranking merge's rescoring path) accumulates the
-// same terms as the brute-force oracle in update order.
-TEST_P(VoiBatchedTest, ScoreGroupMatchesBruteForce) {
-  RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
-  VoiRanker ranker(inst.index.get(), &inst.weights);
-  for (const UpdateGroup& group : inst.groups) {
-    EXPECT_EQ(ranker.ScoreGroup(group, Probability),
-              BruteForceGroupScore(inst, group));
-  }
-}
-
 // Rank scores every group as the brute-force benefits summed in update
 // order, and orders groups by descending score with ties broken by
-// ascending group index.
+// ascending group index. The group-batched p̃ overload ranks bit-identically
+// to the per-update one.
 TEST_P(VoiBatchedTest, RankMatchesBruteForceAndOrdersByScore) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
   VoiRanker ranker(inst.index.get(), &inst.weights);
@@ -128,34 +119,18 @@ TEST_P(VoiBatchedTest, RankMatchesBruteForceAndOrdersByScore) {
         << "position " << k << ": group " << a << " (" << score_a
         << ") before group " << b << " (" << score_b << ")";
   }
-}
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VoiBatchedTest, ::testing::Range(1, 7));
-
-// Once a batch p̃ function is installed it supplies every probability; the
-// scalar fn passed to Rank/ScoreGroup is never consulted.
-TEST(VoiBatchedProbabilityTest, InstalledBatchFunctionReplacesScalarFn) {
-  RandomVoiInstance inst(3);
-  VoiRanker ranker(inst.index.get(), &inst.weights);
-  ranker.set_batch_probability_fn(
+  const VoiRanker::Ranking batched = ranker.Rank(
+      inst.groups,
       [](std::span<const Update> updates, std::vector<double>* out) {
         out->clear();
         for (const Update& u : updates) out->push_back(Probability(u));
       });
-  const auto never_called = [](const Update&) {
-    ADD_FAILURE() << "scalar p̃ consulted despite a batch function";
-    return 0.0;
-  };
-  const VoiRanker::Ranking batched = ranker.Rank(inst.groups, never_called);
-  const VoiRanker plain(inst.index.get(), &inst.weights);
-  const VoiRanker::Ranking scalar = plain.Rank(inst.groups, Probability);
-  EXPECT_EQ(batched.scores, scalar.scores);
-  EXPECT_EQ(batched.order, scalar.order);
-  for (std::size_t i = 0; i < inst.groups.size(); ++i) {
-    EXPECT_EQ(ranker.ScoreGroup(inst.groups[i], never_called),
-              scalar.scores[i]);
-  }
+  EXPECT_EQ(batched.scores, ranking.scores);
+  EXPECT_EQ(batched.order, ranking.order);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VoiBatchedTest, ::testing::Range(1, 7));
 
 }  // namespace
 }  // namespace gdr

@@ -51,7 +51,7 @@ TEST_F(Section41Example, GroupBenefitIsOnePointOhFive) {
   auto probability = [&](const Update& u) {
     return p_tilde[static_cast<std::size_t>(u.row)];
   };
-  EXPECT_NEAR(ranker_->ScoreGroup(group, probability), 1.05, 1e-9);
+  EXPECT_NEAR(ranker_->Rank({group}, probability).scores[0], 1.05, 1e-9);
 }
 
 TEST_F(Section41Example, SingleUpdateBenefitTerm) {
@@ -111,9 +111,9 @@ TEST_F(Section41Example, ProbabilityScalesBenefit) {
   group.value = michigan_city_;
   group.updates = {{0, 0, michigan_city_, 0.0}};
   const double full =
-      ranker_->ScoreGroup(group, [](const Update&) { return 1.0; });
+      ranker_->Rank({group}, [](const Update&) { return 1.0; }).scores[0];
   const double half =
-      ranker_->ScoreGroup(group, [](const Update&) { return 0.5; });
+      ranker_->Rank({group}, [](const Update&) { return 0.5; }).scores[0];
   EXPECT_NEAR(half, full / 2.0, 1e-12);
 }
 
