@@ -11,14 +11,15 @@
 //
 // The `learner` section measures p~ with real trained committees: the
 // bank learns from ground-truth oracle feedback over the whole pool, then
-// ConfirmProbability per update and ConfirmProbabilities per group run
+// ConfirmProbabilities over one-update spans (one committee evaluation
+// per update, the reference) and ConfirmProbabilities per group run,
 // interleaved within each repeat (same forests, same thermal state), plus
 // Rank fed the batched p~. The bank's phase counters
 // (feature-encode / tree-walk seconds) land in the JSON so the learner's
 // share of ranking time is trackable.
 //
-// Exit 2 = batched vs scalar probabilities mismatch. Exit 3 = batched
-// ConfirmProbabilities slower than the per-update calls.
+// Exit 2 = per-group vs per-update probabilities mismatch. Exit 3 =
+// per-group ConfirmProbabilities slower than the per-update calls.
 //
 // Flags: --workload=name:key=val,... (default dataset1, parameterized by
 //        the legacy flags below; the first workload is measured)
@@ -231,7 +232,7 @@ int RunBench(int argc, char** argv) {
   }
 
   // p~ over the whole pool, both ways, interleaved within each repeat:
-  // one scalar ConfirmProbability call per update vs one
+  // one ConfirmProbabilities call per one-update span vs one
   // ConfirmProbabilities matrix call per group. Identical committees, so
   // the probabilities must be bit-identical.
   std::vector<double> per_update_probs(updates, 0.0);
@@ -245,7 +246,9 @@ int RunBench(int argc, char** argv) {
       std::size_t i = 0;
       for (const UpdateGroup& group : groups) {
         for (const Update& update : group.updates) {
-          per_update_probs[i++] = bank.ConfirmProbability(update);
+          bank.ConfirmProbabilities(std::span<const Update>(&update, 1),
+                                    &prob_out);
+          per_update_probs[i++] = prob_out[0];
         }
       }
       const double seconds = watch.ElapsedSeconds();

@@ -539,20 +539,22 @@ void BM_RandomForestPredict(benchmark::State& state) {
   RandomForest forest;
   (void)forest.Train(set).ok();
   std::vector<double> x = {3.0, 0.4};
+  std::vector<double> fractions;
   for (auto _ : state) {
     x[1] = x[1] < 0.99 ? x[1] + 0.001 : 0.0;
-    benchmark::DoNotOptimize(forest.Uncertainty(x));
+    forest.VoteFractionsBatch(x.data(), 1, x.size(), &fractions);
+    benchmark::DoNotOptimize(RandomForest::VoteEntropy(fractions));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RandomForestPredict);
 
 // Flattened-forest inference head-to-head (Arg = rows per group): one
-// VoteFractionsInto call per row (the per-update learner path) vs a single
-// row-major VoteFractionsBatch over the whole group (the batched
-// ConfirmProbabilities path). Both walk the same flattened SoA trees and
-// produce bit-identical fractions; the gap is per-call overhead plus the
-// tree-at-a-time locality the batch buys.
+// one-row VoteFractionsBatch call per row (a committee evaluation per
+// update) vs a single row-major VoteFractionsBatch over the whole group
+// (what LearnerBank::Votes does per attribute run). Both walk the same
+// flattened SoA trees and produce bit-identical fractions; the gap is
+// per-call overhead plus the tree-at-a-time locality the batch buys.
 constexpr std::size_t kForestBenchFeatures = 6;
 
 const RandomForest& ForestBenchForest() {
@@ -602,15 +604,11 @@ void BM_ForestPredictPerUpdate(benchmark::State& state) {
   const RandomForest& forest = ForestBenchForest();
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   const std::vector<double> matrix = ForestBenchMatrix(rows);
-  std::vector<double> row(kForestBenchFeatures);
   std::vector<double> fractions;
   for (auto _ : state) {
     for (std::size_t r = 0; r < rows; ++r) {
-      row.assign(matrix.begin() + static_cast<std::ptrdiff_t>(
-                                      r * kForestBenchFeatures),
-                 matrix.begin() + static_cast<std::ptrdiff_t>(
-                                      (r + 1) * kForestBenchFeatures));
-      forest.VoteFractionsInto(row, &fractions);
+      forest.VoteFractionsBatch(matrix.data() + r * kForestBenchFeatures, 1,
+                                kForestBenchFeatures, &fractions);
       benchmark::DoNotOptimize(fractions.data());
     }
   }

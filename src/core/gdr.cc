@@ -175,16 +175,19 @@ std::vector<Update> GdrEngine::LiveGroupUpdates(
   return live;
 }
 
-void GdrEngine::OrderForSession(std::vector<Update>* updates) {
+void GdrEngine::OrderForSession(std::vector<Update>* updates,
+                                std::vector<double>* uncertainties) {
+  uncertainties->clear();
   switch (options_.strategy) {
     case Strategy::kGdr:
     case Strategy::kActiveLearning: {
       // Uncertainty ordering (Section 4.2): most uncertain first; before a
       // model exists every update is maximally uncertain, so the repair
       // score breaks ties (higher first), then row for determinism.
+      bank_->Uncertainties(*updates, uncertainties);
       std::vector<std::pair<double, std::size_t>> keyed(updates->size());
       for (std::size_t i = 0; i < updates->size(); ++i) {
-        keyed[i] = {bank_->UncertaintyOrMax((*updates)[i]), i};
+        keyed[i] = {(*uncertainties)[i], i};
       }
       std::stable_sort(keyed.begin(), keyed.end(),
                        [updates](const auto& a, const auto& b) {
@@ -197,6 +200,7 @@ void GdrEngine::OrderForSession(std::vector<Update>* updates) {
       std::vector<Update> ordered(updates->size());
       for (std::size_t i = 0; i < keyed.size(); ++i) {
         ordered[i] = (*updates)[keyed[i].second];
+        (*uncertainties)[i] = keyed[i].first;
       }
       // Mix exploration into the head: every other slot of the first n_s
       // becomes a random representative pick, so the user's labels both
@@ -210,6 +214,7 @@ void GdrEngine::OrderForSession(std::vector<Update>* updates) {
         const std::size_t j =
             i + static_cast<std::size_t>(rng_.NextBounded(ordered.size() - i));
         std::swap(ordered[i], ordered[j]);
+        std::swap((*uncertainties)[i], (*uncertainties)[j]);
       }
       *updates = std::move(ordered);
       break;
@@ -228,26 +233,15 @@ Status GdrEngine::ApplyUserFeedback(
     const Update& update, Feedback feedback,
     const std::optional<std::string>& volunteered,
     const ProgressCallback& callback) {
-  // The session displays the learner's prediction next to each update
-  // (Section 4.2); comparing it with the user's actual answer is how the
-  // engine measures whether the user could safely delegate to the model.
-  // The prediction must be evaluated before any mutation below: it has to
-  // describe the tuple the user actually saw.
-  std::optional<Feedback> predicted;
-  if (UsesLearner() && bank_->IsTrained(update.attr)) {
-    predicted = bank_->PredictFeedback(update);
-  }
   if (UsesLearner()) {
     // The one failable step runs before any counter moves, so a failed
     // submission leaves the engine untouched and is safely retryable —
-    // SubmitFeedback's contract. (The example must also be recorded
-    // before the database mutates: features describe the tuple the user
-    // actually saw.)
+    // SubmitFeedback's contract. It must also run before the database
+    // mutates: the example's features, and the displayed prediction the
+    // bank scores against the answer (Section 4.2: how the engine
+    // measures whether the user could safely delegate to the model),
+    // describe the tuple the user actually saw.
     GDR_RETURN_NOT_OK(bank_->AddFeedback(update, feedback));
-  }
-  if (predicted.has_value()) {
-    bank_->RecordPredictionOutcome(update.attr, *predicted,
-                                   *predicted == feedback);
   }
   ++stats_.user_feedback;
   switch (feedback) {
@@ -294,6 +288,22 @@ Status GdrEngine::ApplyLearnerDecision(const Update& update,
   return Status::OK();
 }
 
+Result<bool> GdrEngine::DelegateToLearner(const Update& update) {
+  bank_->Votes(std::span<const Update>(&update, 1), &votes_scratch_);
+  if (RandomForest::VoteEntropy(votes_scratch_) >
+      options_.learner_max_uncertainty) {
+    return false;
+  }
+  const Feedback predicted =
+      static_cast<Feedback>(RandomForest::MajorityClass(votes_scratch_));
+  if (!bank_->IsReliable(update.attr, predicted,
+                         options_.learner_min_accuracy)) {
+    return false;
+  }
+  GDR_RETURN_NOT_OK(ApplyLearnerDecision(update, predicted));
+  return true;
+}
+
 Status GdrEngine::TakeOverGroup(const UpdateGroup& group,
                                 const ProgressCallback& callback) {
   // The user is "satisfied with the learner predictions": the learned
@@ -304,13 +314,9 @@ Status GdrEngine::TakeOverGroup(const UpdateGroup& group,
     // Re-validate: an earlier decision in this loop may have retired or
     // replaced later suggestions via the consistency manager.
     if (!pool_->IsLive(u)) continue;
-    if (bank_->Uncertainty(u) > options_.learner_max_uncertainty) continue;
-    const Feedback predicted = bank_->PredictFeedback(u);
-    if (!bank_->IsReliable(u.attr, predicted, options_.learner_min_accuracy)) {
-      continue;
-    }
-    GDR_RETURN_NOT_OK(ApplyLearnerDecision(u, predicted));
+    GDR_RETURN_NOT_OK(DelegateToLearner(u).status());
   }
+  SyncPerfTimings();
   if (callback) callback(*this, stats_.user_feedback);
   return Status::OK();
 }
@@ -322,18 +328,13 @@ Status GdrEngine::LearnerSweep(const ProgressCallback& callback) {
     for (const Update& u : pool_->All()) {
       if (!bank_->IsTrained(u.attr)) continue;
       if (!pool_->IsLive(u)) continue;
-      if (bank_->Uncertainty(u) > options_.learner_max_uncertainty) continue;
-      const Feedback predicted = bank_->PredictFeedback(u);
-      if (!bank_->IsReliable(u.attr, predicted,
-                             options_.learner_min_accuracy)) {
-        continue;
-      }
-      GDR_RETURN_NOT_OK(ApplyLearnerDecision(u, predicted));
-      ++decided;
+      GDR_ASSIGN_OR_RETURN(const bool applied, DelegateToLearner(u));
+      if (applied) ++decided;
     }
     if (decided == 0) break;
   }
   stats_.timings.learner_sweep_seconds += sweep_watch.ElapsedSeconds();
+  SyncPerfTimings();
   if (callback) callback(*this, stats_.user_feedback);
   return Status::OK();
 }

@@ -95,10 +95,12 @@ struct GdrTimings {
   /// bodies). Deliberately excludes the user's think-time between pulls —
   /// a pull-based session may idle for hours while feedback is pending.
   double total_seconds = 0.0;
-  /// Hot-path phase breakdown inside ranking (util/perf_counters.h),
-  /// synced from the learner bank's and ranker's cumulative counters
-  /// after every ranking pass. learner_* covers p̃ evaluation (feature
-  /// encoding vs forest tree walks, `learner_inferences` updates total);
+  /// Hot-path phase breakdown (util/perf_counters.h), synced from the
+  /// learner bank's and ranker's cumulative counters after every ranking
+  /// pass. learner_* covers every committee evaluation (feature encoding
+  /// vs forest tree walks, `learner_inferences` updates total): ranking
+  /// p̃, uncertainty ordering, the displayed batch metadata, take-over,
+  /// sweep and the scoring of displayed predictions against feedback;
   /// voi_probe_* covers the benefit probes (`voi_probes` updates probed).
   /// learner_train_* covers forest retraining after feedback (time inside
   /// RandomForest::Train; `learner_trains` counts training examples
@@ -248,11 +250,19 @@ class GdrEngine {
   // model (budget-exhaustion sweep).
   Status LearnerSweep(const ProgressCallback& callback);
 
+  // The delegation rule of TakeOverGroup and LearnerSweep: one committee
+  // evaluation of a live update of a trained attribute, applied as a
+  // learner decision when confident and reliable. Returns whether it was.
+  Result<bool> DelegateToLearner(const Update& update);
+
   // Applies one learner decision (no training-set growth).
   Status ApplyLearnerDecision(const Update& update, Feedback feedback);
 
-  // Orders `updates` for user inspection per strategy (in place).
-  void OrderForSession(std::vector<Update>* updates);
+  // Orders `updates` for user inspection per strategy (in place); the
+  // uncertainty orderings (GDR, Active-Learning) also return the ordered
+  // updates' uncertainties, the others leave `uncertainties` empty.
+  void OrderForSession(std::vector<Update>* updates,
+                       std::vector<double>* uncertainties);
 
   // Copies the bank's, ranker's and generator's cumulative phase counters
   // into stats_.timings (called after every ranking pass, retrain, applied
@@ -275,6 +285,7 @@ class GdrEngine {
   std::unique_ptr<LearnerBank> bank_;
   std::unique_ptr<VoiRanker> voi_;
   std::vector<double> weights_;
+  std::vector<double> votes_scratch_;  // DelegateToLearner's committee vote
   mutable Rng rng_{0};
   GdrStats stats_;
   bool initialized_ = false;

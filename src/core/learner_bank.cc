@@ -1,6 +1,8 @@
 #include "core/learner_bank.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/string_similarity.h"
 
@@ -49,6 +51,9 @@ LearnerBank::LearnerBank(const Table* table, const ViolationIndex* index,
 }
 
 namespace {
+
+// Vote-fraction columns per row of Votes' output.
+constexpr std::size_t kClasses = kNumFeedbackClasses;
 
 std::size_t OutcomeSlot(AttrId attr, Feedback predicted) {
   return static_cast<std::size_t>(attr) * kNumFeedbackClasses +
@@ -117,10 +122,19 @@ std::vector<double> LearnerBank::Encode(const Update& update) const {
 }
 
 Status LearnerBank::AddFeedback(const Update& update, Feedback feedback) {
-  TrainingSet& set = sets_[static_cast<std::size_t>(update.attr)];
+  const std::size_t a = static_cast<std::size_t>(update.attr);
+  const bool trained = trained_[a];
+  // A one-update Votes call leaves the update's encoding in matrix_scratch_.
+  if (trained) Votes(std::span<const Update>(&update, 1), &votes_scratch_);
+  std::vector<double> features = trained ? matrix_scratch_ : Encode(update);
   GDR_RETURN_NOT_OK(
-      set.Add(Example{Encode(update), static_cast<int>(feedback)}));
-  stale_[static_cast<std::size_t>(update.attr)] = true;
+      sets_[a].Add(Example{std::move(features), static_cast<int>(feedback)}));
+  stale_[a] = true;
+  if (trained) {
+    const auto predicted =
+        static_cast<Feedback>(RandomForest::MajorityClass(votes_scratch_));
+    RecordPredictionOutcome(update.attr, predicted, predicted == feedback);
+  }
   return Status::OK();
 }
 
@@ -141,52 +155,19 @@ bool LearnerBank::IsTrained(AttrId attr) const {
   return trained_[static_cast<std::size_t>(attr)];
 }
 
-Feedback LearnerBank::PredictFeedback(const Update& update) const {
-  encode_scratch_.resize(EncodedWidth());
-  EncodeIntoRaw(update, encode_scratch_.data());
-  const int label =
-      models_[static_cast<std::size_t>(update.attr)].Predict(encode_scratch_);
-  return static_cast<Feedback>(label);
-}
-
-double LearnerBank::Uncertainty(const Update& update) const {
-  encode_scratch_.resize(EncodedWidth());
-  EncodeIntoRaw(update, encode_scratch_.data());
-  models_[static_cast<std::size_t>(update.attr)].VoteFractionsInto(
-      encode_scratch_, &fraction_scratch_);
-  return RandomForest::VoteEntropy(fraction_scratch_);
-}
-
-double LearnerBank::ConfirmProbability(const Update& update) const {
-  const std::size_t a = static_cast<std::size_t>(update.attr);
-  if (!trained_[a]) return update.score;
-  {
-    ScopedPhaseTimer timer(&perf_, PerfPhase::kLearnerEncode, 1);
-    encode_scratch_.resize(EncodedWidth());
-    EncodeIntoRaw(update, encode_scratch_.data());
-  }
-  ScopedPhaseTimer timer(&perf_, PerfPhase::kLearnerTreeWalk, 1);
-  models_[a].VoteFractionsInto(encode_scratch_, &fraction_scratch_);
-  return fraction_scratch_[static_cast<std::size_t>(Feedback::kConfirm)];
-}
-
-void LearnerBank::ConfirmProbabilities(std::span<const Update> updates,
-                                       std::vector<double>* out) const {
+void LearnerBank::Votes(std::span<const Update> updates,
+                        std::vector<double>* fractions) const {
   const std::size_t n = updates.size();
-  out->resize(n);
+  fractions->assign(n * kClasses, 0.0);
   // Process contiguous runs sharing one attribute (an UpdateGroup is a
   // single run); each trained run is one matrix + one batched forest pass.
-  std::size_t i = 0;
-  while (i < n) {
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < n; i = j) {
     const AttrId attr = updates[i].attr;
-    std::size_t j = i + 1;
+    j = i + 1;
     while (j < n && updates[j].attr == attr) ++j;
     const std::size_t a = static_cast<std::size_t>(attr);
-    if (!trained_[a]) {
-      for (std::size_t r = i; r < j; ++r) (*out)[r] = updates[r].score;
-      i = j;
-      continue;
-    }
+    if (!trained_[a]) continue;
     const std::size_t rows = j - i;
     const std::size_t width = EncodedWidth();
     {
@@ -201,14 +182,33 @@ void LearnerBank::ConfirmProbabilities(std::span<const Update> updates,
       models_[a].VoteFractionsBatch(matrix_scratch_.data(), rows, width,
                                     &fraction_scratch_);
     }
-    const std::size_t classes =
-        static_cast<std::size_t>(models_[a].num_classes());
-    const std::size_t confirm =
-        static_cast<std::size_t>(Feedback::kConfirm);
-    for (std::size_t r = 0; r < rows; ++r) {
-      (*out)[i + r] = fraction_scratch_[r * classes + confirm];
-    }
-    i = j;
+    std::copy(fraction_scratch_.begin(), fraction_scratch_.end(),
+              fractions->begin() + static_cast<std::ptrdiff_t>(i * kClasses));
+  }
+}
+
+void LearnerBank::ConfirmProbabilities(std::span<const Update> updates,
+                                       std::vector<double>* out) const {
+  Votes(updates, &votes_scratch_);
+  out->resize(updates.size());
+  const std::size_t confirm = static_cast<std::size_t>(Feedback::kConfirm);
+  for (std::size_t r = 0; r < updates.size(); ++r) {
+    (*out)[r] = IsTrained(updates[r].attr)
+                    ? votes_scratch_[r * kClasses + confirm]
+                    : updates[r].score;
+  }
+}
+
+void LearnerBank::Uncertainties(std::span<const Update> updates,
+                                std::vector<double>* out) const {
+  Votes(updates, &votes_scratch_);
+  out->resize(updates.size());
+  const std::span<const double> votes(votes_scratch_);
+  for (std::size_t r = 0; r < updates.size(); ++r) {
+    (*out)[r] = IsTrained(updates[r].attr)
+                    ? RandomForest::VoteEntropy(
+                          votes.subspan(r * kClasses, kClasses))
+                    : 1.0;
   }
 }
 

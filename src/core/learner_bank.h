@@ -55,7 +55,9 @@ class LearnerBank {
               LearnerBankOptions options = {});
 
   /// Records user feedback on `update` as a training example for the
-  /// attribute's model (does not retrain; call Retrain).
+  /// attribute's model (does not retrain; call Retrain). A trained model's
+  /// majority vote on the same encoding — the prediction the user saw —
+  /// is scored against `feedback` once the example is accepted.
   Status AddFeedback(const Update& update, Feedback feedback);
 
   /// Retrains the attribute's forest if it has reached the example
@@ -65,53 +67,46 @@ class LearnerBank {
   /// True once the attribute's model is trained and predicting.
   bool IsTrained(AttrId attr) const;
 
-  /// Committee-majority feedback prediction. Requires IsTrained(attr).
-  Feedback PredictFeedback(const Update& update) const;
+  /// The one committee evaluation: fills `fractions` (updates.size() ×
+  /// kNumFeedbackClasses, row-major) with each update's vote fractions.
+  /// Each run of updates sharing a trained attribute (a whole UpdateGroup)
+  /// is encoded into one feature matrix and walked tree-at-a-time by one
+  /// RandomForest::VoteFractionsBatch call; rows of untrained attributes
+  /// stay zero. Timed under kLearnerEncode and kLearnerTreeWalk. Not
+  /// thread-safe (shared scratch): callers evaluate on one thread.
+  void Votes(std::span<const Update> updates,
+             std::vector<double>* fractions) const;
 
-  /// Committee disagreement entropy in [0,1] (the active-learning
-  /// ordering score). Requires IsTrained(attr).
-  double Uncertainty(const Update& update) const;
-
-  /// Uncertainty with the untrained fallback applied: committee
-  /// disagreement once the attribute's model predicts, 1.0 (maximally
-  /// uncertain) before. The uncertainty-ordering and the session batch
-  /// metadata both use this form.
-  double UncertaintyOrMax(const Update& update) const {
-    return IsTrained(update.attr) ? Uncertainty(update) : 1.0;
-  }
-
-  /// p̃_j for VOI: the committee's confirm-vote fraction when trained,
-  /// otherwise the update's repair score s_j (Section 4.1, "User Model").
-  /// The per-update reference for ConfirmProbabilities, which is what the
-  /// session ranks with.
-  double ConfirmProbability(const Update& update) const;
-
-  /// Batched p̃: fills `out` (resized to updates.size()) with each
-  /// update's ConfirmProbability. Updates sharing one attribute — a whole
-  /// UpdateGroup, the VOI ranking unit — are encoded into one row-major
-  /// feature matrix (member scratch, one layout pass) and evaluated
-  /// tree-at-a-time by RandomForest::VoteFractionsBatch; untrained
-  /// attributes fall back to the repair score per update, exactly like the
-  /// scalar call. Bit-identical to calling ConfirmProbability per update
-  /// (same feature doubles, same vote accumulation order per row), which
-  /// the learner_batch differential suite enforces. Not thread-safe
-  /// (shared scratch): callers evaluate probabilities on one thread, the
-  /// contract VoiRanker already holds.
+  /// p̃_j for VOI, one per update: the committee's confirm-vote fraction
+  /// when the attribute's model is trained, otherwise the update's repair
+  /// score s_j (Section 4.1, "User Model"). What the session ranks with.
   void ConfirmProbabilities(std::span<const Update> updates,
                             std::vector<double>* out) const;
 
-  /// Feature encoding for one suggested update (exposed for tests).
+  /// Committee disagreement (vote entropy in [0,1]), one per update: the
+  /// active-learning ordering score and the session batch metadata. 1.0
+  /// (maximally uncertain) for untrained attributes.
+  void Uncertainties(std::span<const Update> updates,
+                     std::vector<double>* out) const;
+
+  /// Feature encoding for one suggested update, as training examples and
+  /// inference rows see it (tests and benches read it too).
   std::vector<double> Encode(const Update& update) const;
 
   /// Cumulative hot-path phase counters (encode ns / tree-walk ns /
-  /// retrain ns, with per-phase item counts). Accumulated by
-  /// ConfirmProbability, ConfirmProbabilities, and Retrain; surfaced
-  /// through GdrStats::timings and the server stats reply.
+  /// retrain ns, with per-phase item counts). Accumulated by Votes and
+  /// Retrain; surfaced through GdrStats::timings and the server stats
+  /// reply.
   const PerfCounters& perf_counters() const { return perf_; }
   void ResetPerfCounters() { perf_.Reset(); }
 
   std::size_t TrainingExamples(AttrId attr) const {
     return sets_[static_cast<std::size_t>(attr)].size();
+  }
+
+  /// The attribute's committee (tests evaluate it independently of Votes).
+  const RandomForest& model(AttrId attr) const {
+    return models_[static_cast<std::size_t>(attr)];
   }
 
   /// Records whether the model's prediction `predicted` matched the user's
@@ -140,9 +135,8 @@ class LearnerBank {
   std::size_t EncodedWidth() const { return table_->num_attrs() + 7; }
 
   // Writes one update's features into `dst` (EncodedWidth() doubles).
-  // The one canonical encoding — Encode and the batch matrix layout both
-  // funnel through it, which is what keeps the batched features
-  // bit-identical to the scalar path.
+  // The one canonical encoding: Encode and Votes both funnel through it,
+  // so training examples and inference rows agree bit for bit.
   void EncodeIntoRaw(const Update& update, double* dst) const;
 
   const Table* table_;
@@ -161,9 +155,9 @@ class LearnerBank {
   // Hot-path scratch (prediction-side methods are logically const but
   // reuse these buffers — the reason the bank is documented not
   // thread-safe for concurrent prediction calls).
-  mutable std::vector<double> encode_scratch_;    // one example's features
-  mutable std::vector<double> matrix_scratch_;    // batch feature matrix
-  mutable std::vector<double> fraction_scratch_;  // vote fractions
+  mutable std::vector<double> matrix_scratch_;    // one run's features
+  mutable std::vector<double> fraction_scratch_;  // one run's fractions
+  mutable std::vector<double> votes_scratch_;     // the readers' Votes
   mutable PerfCounters perf_;
 };
 

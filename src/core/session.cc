@@ -291,7 +291,9 @@ Result<FeedbackOutcome> GdrSession::SubmitFeedback(
       .feedback = feedback,
       .applied = outcome == FeedbackOutcome::kApplied,
       .has_value = suggested_value.has_value(),
-      .value = suggested_value.value_or(std::string())});
+      .value = suggested_value.value_or(std::string()),
+      .rows = {},
+      .newly_dirty = 0});
   if (resolved_count_ == outstanding_.size()) {
     // The batch is fully answered; machine steps (retrain, reorder, group
     // transition) run on the next pull.
@@ -473,7 +475,8 @@ Status GdrSession::StepRoundStart(std::vector<SuggestedUpdate>* batch) {
     phase_ = Phase::kTakeOver;
     return Status::OK();
   }
-  engine.OrderForSession(&live);
+  std::vector<double> uncertainties;
+  engine.OrderForSession(&live, &uncertainties);
   const std::size_t count = std::min(
       {static_cast<std::size_t>(engine.options_.ns),
        quota_ - labeled_in_group_,
@@ -483,7 +486,8 @@ Status GdrSession::StepRoundStart(std::vector<SuggestedUpdate>* batch) {
     phase_ = Phase::kTakeOver;
     return Status::OK();
   }
-  DeliverBatch(live, count, picked_.attr, picked_.value, group_score_, batch);
+  DeliverBatch(live, std::move(uncertainties), count, picked_.attr,
+               picked_.value, group_score_, batch);
   phase_ = Phase::kBatchOut;
   state_ = SessionState::kAwaitingFeedback;
   return Status::OK();
@@ -532,7 +536,8 @@ Status GdrSession::StepAlRoundStart(std::vector<SuggestedUpdate>* batch) {
     return Status::OK();
   }
   std::vector<Update> live = engine.pool_->All();
-  engine.OrderForSession(&live);
+  std::vector<double> uncertainties;
+  engine.OrderForSession(&live, &uncertainties);
   const std::size_t count = std::min(
       {static_cast<std::size_t>(engine.options_.ns),
        engine.options_.feedback_budget - engine.stats_.user_feedback,
@@ -545,7 +550,8 @@ Status GdrSession::StepAlRoundStart(std::vector<SuggestedUpdate>* batch) {
   touched_attrs_.clear();
   admitted_since_iteration_ = false;
   // Ungrouped: each suggestion is presented under its own cell.
-  DeliverBatch(live, count, kInvalidAttrId, kInvalidValueId, 0.0, batch);
+  DeliverBatch(live, std::move(uncertainties), count, kInvalidAttrId,
+               kInvalidValueId, 0.0, batch);
   phase_ = Phase::kAlBatchOut;
   state_ = SessionState::kAwaitingFeedback;
   return Status::OK();
@@ -612,10 +618,15 @@ Status GdrSession::StepFinalSweep() {
 }
 
 void GdrSession::DeliverBatch(const std::vector<Update>& live,
+                              std::vector<double> uncertainties,
                               std::size_t count, AttrId group_attr,
                               ValueId group_value, double voi_score,
                               std::vector<SuggestedUpdate>* batch) {
   const GdrEngine& engine = *engine_;
+  if (uncertainties.empty()) {
+    engine.bank_->Uncertainties(
+        std::span<const Update>(live.data(), count), &uncertainties);
+  }
   outstanding_.clear();
   resolved_count_ = 0;
   const std::size_t remaining =
@@ -633,7 +644,7 @@ void GdrSession::DeliverBatch(const std::vector<Update>& live,
     suggestion.group_value =
         group_attr == kInvalidAttrId ? live[i].value : group_value;
     suggestion.voi_score = voi_score;
-    suggestion.uncertainty = engine.bank_->UncertaintyOrMax(live[i]);
+    suggestion.uncertainty = uncertainties[i];
     suggestion.budget_remaining = remaining;
     outstanding_.push_back(OutstandingEntry{suggestion, false});
     batch->push_back(suggestion);

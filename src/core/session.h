@@ -294,8 +294,10 @@ class GdrSession {
   Status StepAlRoundEnd();
   Status StepFinalSweep();
 
-  // Packages live[0..count) as the outstanding batch.
-  void DeliverBatch(const std::vector<Update>& live, std::size_t count,
+  // Packages live[0..count) as the outstanding batch; `uncertainties` is
+  // OrderForSession's, or empty to evaluate just the delivered head.
+  void DeliverBatch(const std::vector<Update>& live,
+                    std::vector<double> uncertainties, std::size_t count,
                     AttrId group_attr, ValueId group_value, double voi_score,
                     std::vector<SuggestedUpdate>* batch);
 

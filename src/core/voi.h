@@ -20,7 +20,7 @@ using ConfirmProbabilityFn = std::function<double(const Update&)>;
 /// Group-batched form of the same contract: fills `out` (resized to the
 /// span's length) with each update's p̃_j. The session passes
 /// LearnerBank::ConfirmProbabilities, which the learner_batch suite pins
-/// bit-identical to the scalar LearnerBank::ConfirmProbability.
+/// bit-identical to a per-update committee oracle.
 using ConfirmProbabilityBatchFn =
     std::function<void(std::span<const Update>, std::vector<double>*)>;
 

@@ -154,8 +154,6 @@ Status DecisionTree::Train(const TrainingSet& data,
   flat_left_.clear();
   flat_right_.clear();
   flat_majority_.clear();
-  flat_dist_offset_.clear();
-  dist_pool_.clear();
   num_classes_ = data.num_classes();
 
   const std::size_t classes = static_cast<std::size_t>(num_classes_);
@@ -177,29 +175,24 @@ Status DecisionTree::Train(const TrainingSet& data,
 }
 
 std::int32_t DecisionTree::AppendNode(std::int32_t feature, bool categorical,
-                                      double threshold, std::int32_t majority,
-                                      std::int32_t dist_offset) {
+                                      double threshold,
+                                      std::int32_t majority) {
   flat_feature_.push_back(feature);
   flat_categorical_.push_back(categorical ? 1 : 0);
   flat_threshold_.push_back(threshold);
   flat_left_.push_back(-1);
   flat_right_.push_back(-1);
   flat_majority_.push_back(majority);
-  flat_dist_offset_.push_back(dist_offset);
   return static_cast<std::int32_t>(flat_feature_.size() - 1);
 }
 
-std::int32_t DecisionTree::MakeLeaf(const std::vector<std::size_t>& counts,
-                                    std::size_t n) {
-  const std::int32_t offset = static_cast<std::int32_t>(dist_pool_.size());
+std::int32_t DecisionTree::MakeLeaf(const std::vector<std::size_t>& counts) {
   std::size_t best = 0;
   for (std::size_t c = 0; c < counts.size(); ++c) {
-    dist_pool_.push_back(static_cast<double>(counts[c]) /
-                         static_cast<double>(n));
     if (counts[c] > counts[best]) best = c;
   }
   return AppendNode(/*feature=*/-1, /*categorical=*/false, /*threshold=*/0.0,
-                    static_cast<std::int32_t>(best), offset);
+                    static_cast<std::int32_t>(best));
 }
 
 std::int32_t DecisionTree::Build(const TrainingSet& data, std::size_t* begin,
@@ -219,7 +212,7 @@ std::int32_t DecisionTree::Build(const TrainingSet& data, std::size_t* begin,
   const bool pure = std::count(counts.begin(), counts.end(), n) > 0;
   if (pure || depth >= options.max_depth ||
       n < static_cast<std::size_t>(options.min_samples_split)) {
-    return MakeLeaf(counts, n);
+    return MakeLeaf(counts);
   }
 
   // Candidate features: all, or a random subset of M' (forest mode).
@@ -239,7 +232,7 @@ std::int32_t DecisionTree::Build(const TrainingSet& data, std::size_t* begin,
   const SplitChoice best = BestSplit(data, begin, end, parent_entropy, ws);
   constexpr double kMinGain = 1e-12;
   if (best.feature < 0 || best.gain <= kMinGain) {
-    return MakeLeaf(counts, n);
+    return MakeLeaf(counts);
   }
 
   // In-place partition; item order inside a node does not matter, since
@@ -253,13 +246,13 @@ std::int32_t DecisionTree::Build(const TrainingSet& data, std::size_t* begin,
   if (mid == begin || mid == end) {
     // Degenerate split: the midpoint of adjacent doubles rounded onto the
     // upper value, or b - a overflowed.
-    return MakeLeaf(counts, n);
+    return MakeLeaf(counts);
   }
 
   // Pre-order: the node takes its index before its subtrees are built.
   const std::int32_t node_index =
       AppendNode(best.feature, best.categorical, best.threshold,
-                 /*majority=*/0, /*dist_offset=*/-1);
+                 /*majority=*/0);
   const std::int32_t left_index =
       Build(data, begin, mid, depth + 1, options, rng, ws);
   const std::int32_t right_index =
@@ -267,18 +260,6 @@ std::int32_t DecisionTree::Build(const TrainingSet& data, std::size_t* begin,
   flat_left_[static_cast<std::size_t>(node_index)] = left_index;
   flat_right_[static_cast<std::size_t>(node_index)] = right_index;
   return node_index;
-}
-
-void DecisionTree::PredictDistributionInto(const double* features,
-                                           std::vector<double>* out) const {
-  const std::size_t leaf = static_cast<std::size_t>(DescendFlat(features));
-  const std::size_t offset =
-      static_cast<std::size_t>(flat_dist_offset_[leaf]);
-  out->assign(dist_pool_.begin() + static_cast<std::ptrdiff_t>(offset),
-              dist_pool_.begin() +
-                  static_cast<std::ptrdiff_t>(offset +
-                                              static_cast<std::size_t>(
-                                                  num_classes_)));
 }
 
 }  // namespace gdr

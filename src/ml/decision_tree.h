@@ -53,11 +53,10 @@ struct SplitWorkspace {
 /// place for the children. The split search allocates nothing per node.
 ///
 /// Nodes are stored structure-of-arrays — feature / threshold / left /
-/// right / majority as parallel arrays in Build's pre-order, every leaf
-/// distribution packed into one contiguous pool indexed by offset — and
-/// Build appends to them directly. Batch evaluation touches a
-/// handful of dense arrays instead of chasing per-node structs with
-/// heap-allocated payloads, and returning a distribution is a pool copy.
+/// right / majority as parallel arrays in Build's pre-order — and Build
+/// appends to them directly. A leaf keeps only its majority class (the
+/// committee's vote); batch evaluation touches a handful of dense arrays
+/// instead of chasing per-node structs.
 ///
 /// Deterministic given the training data, options, and Rng state.
 class DecisionTree {
@@ -96,21 +95,12 @@ class DecisionTree {
     return flat_majority_[static_cast<std::size_t>(DescendFlat(features))];
   }
 
-  /// Class-frequency distribution at the reached leaf (sums to 1): copies
-  /// it out of the contiguous pool into `out` (resized to num_classes).
-  void PredictDistributionInto(const std::vector<double>& features,
-                               std::vector<double>* out) const {
-    PredictDistributionInto(features.data(), out);
-  }
-  void PredictDistributionInto(const double* features,
-                               std::vector<double>* out) const;
-
   /// Number of nodes (diagnostics / tests).
   std::size_t node_count() const { return flat_feature_.size(); }
   int num_classes() const { return num_classes_; }
 
-  /// Read-only views of the node arrays and the leaf-distribution pool
-  /// (tests compare trees through these).
+  /// Read-only views of the node arrays (tests compare trees through
+  /// these).
   std::span<const std::int32_t> node_features() const { return flat_feature_; }
   std::span<const std::uint8_t> node_categorical() const {
     return flat_categorical_;
@@ -121,10 +111,6 @@ class DecisionTree {
   std::span<const std::int32_t> node_majority() const {
     return flat_majority_;
   }
-  std::span<const std::int32_t> node_dist_offsets() const {
-    return flat_dist_offset_;
-  }
-  std::span<const double> dist_pool() const { return dist_pool_; }
 
  private:
   // Recursive builder over the items [begin, end); returns the index of
@@ -134,14 +120,12 @@ class DecisionTree {
                      const DecisionTreeOptions& options, Rng* rng,
                      SplitWorkspace* ws);
 
-  // Leaf over `n` items with per-class `counts`.
-  std::int32_t MakeLeaf(const std::vector<std::size_t>& counts,
-                        std::size_t n);
+  // Leaf voting for the first class with the most of `counts`.
+  std::int32_t MakeLeaf(const std::vector<std::size_t>& counts);
 
   // Appends one node to every array; returns its index.
   std::int32_t AppendNode(std::int32_t feature, bool categorical,
-                          double threshold, std::int32_t majority,
-                          std::int32_t dist_offset);
+                          double threshold, std::int32_t majority);
 
   // Descent to a leaf's node index.
   std::int32_t DescendFlat(const double* features) const {
@@ -164,16 +148,12 @@ class DecisionTree {
   // One entry per node. An internal node sends an example left when
   //   numeric:      features[feature] <= threshold
   //   categorical:  features[feature] == threshold
-  // flat_dist_offset_ indexes dist_pool_ (num_classes_ doubles per leaf;
-  // -1 for internal nodes).
   std::vector<std::int32_t> flat_feature_;     // -1 marks a leaf
   std::vector<std::uint8_t> flat_categorical_;
   std::vector<double> flat_threshold_;
   std::vector<std::int32_t> flat_left_;
   std::vector<std::int32_t> flat_right_;
   std::vector<std::int32_t> flat_majority_;
-  std::vector<std::int32_t> flat_dist_offset_;
-  std::vector<double> dist_pool_;
 };
 
 /// Shannon entropy (nats) of a count histogram; 0 for empty/pure counts.

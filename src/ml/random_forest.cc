@@ -51,33 +51,6 @@ Status RandomForest::Train(const TrainingSet& data) {
   return Status::OK();
 }
 
-std::vector<int> RandomForest::CommitteeVotes(
-    const std::vector<double>& features) const {
-  std::vector<int> votes;
-  votes.reserve(trees_.size());
-  for (const DecisionTree& tree : trees_) {
-    votes.push_back(tree.Predict(features));
-  }
-  return votes;
-}
-
-std::vector<double> RandomForest::VoteFractions(
-    const std::vector<double>& features) const {
-  std::vector<double> fractions;
-  VoteFractionsInto(features, &fractions);
-  return fractions;
-}
-
-void RandomForest::VoteFractionsInto(const std::vector<double>& features,
-                                     std::vector<double>* out) const {
-  out->assign(static_cast<std::size_t>(num_classes_), 0.0);
-  if (trees_.empty()) return;
-  for (const DecisionTree& tree : trees_) {
-    (*out)[static_cast<std::size_t>(tree.Predict(features))] += 1.0;
-  }
-  for (double& f : *out) f /= static_cast<double>(trees_.size());
-}
-
 void RandomForest::VoteFractionsBatch(const double* features,
                                       std::size_t rows, std::size_t stride,
                                       std::vector<double>* out) const {
@@ -85,11 +58,11 @@ void RandomForest::VoteFractionsBatch(const double* features,
   out->assign(rows * classes, 0.0);
   if (trees_.empty()) return;
   // Tree-at-a-time within row blocks: per row the accumulator sees the
-  // same +1.0 sequence in tree order as the per-row loop, so the sums
-  // (and the final divisions) are bit-identical to VoteFractions. The
-  // blocking caps how much of the feature matrix and vote output a tree
-  // pass streams, keeping both resident across the tree loop — without it
-  // large batches pay a full-matrix cache sweep per tree.
+  // same +1.0 sequence in tree order as a one-row call, so the sums (and
+  // the final divisions) are independent of the batch. The blocking caps
+  // how much of the feature matrix and vote output a tree pass streams,
+  // keeping both resident across the tree loop — without it large batches
+  // pay a full-matrix cache sweep per tree.
   constexpr std::size_t kRowBlock = 64;
   for (std::size_t base = 0; base < rows; base += kRowBlock) {
     const std::size_t end = std::min(rows, base + kRowBlock);
@@ -107,14 +80,13 @@ void RandomForest::VoteFractionsBatch(const double* features,
   for (double& f : *out) f /= denominator;
 }
 
-int RandomForest::Predict(const std::vector<double>& features) const {
-  const std::vector<double> fractions = VoteFractions(features);
+int RandomForest::MajorityClass(std::span<const double> fractions) {
   return static_cast<int>(std::distance(
       fractions.begin(),
       std::max_element(fractions.begin(), fractions.end())));
 }
 
-double RandomForest::VoteEntropy(const std::vector<double>& fractions) {
+double RandomForest::VoteEntropy(std::span<const double> fractions) {
   if (fractions.size() < 2) return 0.0;
   const double log_base = std::log(static_cast<double>(fractions.size()));
   double h = 0.0;
@@ -123,10 +95,6 @@ double RandomForest::VoteEntropy(const std::vector<double>& fractions) {
     h -= f * std::log(f) / log_base;
   }
   return h;
-}
-
-double RandomForest::Uncertainty(const std::vector<double>& features) const {
-  return VoteEntropy(VoteFractions(features));
 }
 
 }  // namespace gdr

@@ -2,6 +2,7 @@
 #define GDR_ML_RANDOM_FOREST_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/decision_tree.h"
@@ -47,41 +48,27 @@ class RandomForest {
   /// Committee member `i` (tests compare trees through it).
   const DecisionTree& tree(std::size_t i) const { return trees_[i]; }
 
-  /// Majority vote over the committee (ties broken toward the smaller
-  /// class index, deterministically).
-  int Predict(const std::vector<double>& features) const;
-
-  /// Per-class fraction of committee votes (sums to 1).
-  std::vector<double> VoteFractions(const std::vector<double>& features) const;
-
-  /// No-alloc variant: `out` is resized to num_classes and filled.
-  /// Bit-identical to VoteFractions (same accumulation order: +1.0 per
-  /// tree vote in tree order, one division at the end).
-  void VoteFractionsInto(const std::vector<double>& features,
-                         std::vector<double>* out) const;
-
   /// Batched committee evaluation over a row-major feature matrix:
   /// `features` holds `rows` examples of `stride` doubles each; `out` is
   /// resized to rows × num_classes (row-major) and filled with each row's
-  /// vote fractions. Evaluated tree-at-a-time — every row descends tree 0,
-  /// then every row descends tree 1, … — so one tree's flat node arrays
-  /// stay hot across the whole batch instead of the whole forest being
-  /// re-walked per row. Each row's accumulator still receives its +1.0
-  /// votes in tree order and is divided once at the end, so every row's
-  /// fractions are bit-identical to a per-row VoteFractions call.
+  /// per-class fraction of committee votes (each row sums to 1). Evaluated
+  /// tree-at-a-time — every row descends tree 0, then every row descends
+  /// tree 1, … — so one tree's flat node arrays stay hot across the whole
+  /// batch instead of the whole forest being re-walked per row. Each row's
+  /// accumulator receives its +1.0 votes in tree order and is divided once
+  /// at the end, so a row's fractions do not depend on the batch around
+  /// it.
   void VoteFractionsBatch(const double* features, std::size_t rows,
                           std::size_t stride, std::vector<double>* out) const;
 
-  /// Committee vote of each tree, in tree order.
-  std::vector<int> CommitteeVotes(const std::vector<double>& features) const;
+  /// The committee's prediction from one row of vote fractions: the class
+  /// with the most votes, ties broken toward the smaller class index.
+  static int MajorityClass(std::span<const double> fractions);
 
-  /// The paper's uncertainty score: entropy of the committee vote
-  /// fractions with logarithm base = #classes, so the score is in [0, 1]
+  /// The paper's uncertainty score: entropy of one row of vote fractions
+  /// with logarithm base = #classes, so the score is in [0, 1]
   /// (Section 4.2's worked example: votes {3/5, 1/5, 1/5} → 0.86).
-  double Uncertainty(const std::vector<double>& features) const;
-
-  /// Entropy of an arbitrary vote-fraction vector, same normalization.
-  static double VoteEntropy(const std::vector<double>& fractions);
+  static double VoteEntropy(std::span<const double> fractions);
 
  private:
   RandomForestOptions options_;

@@ -101,27 +101,6 @@ TEST(DecisionTreeTest, MaxDepthZeroYieldsMajorityLeaf) {
   EXPECT_EQ(tree.Predict({0.0, 8.0}), 0);  // majority class
 }
 
-TEST(DecisionTreeTest, PredictDistributionSumsToOne) {
-  TrainingSet set(MixedSchema(), 3);
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(set.Add({{static_cast<double>(i % 2),
-                          static_cast<double>(i)},
-                         i % 3})
-                    .ok());
-  }
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Train(set, {}, nullptr).ok());
-  std::vector<double> dist;
-  tree.PredictDistributionInto({1.0, 5.0}, &dist);
-  ASSERT_EQ(dist.size(), 3u);
-  double sum = 0.0;
-  for (double d : dist) {
-    EXPECT_GE(d, 0.0);
-    sum += d;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
 TEST(DecisionTreeTest, DuplicateIndicesActAsWeights) {
   TrainingSet set(MixedSchema(), 2);
   ASSERT_TRUE(set.Add({{0.0, 0.0}, 0}).ok());

@@ -163,6 +163,24 @@ TEST(GdrEngineTest, RetrainTimeIsCountedOnlyWhenLearning) {
   }
 }
 
+// Active-Learning never ranks by VOI, yet its committee evaluations
+// (uncertainty ordering, scoring displayed predictions, the final sweep)
+// are inferences too and must show in the learner counters.
+TEST(GdrEngineTest, ActiveLearningCountsLearnerInferences) {
+  Dataset dataset = SmallDataset();
+  Table working = dataset.dirty;
+  UserOracle oracle(&dataset.clean);
+  GdrOptions options;
+  options.strategy = Strategy::kActiveLearning;
+  options.feedback_budget = 150;
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(RunToCompletion(&session, &oracle).ok());
+  const GdrTimings& timings = session.stats().timings;
+  EXPECT_GT(timings.learner_trains, 0u);
+  EXPECT_GT(timings.learner_inferences, 0u);
+  EXPECT_GT(timings.learner_encode_seconds, 0.0);
+}
+
 TEST(GdrEngineTest, RegenerationIsCountedThroughCascades) {
   Dataset dataset = SmallDataset();
   Table working = dataset.dirty;

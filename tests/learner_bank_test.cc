@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <vector>
+
+#include "testing/forest_oracle.h"
 
 namespace gdr {
 namespace {
+
+using forest_testing::OracleConfirmProbability;
+using forest_testing::OraclePrediction;
+using forest_testing::OracleUncertainty;
 
 class LearnerBankFixture : public ::testing::Test {
  protected:
@@ -35,6 +43,38 @@ class LearnerBankFixture : public ::testing::Test {
     return Update{row, 1, fort_wayne_, 0.8};
   }
 
+  // The production readers over a one-update span.
+  double ConfirmProbability(const Update& update) const {
+    std::vector<double> out;
+    bank_->ConfirmProbabilities(std::span<const Update>(&update, 1), &out);
+    return out[0];
+  }
+  double Uncertainty(const Update& update) const {
+    std::vector<double> out;
+    bank_->Uncertainties(std::span<const Update>(&update, 1), &out);
+    return out[0];
+  }
+
+  // Five confirms on the city attribute, then a retrain: a trained model.
+  void TrainCityModel() {
+    for (RowId row : {RowId{1}, RowId{3}, RowId{5}, RowId{7}, RowId{9}}) {
+      ASSERT_TRUE(
+          bank_->AddFeedback(CityUpdate(row), Feedback::kConfirm).ok());
+    }
+    ASSERT_TRUE(bank_->Retrain(1).ok());
+    ASSERT_TRUE(bank_->IsTrained(1));
+  }
+
+  // True when no prediction outcome of any class has been recorded for
+  // `attr` (IsReliable with a zero accuracy bar reduces to the count).
+  bool NoOutcomesRecorded(AttrId attr) const {
+    for (Feedback c :
+         {Feedback::kConfirm, Feedback::kReject, Feedback::kRetain}) {
+      if (bank_->IsReliable(attr, c, 0.0, /*min_samples=*/1)) return false;
+    }
+    return true;
+  }
+
   Schema schema_;
   Table table_;
   RuleSet rules_;
@@ -62,19 +102,84 @@ TEST_F(LearnerBankFixture, UntrainedBelowThreshold) {
   ASSERT_TRUE(bank_->Retrain(1).ok());
   EXPECT_FALSE(bank_->IsTrained(1));
   EXPECT_EQ(bank_->TrainingExamples(1), 1u);
-  // Untrained models fall back to the repair score for p-tilde.
-  EXPECT_DOUBLE_EQ(bank_->ConfirmProbability(CityUpdate(1)), 0.8);
+  // Untrained models fall back to the repair score for p-tilde and are
+  // maximally uncertain.
+  EXPECT_DOUBLE_EQ(ConfirmProbability(CityUpdate(1)), 0.8);
+  EXPECT_DOUBLE_EQ(Uncertainty(CityUpdate(1)), 1.0);
+  EXPECT_EQ(ConfirmProbability(CityUpdate(1)),
+            OracleConfirmProbability(*bank_, CityUpdate(1)));
+  EXPECT_EQ(Uncertainty(CityUpdate(1)),
+            OracleUncertainty(*bank_, CityUpdate(1)));
+  // Nothing was evaluated: no committee exists yet.
+  EXPECT_EQ(bank_->perf_counters().Count(PerfPhase::kLearnerTreeWalk), 0u);
 }
 
 TEST_F(LearnerBankFixture, TrainsAtThresholdAndPredicts) {
-  for (RowId row : {RowId{1}, RowId{3}, RowId{5}, RowId{7}, RowId{9}}) {
-    ASSERT_TRUE(bank_->AddFeedback(CityUpdate(row), Feedback::kConfirm).ok());
+  TrainCityModel();
+  const Update update = CityUpdate(11);
+  EXPECT_EQ(OraclePrediction(*bank_, update), Feedback::kConfirm);
+  EXPECT_GT(ConfirmProbability(update), 0.5);
+  EXPECT_EQ(ConfirmProbability(update),
+            OracleConfirmProbability(*bank_, update));
+  EXPECT_GE(Uncertainty(update), 0.0);
+  EXPECT_EQ(Uncertainty(update), OracleUncertainty(*bank_, update));
+}
+
+// Feedback on a trained attribute scores the displayed prediction (the
+// committee majority on the same encoding) against the user's answer.
+TEST_F(LearnerBankFixture, AddFeedbackScoresThePredictedClass) {
+  TrainCityModel();
+  const Update update = CityUpdate(11);
+  const Feedback predicted = OraclePrediction(*bank_, update);
+  ASSERT_EQ(predicted, Feedback::kConfirm);
+  ASSERT_TRUE(NoOutcomesRecorded(1));
+  ASSERT_DOUBLE_EQ(bank_->RollingAccuracy(1, predicted), 1.0);
+
+  ASSERT_TRUE(bank_->AddFeedback(update, Feedback::kReject).ok());
+  EXPECT_DOUBLE_EQ(bank_->RollingAccuracy(1, predicted), 0.0);
+  ASSERT_TRUE(bank_->AddFeedback(CityUpdate(13), Feedback::kConfirm).ok());
+  EXPECT_DOUBLE_EQ(bank_->RollingAccuracy(1, predicted), 0.5);
+  // Only the predicted class's window moved.
+  EXPECT_FALSE(bank_->IsReliable(1, Feedback::kReject, 0.0, 1));
+  EXPECT_FALSE(bank_->IsReliable(1, Feedback::kRetain, 0.0, 1));
+  // Untrained attributes have no prediction to score.
+  const Update zip_update{1, 2, table_.InternValue(2, "46802"), 0.5};
+  ASSERT_TRUE(bank_->AddFeedback(zip_update, Feedback::kReject).ok());
+  EXPECT_TRUE(NoOutcomesRecorded(2));
+}
+
+// A rejected example scores nothing, even though the committee could
+// evaluate it: the outcome is recorded only once the set accepts it.
+TEST_F(LearnerBankFixture, RejectedFeedbackRecordsNoOutcome) {
+  TrainCityModel();
+  Update update = CityUpdate(11);
+  update.score = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(bank_->AddFeedback(update, Feedback::kReject).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(NoOutcomesRecorded(1));
+  EXPECT_EQ(bank_->TrainingExamples(1), 5u);
+  // The same answer on a finite encoding is scored.
+  ASSERT_TRUE(bank_->AddFeedback(CityUpdate(11), Feedback::kReject).ok());
+  EXPECT_FALSE(NoOutcomesRecorded(1));
+}
+
+// Every committee evaluation is one inference: k updates of a trained
+// attribute advance the tree-walk (and encode) counters by exactly k.
+TEST_F(LearnerBankFixture, UncertaintiesCountOneInferencePerUpdate) {
+  TrainCityModel();
+  const PerfCounters& perf = bank_->perf_counters();
+  const std::uint64_t walks = perf.Count(PerfPhase::kLearnerTreeWalk);
+  const std::uint64_t encodes = perf.Count(PerfPhase::kLearnerEncode);
+  const std::vector<Update> updates = {CityUpdate(11), CityUpdate(13),
+                                       CityUpdate(15), CityUpdate(17)};
+  std::vector<double> out;
+  bank_->Uncertainties(updates, &out);
+  ASSERT_EQ(out.size(), updates.size());
+  EXPECT_EQ(perf.Count(PerfPhase::kLearnerTreeWalk), walks + updates.size());
+  EXPECT_EQ(perf.Count(PerfPhase::kLearnerEncode), encodes + updates.size());
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    EXPECT_EQ(out[i], OracleUncertainty(*bank_, updates[i])) << i;
   }
-  ASSERT_TRUE(bank_->Retrain(1).ok());
-  ASSERT_TRUE(bank_->IsTrained(1));
-  EXPECT_EQ(bank_->PredictFeedback(CityUpdate(11)), Feedback::kConfirm);
-  EXPECT_GT(bank_->ConfirmProbability(CityUpdate(11)), 0.5);
-  EXPECT_GE(bank_->Uncertainty(CityUpdate(11)), 0.0);
 }
 
 TEST_F(LearnerBankFixture, RetrainIsNoOpWithoutNewFeedback) {

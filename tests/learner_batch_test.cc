@@ -1,9 +1,9 @@
-// Batched learner inference: the group-batched ConfirmProbabilities path
-// (row-major feature matrix + tree-at-a-time forest evaluation over SoA
-// trees) must be bit-identical to the scalar ConfirmProbability —
-// probabilities, scores, AND ranking order — across random groups,
-// retrain boundaries, and untrained attributes. Also pins the tree's own
-// invariants on fuzzed trees and inputs.
+// Batched learner inference: LearnerBank::Votes and its readers (row-major
+// feature matrix + tree-at-a-time forest evaluation over SoA trees) must
+// be bit-identical to the per-update committee oracles of
+// testing/forest_oracle.h — probabilities, scores, AND ranking order —
+// across random groups, retrain boundaries, and untrained attributes.
+// Also pins the tree's own invariants on fuzzed trees and inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +16,17 @@
 #include "core/voi.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
+#include "testing/forest_oracle.h"
 #include "util/rng.h"
 
 namespace gdr {
 namespace {
+
+using forest_testing::OracleConfirmProbability;
+using forest_testing::OracleMajorityClass;
+using forest_testing::OracleUncertainty;
+using forest_testing::OracleVoteEntropy;
+using forest_testing::OracleVoteFractions;
 
 // ---------------------------------------------------------------------------
 // Tree and forest invariants on fuzzed trees and inputs.
@@ -89,37 +96,6 @@ TEST_P(FlatTreeTest, UnlimitedTreeFitsConsistentLabels) {
   }
 }
 
-// Every reachable leaf distribution sums to 1, and its first maximum (the
-// tie-break MakeLeaf uses) is the class Predict returns.
-TEST_P(FlatTreeTest, LeafDistributionsSumToOneAndArgmaxIsPredict) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
-  const std::size_t num_features = 2 + rng.NextBounded(6);
-  const int num_classes = 2 + static_cast<int>(rng.NextBounded(3));
-  const TrainingSet set =
-      FuzzedTrainingSet(&rng, num_features, num_classes, 40 + rng.NextBounded(120));
-
-  DecisionTreeOptions options;
-  options.feature_subsample = 1 + static_cast<int>(rng.NextBounded(num_features));
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Train(set, options, &rng).ok());
-
-  std::vector<double> dist;
-  for (int probe = 0; probe < 200; ++probe) {
-    const std::vector<double> input = FuzzedInput(&rng, set.schema());
-    tree.PredictDistributionInto(input, &dist);
-    ASSERT_EQ(dist.size(), static_cast<std::size_t>(num_classes));
-    double sum = 0.0;
-    for (double p : dist) {
-      EXPECT_GE(p, 0.0);
-      sum += p;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-    const auto max_it = std::max_element(dist.begin(), dist.end());
-    EXPECT_EQ(tree.Predict(input),
-              static_cast<int>(std::distance(dist.begin(), max_it)));
-  }
-}
-
 TEST_P(FlatTreeTest, ForestBatchMatchesPerRowFractions) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
   const std::size_t num_features = 3 + rng.NextBounded(4);
@@ -140,11 +116,19 @@ TEST_P(FlatTreeTest, ForestBatchMatchesPerRowFractions) {
     std::vector<double> batch;
     forest.VoteFractionsBatch(matrix.data(), rows, num_features, &batch);
     ASSERT_EQ(batch.size(), rows * static_cast<std::size_t>(forest.num_classes()));
+    const std::size_t classes =
+        static_cast<std::size_t>(forest.num_classes());
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::vector<double> per_row = forest.VoteFractions(inputs[r]);
-      for (std::size_t c = 0; c < per_row.size(); ++c) {
-        EXPECT_EQ(batch[r * per_row.size() + c], per_row[c]) << r << "," << c;
+      const std::vector<double> oracle = OracleVoteFractions(forest, inputs[r]);
+      const std::span<const double> row =
+          std::span<const double>(batch).subspan(r * classes, classes);
+      for (std::size_t c = 0; c < classes; ++c) {
+        EXPECT_EQ(row[c], oracle[c]) << r << "," << c;
       }
+      EXPECT_EQ(RandomForest::MajorityClass(row), OracleMajorityClass(oracle))
+          << r;
+      EXPECT_EQ(RandomForest::VoteEntropy(row), OracleVoteEntropy(oracle))
+          << r;
     }
   }
 }
@@ -245,14 +229,22 @@ struct RandomLearnerInstance {
   std::vector<UpdateGroup> groups;
 };
 
+// Both readers of the one committee evaluation, per group.
 void ExpectBatchedMatchesOracle(const RandomLearnerInstance& inst) {
   std::vector<double> batched;
+  std::vector<double> uncertainties;
   for (const UpdateGroup& group : inst.groups) {
-    inst.bank->ConfirmProbabilities(std::span<const Update>(group.updates),
-                                    &batched);
+    const std::span<const Update> updates(group.updates);
+    inst.bank->ConfirmProbabilities(updates, &batched);
+    inst.bank->Uncertainties(updates, &uncertainties);
     ASSERT_EQ(batched.size(), group.updates.size());
+    ASSERT_EQ(uncertainties.size(), group.updates.size());
     for (std::size_t j = 0; j < group.updates.size(); ++j) {
-      EXPECT_EQ(batched[j], inst.bank->ConfirmProbability(group.updates[j]))
+      EXPECT_EQ(batched[j],
+                OracleConfirmProbability(*inst.bank, group.updates[j]))
+          << "group attr " << group.attr << " update " << j;
+      EXPECT_EQ(uncertainties[j],
+                OracleUncertainty(*inst.bank, group.updates[j]))
           << "group attr " << group.attr << " update " << j;
     }
   }
@@ -306,19 +298,25 @@ TEST_P(LearnerBatchTest, MixedAttrSpanMatchesOracle) {
   inst.bank->ConfirmProbabilities(std::span<const Update>(all), &batched);
   ASSERT_EQ(batched.size(), all.size());
   for (std::size_t j = 0; j < all.size(); ++j) {
-    EXPECT_EQ(batched[j], inst.bank->ConfirmProbability(all[j]));
+    EXPECT_EQ(batched[j], OracleConfirmProbability(*inst.bank, all[j]));
+  }
+  std::vector<double> uncertainties;
+  inst.bank->Uncertainties(std::span<const Update>(all), &uncertainties);
+  ASSERT_EQ(uncertainties.size(), all.size());
+  for (std::size_t j = 0; j < all.size(); ++j) {
+    EXPECT_EQ(uncertainties[j], OracleUncertainty(*inst.bank, all[j]));
   }
 }
 
 // Rank fed the bank's batch p̃ function (the session's call) is
-// bit-identical — scores AND order — to Rank calling the scalar function
-// per update, with trained models in the loop.
+// bit-identical — scores AND order — to Rank calling the per-update
+// oracle, with trained models in the loop.
 TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalToScalar) {
   RandomLearnerInstance inst(static_cast<std::uint64_t>(GetParam()));
   inst.TrainAttrs({static_cast<AttrId>(0), static_cast<AttrId>(2)});
 
   const ConfirmProbabilityFn scalar = [&inst](const Update& update) {
-    return inst.bank->ConfirmProbability(update);
+    return OracleConfirmProbability(*inst.bank, update);
   };
   const ConfirmProbabilityBatchFn batch_fn =
       [&inst](std::span<const Update> updates, std::vector<double>* out) {
@@ -361,7 +359,7 @@ TEST_P(LearnerBatchTest, PerfCountersAccumulate) {
   }
   VoiRanker ranker(inst.index.get(), &inst.weights);
   ranker.Rank(inst.groups, [&inst](const Update& update) {
-    return inst.bank->ConfirmProbability(update);
+    return OracleConfirmProbability(*inst.bank, update);
   });
   EXPECT_EQ(ranker.perf_counters().Count(PerfPhase::kVoiProbe), total_updates);
   EXPECT_GT(ranker.perf_counters().Seconds(PerfPhase::kVoiProbe), 0.0);

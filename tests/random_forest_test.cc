@@ -2,8 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "testing/forest_oracle.h"
+
 namespace gdr {
 namespace {
+
+using forest_testing::OracleMajorityClass;
+using forest_testing::OracleVoteEntropy;
+using forest_testing::OracleVoteFractions;
+
+int Predict(const RandomForest& forest, const std::vector<double>& x) {
+  return OracleMajorityClass(OracleVoteFractions(forest, x));
+}
+
+double Uncertainty(const RandomForest& forest, const std::vector<double>& x) {
+  return OracleVoteEntropy(OracleVoteFractions(forest, x));
+}
+
+// The production entropy over a literal vote-fraction vector.
+double Entropy(const std::vector<double>& fractions) {
+  return RandomForest::VoteEntropy(fractions);
+}
 
 FeatureSchema MixedSchema() {
   return FeatureSchema({{"color", FeatureType::kCategorical},
@@ -39,18 +60,21 @@ TEST(RandomForestTest, FailedTrainLeavesForestUntrained) {
   EXPECT_EQ(forest.Train(ZeroWidthSet()).code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(forest.trained());
   EXPECT_EQ(forest.num_trees(), 0);
-  EXPECT_EQ(forest.Predict({}), 0);  // no committee: no tree is walked
+  // No committee: nothing is walked and no class is voted for.
+  std::vector<double> fractions = {1.0};
+  forest.VoteFractionsBatch(nullptr, 1, 0, &fractions);
+  EXPECT_TRUE(fractions.empty());
 }
 
 TEST(RandomForestTest, FailedRetrainKeepsPreviousCommittee) {
   RandomForest forest;
   ASSERT_TRUE(forest.Train(SeparableSet(100, 5)).ok());
-  const std::vector<double> before = forest.VoteFractions({2.0, 6.5});
+  const std::vector<double> before = OracleVoteFractions(forest, {2.0, 6.5});
   EXPECT_FALSE(forest.Train(ZeroWidthSet()).ok());
   EXPECT_TRUE(forest.trained());
   EXPECT_EQ(forest.num_trees(), 10);
   EXPECT_EQ(forest.num_classes(), 2);
-  EXPECT_EQ(forest.VoteFractions({2.0, 6.5}), before);
+  EXPECT_EQ(OracleVoteFractions(forest, {2.0, 6.5}), before);
 }
 
 TEST(RandomForestTest, TrainsTenTreesByDefault) {
@@ -71,7 +95,7 @@ TEST(RandomForestTest, LearnsSeparableConcept) {
     const double color = static_cast<double>(rng.NextBounded(5));
     const double size = rng.NextDouble() * 10.0;
     const int truth = size > 5.0 ? 1 : 0;
-    correct += forest.Predict({color, size}) == truth ? 1 : 0;
+    correct += Predict(forest, {color, size}) == truth ? 1 : 0;
   }
   EXPECT_GE(correct, 180);  // >= 90%
 }
@@ -80,41 +104,25 @@ TEST(RandomForestTest, VoteFractionsSumToOne) {
   TrainingSet set = SeparableSet(100, 4);
   RandomForest forest;
   ASSERT_TRUE(forest.Train(set).ok());
-  const std::vector<double> fractions = forest.VoteFractions({1.0, 7.0});
+  const std::vector<double> x = {1.0, 7.0};
+  std::vector<double> fractions;
+  forest.VoteFractionsBatch(x.data(), 1, x.size(), &fractions);
   ASSERT_EQ(fractions.size(), 2u);
   EXPECT_NEAR(fractions[0] + fractions[1], 1.0, 1e-12);
-}
-
-TEST(RandomForestTest, CommitteeVotesMatchFractions) {
-  TrainingSet set = SeparableSet(100, 5);
-  RandomForest forest;
-  ASSERT_TRUE(forest.Train(set).ok());
-  const std::vector<double> x = {2.0, 4.9};
-  const std::vector<int> votes = forest.CommitteeVotes(x);
-  ASSERT_EQ(votes.size(), 10u);
-  std::vector<double> fractions(2, 0.0);
-  for (int v : votes) fractions[static_cast<std::size_t>(v)] += 0.1;
-  const std::vector<double> reported = forest.VoteFractions(x);
-  EXPECT_NEAR(fractions[0], reported[0], 1e-9);
 }
 
 TEST(RandomForestTest, PaperSection42UncertaintyExamples) {
   // Committee of 5: votes {confirm x3, reject x1, retain x1} -> 0.86,
   // votes {confirm x1, reject x4} -> 0.45 (entropy with log base 3).
-  EXPECT_NEAR(
-      RandomForest::VoteEntropy({3.0 / 5.0, 1.0 / 5.0, 1.0 / 5.0}), 0.86,
-      0.005);
-  EXPECT_NEAR(RandomForest::VoteEntropy({1.0 / 5.0, 4.0 / 5.0, 0.0}), 0.455,
-              0.005);
+  EXPECT_NEAR(Entropy({3.0 / 5.0, 1.0 / 5.0, 1.0 / 5.0}), 0.86, 0.005);
+  EXPECT_NEAR(Entropy({1.0 / 5.0, 4.0 / 5.0, 0.0}), 0.455, 0.005);
 }
 
 TEST(RandomForestTest, VoteEntropyRange) {
-  EXPECT_DOUBLE_EQ(RandomForest::VoteEntropy({1.0, 0.0, 0.0}), 0.0);
-  EXPECT_NEAR(
-      RandomForest::VoteEntropy({1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0}), 1.0,
-      1e-12);
-  EXPECT_DOUBLE_EQ(RandomForest::VoteEntropy({}), 0.0);
-  EXPECT_DOUBLE_EQ(RandomForest::VoteEntropy({1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(Entropy({1.0, 0.0, 0.0}), 0.0);
+  EXPECT_NEAR(Entropy({1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0}), 1.0, 1e-12);
+  EXPECT_DOUBLE_EQ(Entropy({}), 0.0);
+  EXPECT_DOUBLE_EQ(Entropy({1.0}), 0.0);
 }
 
 TEST(RandomForestTest, UncertaintyLowOnConfidentRegion) {
@@ -122,7 +130,7 @@ TEST(RandomForestTest, UncertaintyLowOnConfidentRegion) {
   RandomForest forest;
   ASSERT_TRUE(forest.Train(set).ok());
   // Deep inside class 1 territory the committee should agree.
-  EXPECT_LT(forest.Uncertainty({1.0, 9.5}), 0.5);
+  EXPECT_LT(Uncertainty(forest, {1.0, 9.5}), 0.5);
 }
 
 TEST(RandomForestTest, DeterministicGivenSeed) {
@@ -136,8 +144,8 @@ TEST(RandomForestTest, DeterministicGivenSeed) {
   for (int i = 0; i < 50; ++i) {
     const std::vector<double> x = {static_cast<double>(i % 5),
                                    static_cast<double>(i % 10)};
-    EXPECT_EQ(a.Predict(x), b.Predict(x));
-    EXPECT_DOUBLE_EQ(a.Uncertainty(x), b.Uncertainty(x));
+    EXPECT_EQ(Predict(a, x), Predict(b, x));
+    EXPECT_DOUBLE_EQ(Uncertainty(a, x), Uncertainty(b, x));
   }
 }
 
@@ -155,7 +163,7 @@ TEST(RandomForestTest, DifferentSeedsGrowDifferentForests) {
   for (int i = 0; i < 100; ++i) {
     const std::vector<double> x = {static_cast<double>(i % 5),
                                    4.0 + (i % 20) * 0.1};
-    if (a.Uncertainty(x) != b.Uncertainty(x)) ++differing;
+    if (Uncertainty(a, x) != Uncertainty(b, x)) ++differing;
   }
   EXPECT_GT(differing, 0);
 }
@@ -173,7 +181,7 @@ TEST_P(ForestSizeTest, AccuracyHoldsAcrossCommitteeSizes) {
   Rng rng(12);
   for (int i = 0; i < 100; ++i) {
     const double size = rng.NextDouble() * 10.0;
-    correct += forest.Predict({0.0, size}) == (size > 5.0 ? 1 : 0) ? 1 : 0;
+    correct += Predict(forest, {0.0, size}) == (size > 5.0 ? 1 : 0) ? 1 : 0;
   }
   EXPECT_GE(correct, 85);
 }

@@ -2,7 +2,7 @@
 // trained through the TrainingSet's dense value codes must equal, bit for
 // bit, the tree the reference map/sort builder (testing/split_oracle.h)
 // grows from the raw feature doubles — node arrays, thresholds, leaf
-// distribution pool, and the Rng state left behind.
+// majorities (the first-max tie-break), and the Rng state left behind.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -38,9 +38,7 @@ OracleTree Arrays(const DecisionTree& tree) {
           ToVector(tree.node_thresholds()),
           ToVector(tree.node_left()),
           ToVector(tree.node_right()),
-          ToVector(tree.node_majority()),
-          ToVector(tree.node_dist_offsets()),
-          ToVector(tree.dist_pool())};
+          ToVector(tree.node_majority())};
 }
 
 std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
@@ -56,8 +54,6 @@ void ExpectSameTree(const OracleTree& a, const OracleTree& b) {
   EXPECT_EQ(a.left, b.left);
   EXPECT_EQ(a.right, b.right);
   EXPECT_EQ(a.majority, b.majority);
-  EXPECT_EQ(a.dist_offset, b.dist_offset);
-  EXPECT_EQ(Bits(a.dist_pool), Bits(b.dist_pool));
 }
 
 // Equal states produce equal streams; copies, so the callers' generators

@@ -26,8 +26,7 @@
 
 namespace gdr::split_testing {
 
-/// A tree in DecisionTree's flat layout: one entry per node in pre-order,
-/// leaf distributions packed into dist_pool.
+/// A tree in DecisionTree's flat layout: one entry per node in pre-order.
 struct OracleTree {
   std::vector<std::int32_t> feature;  // -1 marks a leaf
   std::vector<std::uint8_t> categorical;
@@ -35,8 +34,6 @@ struct OracleTree {
   std::vector<std::int32_t> left;
   std::vector<std::int32_t> right;
   std::vector<std::int32_t> majority;
-  std::vector<std::int32_t> dist_offset;
-  std::vector<double> dist_pool;
 };
 
 namespace internal {
@@ -56,15 +53,13 @@ inline double SplitEntropy(const std::vector<std::size_t>& left,
 
 inline std::int32_t AppendNode(OracleTree* tree, std::int32_t feature,
                                bool categorical, double threshold,
-                               std::int32_t majority,
-                               std::int32_t dist_offset) {
+                               std::int32_t majority) {
   tree->feature.push_back(feature);
   tree->categorical.push_back(categorical ? 1 : 0);
   tree->threshold.push_back(threshold);
   tree->left.push_back(-1);
   tree->right.push_back(-1);
   tree->majority.push_back(majority);
-  tree->dist_offset.push_back(dist_offset);
   return static_cast<std::int32_t>(tree->feature.size() - 1);
 }
 
@@ -76,16 +71,11 @@ inline std::int32_t MakeLeaf(const TrainingSet& data,
   for (std::size_t i : items) {
     counts[static_cast<std::size_t>(data.example(i).label)]++;
   }
-  const std::int32_t offset =
-      static_cast<std::int32_t>(tree->dist_pool.size());
   std::size_t best = 0;
   for (std::size_t c = 0; c < counts.size(); ++c) {
-    tree->dist_pool.push_back(static_cast<double>(counts[c]) /
-                              static_cast<double>(items.size()));
     if (counts[c] > counts[best]) best = c;
   }
-  return AppendNode(tree, -1, false, 0.0, static_cast<std::int32_t>(best),
-                    offset);
+  return AppendNode(tree, -1, false, 0.0, static_cast<std::int32_t>(best));
 }
 
 inline std::int32_t Build(const TrainingSet& data,
@@ -187,7 +177,7 @@ inline std::int32_t Build(const TrainingSet& data,
   }
 
   const std::int32_t node = AppendNode(tree, best_feature, best_categorical,
-                                       best_threshold, 0, -1);
+                                       best_threshold, 0);
   const std::int32_t left =
       Build(data, left_items, depth + 1, options, rng, tree);
   const std::int32_t right =
