@@ -51,6 +51,13 @@ constexpr char kSnapshotMagic[] = "GDRSNAP";
 // deserialize.
 constexpr int kSnapshotVersion = 3;
 
+// Unread bytes of `in`: the ceiling for any count a snapshot declares, so
+// a corrupt count fails as InvalidArgument instead of a huge allocation.
+std::size_t BytesLeft(std::istringstream& in) {
+  return static_cast<std::size_t>(
+      std::max<std::streamsize>(0, in.rdbuf()->in_avail()));
+}
+
 }  // namespace
 
 std::string SessionSnapshot::Serialize() const {
@@ -132,6 +139,12 @@ Result<SessionSnapshot> SessionSnapshot::Deserialize(std::string_view text) {
   GDR_ASSIGN_OR_RETURN(snapshot.strategy, StrategyFromName(strategy_name));
   snapshot.seed = seed;
   snapshot.feedback_budget = static_cast<std::size_t>(budget);
+  // Every event takes at least two bytes ("P\n").
+  if (num_events > BytesLeft(in) / 2) {
+    return Status::InvalidArgument("snapshot declares " +
+                                   std::to_string(num_events) +
+                                   " events, more than its bytes can hold");
+  }
   snapshot.events.reserve(num_events);
   for (std::size_t i = 0; i < num_events; ++i) {
     std::string tag;
@@ -165,6 +178,13 @@ Result<SessionSnapshot> SessionSnapshot::Deserialize(std::string_view text) {
       std::size_t num_rows = 0, arity = 0;
       if (!(in >> num_rows >> arity >> event.newly_dirty)) {
         return Status::InvalidArgument("malformed append event");
+      }
+      // Every row ends in a newline and every cell takes at least two
+      // bytes ("V" plus a separator).
+      const std::size_t left = BytesLeft(in);
+      if (num_rows > left || (arity > 0 && num_rows > left / 2 / arity)) {
+        return Status::InvalidArgument(
+            "append event declares more cells than the snapshot holds");
       }
       event.rows.assign(num_rows, std::vector<std::string>(arity));
       for (std::vector<std::string>& row : event.rows) {

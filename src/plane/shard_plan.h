@@ -26,12 +26,6 @@ struct ShardRange {
 /// differ by at most one (the first `num_rows % num_shards` shards carry
 /// the extra row). Rules are shared across shards — only rows split — so
 /// every shard repairs against the same Σ.
-///
-/// The plan also owns the routing of *late-arriving* rows (PR 6's
-/// streaming appends): a row appended after planning is assigned
-/// round-robin by its append index, independent of content and of which
-/// shard finishes work first, so routing is reproducible from the event
-/// log alone.
 class ShardPlan {
  public:
   /// Builds the partition. `num_shards` must be >= 1; when it exceeds
@@ -46,22 +40,6 @@ class ShardPlan {
 
   /// The shard owning initial row `global_row` (< num_rows()). O(1).
   std::size_t OwnerOf(std::size_t global_row) const;
-
-  /// The shard owning the `append_index`-th row appended after planning
-  /// (0-based): round-robin over the shards, skipping nothing — empty
-  /// initial shards receive appends like any other.
-  std::size_t OwnerOfAppend(std::size_t append_index) const {
-    return append_index % ranges_.size();
-  }
-
-  /// Partitions an append batch by OwnerOfAppend, preserving relative row
-  /// order within each shard: result[s] holds the rows shard s must
-  /// AppendDirtyRows(). Every input row lands in exactly one output slot.
-  /// `appends_so_far` is the number of rows routed by previous batches
-  /// (the append-index offset).
-  std::vector<std::vector<std::vector<std::string>>> RouteAppends(
-      const std::vector<std::vector<std::string>>& rows,
-      std::size_t appends_so_far = 0) const;
 
  private:
   std::size_t num_rows_ = 0;

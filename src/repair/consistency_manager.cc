@@ -12,17 +12,19 @@ ConsistencyManager::ConsistencyManager(ViolationIndex* index,
 
 std::size_t ConsistencyManager::Initialize() {
   dirty_.clear();
+  for (RowId row : index_->DirtyRows()) SeedRow(row);
+  return dirty_.size();
+}
+
+void ConsistencyManager::SeedRow(RowId row) {
+  dirty_.insert(row);
   const std::size_t num_attrs = index_->table().num_attrs();
-  for (RowId row : index_->DirtyRows()) {
-    dirty_.insert(row);
-    for (std::size_t a = 0; a < num_attrs; ++a) {
-      const AttrId attr = static_cast<AttrId>(a);
-      if (auto update = generator_->UpdateAttributeTuple(row, attr)) {
-        pool_->Upsert(*update);
-      }
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    const AttrId attr = static_cast<AttrId>(a);
+    if (auto update = generator_->UpdateAttributeTuple(row, attr)) {
+      pool_->Upsert(*update);
     }
   }
-  return dirty_.size();
 }
 
 std::size_t ConsistencyManager::AdmitRows(RowId first_row, std::size_t count) {
@@ -34,14 +36,7 @@ std::size_t ConsistencyManager::AdmitRows(RowId first_row, std::size_t count) {
   // attribute, row-major.
   for (std::size_t i = 0; i < count; ++i) {
     const RowId row = first_row + static_cast<RowId>(i);
-    if (!index_->IsDirty(row)) continue;
-    dirty_.insert(row);
-    for (std::size_t a = 0; a < num_attrs; ++a) {
-      const AttrId attr = static_cast<AttrId>(a);
-      if (auto update = generator_->UpdateAttributeTuple(row, attr)) {
-        pool_->Upsert(*update);
-      }
-    }
+    if (index_->IsDirty(row)) SeedRow(row);
   }
 
   // Existing rows the arrivals pulled into (deeper) violation: the new
@@ -98,6 +93,13 @@ void ConsistencyManager::Revisit(CellKey cell) {
   if (auto update = generator_->UpdateAttributeTuple(cell.row, cell.attr)) {
     pool_->Upsert(*update);
   }
+}
+
+bool ConsistencyManager::RhsEntailed(RowId row, const Cfd& rule) const {
+  for (const PatternCell& c : rule.lhs()) {
+    if (state_->IsChangeable(CellKey{row, c.attr})) return false;
+  }
+  return state_->IsChangeable(CellKey{row, rule.rhs().attr});
 }
 
 void ConsistencyManager::RefreshDirty(RowId row) {
@@ -183,15 +185,7 @@ void ConsistencyManager::ApplyConfirmedChange(
         if (!rule.IsConstant() || !index_->Violates(change.row, rid)) {
           continue;
         }
-        bool lhs_frozen = true;
-        for (const PatternCell& c : rule.lhs()) {
-          if (state_->IsChangeable(CellKey{change.row, c.attr})) {
-            lhs_frozen = false;
-            break;
-          }
-        }
-        const CellKey rhs_cell{change.row, rule.rhs().attr};
-        if (lhs_frozen && state_->IsChangeable(rhs_cell)) {
+        if (RhsEntailed(change.row, rule)) {
           queue.push_back(
               {change.row, rule.rhs().attr, index_->RhsConstant(rid), true});
         }
@@ -242,15 +236,7 @@ void ConsistencyManager::ApplyConfirmedChange(
 
       if (index_->Violates(change.row, rid)) {
         if (rule.IsConstant()) {
-          bool lhs_frozen = true;
-          for (const PatternCell& c : rule.lhs()) {
-            if (state_->IsChangeable(CellKey{change.row, c.attr})) {
-              lhs_frozen = false;
-              break;
-            }
-          }
-          const CellKey rhs_cell{change.row, rule.rhs().attr};
-          if (lhs_frozen && state_->IsChangeable(rhs_cell)) {
+          if (RhsEntailed(change.row, rule)) {
             // Step 3(a)i: the context is confirmed, so tp[A] is entailed;
             // apply it directly (cascade).
             queue.push_back(

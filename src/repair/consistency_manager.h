@@ -99,8 +99,16 @@ class ConsistencyManager {
   void ApplyConfirmedChange(RowId row, AttrId attr, ValueId value,
                             bool forced, std::vector<AppliedChange>* out);
 
+  // Adds `row` to the dirty set and pools a suggestion for each of its
+  // attributes.
+  void SeedRow(RowId row);
+
   // Regenerates the pooled suggestion for `cell` (removing it first).
   void Revisit(CellKey cell);
+
+  // True when `row`'s LHS cells of constant `rule` are all frozen and its
+  // RHS cell is changeable: the context is confirmed, so tp[A] is entailed.
+  bool RhsEntailed(RowId row, const Cfd& rule) const;
 
   // Recomputes `row`'s membership in the dirty set.
   void RefreshDirty(RowId row);

@@ -2,15 +2,13 @@
 // fingerprints must be a pure function of the shard partition — identical
 // across thread counts (1/2/4/8), across forward/reverse shard execution,
 // and, at shard_count 1, identical to the plain unsharded experiment.
-// Plus merge unit behavior and append routing into per-shard sessions.
+// Plus merge unit behavior.
 #include "plane/sharded_repair.h"
 
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/session.h"
 #include "util/thread_pool.h"
 #include "workload/registry.h"
 
@@ -172,59 +170,6 @@ TEST(MergeShardResultsTest, SumsCountersAndReplaysCurves) {
   // shards merged twice give the same digest.
   EXPECT_EQ(FingerprintExperimentResult(MergeShardResults({a, b})),
             FingerprintExperimentResult(merged));
-}
-
-// Late-arriving rows route by append index to the owning shard's session
-// (the PR 6 streaming path, sharded): every routed row is appended to
-// exactly one per-shard session and admission totals add up.
-TEST(ShardedRepairTest, AppendsRouteIntoOwningShardSessions) {
-  const Dataset dataset = SmallDataset();
-  const std::size_t kShards = 3;
-  auto plan = ShardPlan::Split(dataset.dirty.num_rows(), kShards);
-  ASSERT_TRUE(plan.ok());
-
-  struct ShardSession {
-    Dataset slice;
-    Table working;
-    std::unique_ptr<GdrSession> session;
-
-    explicit ShardSession(Dataset s)
-        : slice(std::move(s)), working(slice.dirty) {}
-  };
-  GdrOptions options;
-  options.strategy = Strategy::kGdrNoLearning;
-  options.seed = 5;
-
-  std::vector<std::unique_ptr<ShardSession>> sessions;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    auto slice = MakeShardDataset(dataset, plan->range(s), "shard");
-    ASSERT_TRUE(slice.ok());
-    sessions.push_back(std::make_unique<ShardSession>(*std::move(slice)));
-    ShardSession& shard = *sessions.back();
-    shard.session = std::make_unique<GdrSession>(
-        &shard.working, &shard.slice.rules, options);
-    ASSERT_TRUE(shard.session->Start().ok());
-  }
-
-  std::vector<std::vector<std::string>> batch;
-  for (int i = 0; i < 7; ++i) {
-    batch.push_back(std::vector<std::string>(dataset.dirty.num_attrs(),
-                                             "v" + std::to_string(i)));
-  }
-  const auto routed = plan->RouteAppends(batch);
-  ASSERT_EQ(routed.size(), kShards);
-
-  std::size_t appended_total = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    if (routed[s].empty()) continue;
-    const std::size_t before = sessions[s]->working.num_rows();
-    auto outcome = sessions[s]->session->AppendDirtyRows(routed[s]);
-    ASSERT_TRUE(outcome.ok()) << "shard " << s;
-    EXPECT_EQ(outcome->rows_appended, routed[s].size());
-    EXPECT_EQ(sessions[s]->working.num_rows(), before + routed[s].size());
-    appended_total += outcome->rows_appended;
-  }
-  EXPECT_EQ(appended_total, batch.size());
 }
 
 }  // namespace

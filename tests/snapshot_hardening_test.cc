@@ -223,6 +223,34 @@ TEST(SnapshotTruncationTest, LegacyV1V2StillLoadAndTruncationsNeverStrand) {
   }
 }
 
+// A count in the text is bounded by the bytes after it, so a corrupt spill
+// file is rejected instead of asking for an allocation that throws
+// std::length_error and takes the process down.
+TEST(SnapshotCountTest, OversizedCountsAreRejectedNotAllocated) {
+  SessionSnapshot base;
+  SessionSnapshot::Event append;
+  append.kind = SessionSnapshot::Event::Kind::kAppend;
+  append.rows = {{"a", "", "c"}};
+  base.events.push_back(append);
+  const std::string text = base.Serialize();
+  const std::size_t events_at = text.find("events 1\n");
+  ASSERT_NE(events_at, std::string::npos);
+  const std::string header = text.substr(0, events_at);
+  // The well-formed neighbour of the corrupt texts still parses.
+  const auto parsed = SessionSnapshot::Deserialize(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(SnapshotsEqual(*parsed, base));
+
+  for (const std::string& body :
+       {std::string("events 4000000000000000000\nend\n"),
+        std::string("events 1\nA 4000000000000000000 1 0\nV61\nend\n"),
+        std::string("events 1\nA 1 4000000000000000000 0\nV61\nend\n")}) {
+    const auto corrupt = SessionSnapshot::Deserialize(header + body);
+    ASSERT_FALSE(corrupt.ok()) << body;
+    EXPECT_EQ(corrupt.status().code(), StatusCode::kInvalidArgument) << body;
+  }
+}
+
 TEST(RestoreRollbackTest, FailedRestoreLeavesSessionPristineAndRunnable) {
   const RuleSet rules = TestRules();
   Table snapshot_table = BaseDirty();
