@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace gdr {
 
@@ -39,19 +40,77 @@ ViolationIndex::ViolationIndex(Table* table, const RuleSet* rules)
       rs.attr_in_lhs[static_cast<std::size_t>(cell.attr)] = 1;
     }
   }
+  BuildDispatch();
   for (std::size_t r = 0; r < table_->num_rows(); ++r) {
-    for (RuleStats& rs : stats_) {
-      AddRow(rs, static_cast<RowId>(r));
-    }
+    const RowId row = static_cast<RowId>(r);
+    ForEachCandidateRule(row, [this, row](RuleId id) {
+      AddRow(stats_[static_cast<std::size_t>(id)], row);
+    });
   }
   projection_slot_.assign(rules_->size() * table_->num_attrs(), -1);
   projections_on_attr_.resize(table_->num_attrs());
 }
 
+void ViolationIndex::BuildDispatch() {
+  std::vector<std::int32_t> anchor_of_attr(table_->num_attrs(), -1);
+  // Per anchor: (anchor value, rule) pairs.
+  std::vector<std::vector<std::pair<ValueId, RuleId>>> anchored;
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
+    const RuleStats& rs = stats_[i];
+    const RuleId rule = static_cast<RuleId>(i);
+    const auto first_const =
+        std::find_if(rs.lhs_consts.begin(), rs.lhs_consts.end(),
+                     [](ValueId v) { return v != kInvalidValueId; });
+    if (!rs.is_constant || first_const == rs.lhs_consts.end()) {
+      always_rules_.push_back(rule);
+      continue;
+    }
+    const AttrId attr = rs.lhs_attrs[static_cast<std::size_t>(
+        first_const - rs.lhs_consts.begin())];
+    std::int32_t& slot = anchor_of_attr[static_cast<std::size_t>(attr)];
+    if (slot < 0 && anchors_.size() < kMaxAnchorAttrs) {
+      slot = static_cast<std::int32_t>(anchors_.size());
+      anchors_.emplace_back().attr = attr;
+      anchored.emplace_back();
+    }
+    if (slot < 0) {
+      always_rules_.push_back(rule);
+    } else {
+      anchored[static_cast<std::size_t>(slot)].emplace_back(*first_const,
+                                                            rule);
+    }
+  }
+  for (std::size_t a = 0; a < anchors_.size(); ++a) {
+    AnchorTable& anchor = anchors_[a];
+    std::vector<std::pair<ValueId, RuleId>>& pairs = anchored[a];
+    std::sort(pairs.begin(), pairs.end());  // by value, then RuleId
+    anchor.offsets.assign(table_->dict(anchor.attr).size() + 1, 0);
+    for (const auto& [value, rule] : pairs) {
+      ++anchor.offsets[static_cast<std::size_t>(value) + 1];
+      anchor.rules.push_back(rule);
+    }
+    std::partial_sum(anchor.offsets.begin(), anchor.offsets.end(),
+                     anchor.offsets.begin());
+  }
+
+  affected_slot_.assign(table_->num_attrs() * stats_.size(), -1);
+  for (std::size_t a = 0; a < table_->num_attrs(); ++a) {
+    const std::vector<RuleId>& mentioning =
+        rules_->RulesMentioning(static_cast<AttrId>(a));
+    for (std::size_t k = 0; k < mentioning.size(); ++k) {
+      affected_slot_[a * stats_.size() +
+                     static_cast<std::size_t>(mentioning[k])] =
+          static_cast<std::int32_t>(k);
+    }
+  }
+}
+
 Result<RowId> ViolationIndex::AppendRow(const std::vector<std::string>& values) {
   GDR_ASSIGN_OR_RETURN(const RowId row, table_->AppendRow(values));
   ++version_;
-  for (RuleStats& rs : stats_) AddRow(rs, row);
+  ForEachCandidateRule(row, [this, row](RuleId id) {
+    AddRow(stats_[static_cast<std::size_t>(id)], row);
+  });
   for (Projection& proj : projections_) JoinBucket(proj, row);
   return row;
 }
@@ -79,7 +138,9 @@ Result<RowId> ViolationIndex::AppendRows(
     // failure mode.
     const Result<RowId> row = table_->AppendRow(values);
     assert(row.ok());
-    for (RuleStats& rs : stats_) AddRow(rs, *row);
+    ForEachCandidateRule(*row, [this, &row](RuleId id) {
+      AddRow(stats_[static_cast<std::size_t>(id)], *row);
+    });
     for (Projection& proj : projections_) JoinBucket(proj, *row);
   }
   return first;
@@ -212,10 +273,17 @@ ValueId ViolationIndex::ApplyCellChange(RowId row, AttrId attr,
   const ValueId old = table_->id_at(row, attr);
   if (old == value) return old;
   ++version_;
-  const std::vector<RuleId>& affected = rules_->RulesMentioning(attr);
-  for (RuleId id : affected) {
-    RemoveRow(stats_[static_cast<std::size_t>(id)], row);
-  }
+  // Only the rules mentioning attr change, and of those only the ones
+  // dispatched for the write: a skipped constant rule has the row outside
+  // its context under the old and the new value, so RemoveRow and AddRow
+  // would both return at the context test. The candidate set is the same
+  // whether asked before the write (row, attr := value) or after it
+  // (row, attr := old).
+  ForEachCandidateRule(row, attr, value, [this, row, attr](RuleId id) {
+    if (AffectedSlot(attr, id) >= 0) {
+      RemoveRow(stats_[static_cast<std::size_t>(id)], row);
+    }
+  });
   // Projections keyed on attr move the row between buckets; a projection
   // whose value attribute is attr keeps the row in place.
   const std::vector<std::int32_t>& projections =
@@ -225,9 +293,11 @@ ValueId ViolationIndex::ApplyCellChange(RowId row, AttrId attr,
     if (proj.value_attr != attr) LeaveBucket(proj, row);
   }
   table_->SetById(row, attr, value);
-  for (RuleId id : affected) {
-    AddRow(stats_[static_cast<std::size_t>(id)], row);
-  }
+  ForEachCandidateRule(row, attr, old, [this, row, attr](RuleId id) {
+    if (AffectedSlot(attr, id) >= 0) {
+      AddRow(stats_[static_cast<std::size_t>(id)], row);
+    }
+  });
   for (std::int32_t p : projections) {
     Projection& proj = projections_[static_cast<std::size_t>(p)];
     if (proj.value_attr != attr) {
@@ -258,19 +328,14 @@ std::int64_t ViolationIndex::TupleViolation(RowId row, RuleId rule) const {
 }
 
 bool ViolationIndex::IsDirty(RowId row) const {
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    if (TupleViolation(row, static_cast<RuleId>(i)) > 0) return true;
-  }
-  return false;
+  return ViolatedRuleCount(row) > 0;
 }
 
 std::vector<RuleId> ViolationIndex::ViolatedRules(RowId row) const {
   std::vector<RuleId> out;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    if (TupleViolation(row, static_cast<RuleId>(i)) > 0) {
-      out.push_back(static_cast<RuleId>(i));
-    }
-  }
+  ForEachCandidateRule(row, [this, row, &out](RuleId rule) {
+    if (TupleViolation(row, rule) > 0) out.push_back(rule);
+  });
   return out;
 }
 
@@ -284,38 +349,34 @@ std::vector<RowId> ViolationIndex::DirtyRows() const {
 
 std::int64_t ViolationIndex::ViolatedRuleCount(RowId row) const {
   std::int64_t count = 0;
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    if (TupleViolation(row, static_cast<RuleId>(i)) > 0) ++count;
-  }
+  ForEachCandidateRule(row, [this, row, &count](RuleId rule) {
+    if (TupleViolation(row, rule) > 0) ++count;
+  });
   return count;
 }
 
 std::int64_t ViolationIndex::HypotheticalViolatedRuleCount(
     RowId row, AttrId attr, ValueId value) const {
+  // Hypothetical cell accessor for this row.
+  const auto hyp_at = [&](AttrId a) {
+    return a == attr ? value : table_->id_at(row, a);
+  };
   std::int64_t count = 0;
   GroupKey hyp_key;  // materialized only when a rule's LHS key moves
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    const RuleStats& rs = stats_[i];
-
-    // Hypothetical cell accessor for this row.
-    auto hyp_at = [&](AttrId a) {
-      return a == attr ? value : table_->id_at(row, a);
-    };
+  ForEachCandidateRule(row, attr, value, [&](RuleId rule) {
+    const RuleStats& rs = stats_[static_cast<std::size_t>(rule)];
 
     // Context check under the hypothetical values.
-    bool in_context = true;
     for (std::size_t k = 0; k < rs.lhs_attrs.size(); ++k) {
       if (rs.lhs_consts[k] != kInvalidValueId &&
           hyp_at(rs.lhs_attrs[k]) != rs.lhs_consts[k]) {
-        in_context = false;
-        break;
+        return;
       }
     }
-    if (!in_context) continue;
 
     if (rs.is_constant) {
       if (hyp_at(rs.rhs_attr) != rs.rhs_const) ++count;
-      continue;
+      return;
     }
 
     // Variable rule: conflicts against the hypothetical LHS group,
@@ -331,7 +392,7 @@ std::int64_t ViolationIndex::HypotheticalViolatedRuleCount(
       // Hypothetical key == current key: the dense row → GroupId mapping
       // answers directly, and membership is implied.
       const GroupId gid = rs.GroupIdOf(row);
-      if (gid == kNoGroup) continue;  // fresh group: no partners
+      if (gid == kNoGroup) return;  // fresh group: no partners
       g = &rs.groups[static_cast<std::size_t>(gid)];
       currently_member = true;
     } else {
@@ -340,7 +401,7 @@ std::int64_t ViolationIndex::HypotheticalViolatedRuleCount(
         hyp_key[k] = hyp_at(rs.lhs_attrs[k]);
       }
       const GroupId* git = rs.key_to_group.Find(hyp_key);
-      if (git == nullptr) continue;  // fresh group
+      if (git == nullptr) return;  // fresh group
       g = &rs.groups[static_cast<std::size_t>(*git)];
       // The key moved, so the row cannot be a member of the target group.
     }
@@ -353,7 +414,7 @@ std::int64_t ViolationIndex::HypotheticalViolatedRuleCount(
       if (table_->id_at(row, rs.rhs_attr) == rhs_hyp) --others_same;
     }
     if (others - others_same > 0) ++count;
-  }
+  });
   return count;
 }
 

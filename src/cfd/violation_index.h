@@ -1,8 +1,10 @@
 #ifndef GDR_CFD_VIOLATION_INDEX_H_
 #define GDR_CFD_VIOLATION_INDEX_H_
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -50,6 +52,13 @@ inline constexpr GroupId kNoGroup = -1;
 /// are keyed by GroupId in a parallel vector. The key → GroupId hash map
 /// survives, but only the mutation path (AddRow) and hypothetical-key
 /// queries consult it.
+///
+/// Rule dispatch: a constant rule's context t[X] ≍ tp[X] can only hold at a
+/// row whose cell agrees with the rule's first LHS constant, so every
+/// per-row rule loop (queries, mutations, appends, hypothetical probes)
+/// walks ForEachCandidateRule's short candidate list instead of Σ. A rule
+/// it skips has the row outside its context, where its violation flag,
+/// its context count and every hypothetical effect are exactly zero.
 ///
 /// Mutations go through ApplyCellChange, which updates the table cell and
 /// all affected per-rule structures. Hypothetical databases D^rj are *not*
@@ -115,6 +124,30 @@ class ViolationIndex {
   /// Rules currently violated by t (the paper's t.vioRuleList), ordered by
   /// RuleId.
   std::vector<RuleId> ViolatedRules(RowId row) const;
+
+  /// Calls fn(rule), in ascending RuleId order and without allocating, for
+  /// every rule whose context can hold at `row` either now or with cell
+  /// (row, attr) set to `value`: the variable rules and the constant rules
+  /// without an LHS constant, plus the constant rules anchored on the
+  /// row's value of an anchor attribute or, when `attr` is one, on `value`.
+  /// Every other rule has t[X] !≍ tp[X] both before and after the write.
+  template <typename Fn>
+  void ForEachCandidateRule(RowId row, AttrId attr, ValueId value,
+                            Fn&& fn) const;
+
+  /// The rules whose context can hold at `row` as it stands.
+  template <typename Fn>
+  void ForEachCandidateRule(RowId row, Fn&& fn) const {
+    ForEachCandidateRule(row, kInvalidAttrId, kInvalidValueId,
+                         std::forward<Fn>(fn));
+  }
+
+  /// Position of `rule` in rules().RulesMentioning(attr), or -1 when the
+  /// rule does not mention `attr`. One array read.
+  std::int32_t AffectedSlot(AttrId attr, RuleId rule) const {
+    return affected_slot_[static_cast<std::size_t>(attr) * stats_.size() +
+                          static_cast<std::size_t>(rule)];
+  }
 
   /// All currently dirty rows, ascending.
   std::vector<RowId> DirtyRows() const;
@@ -422,9 +455,41 @@ class ViolationIndex {
 
   friend class HypotheticalBatch;
 
+  // The dispatch table, built once by the constructor and never changed.
+  // A constant rule with an LHS constant is anchored on its first constant
+  // LHS cell (c, tp[c]); per anchor attribute c, a CSR maps each ValueId to
+  // the rules anchored on it, ascending. The constructor interns every
+  // rule constant before sizing the CSR, so a value interned later (or
+  // kInvalidValueId) falls outside it and anchors no rule.
+  struct AnchorTable {
+    AttrId attr = kInvalidAttrId;
+    std::vector<std::int32_t> offsets;  // v's rules: [offsets[v], offsets[v+1])
+    std::vector<RuleId> rules;
+
+    std::span<const RuleId> RulesFor(ValueId value) const {
+      const std::size_t v = static_cast<std::size_t>(value);
+      if (value < 0 || v + 1 >= offsets.size()) return {};
+      return std::span<const RuleId>(rules).subspan(
+          static_cast<std::size_t>(offsets[v]),
+          static_cast<std::size_t>(offsets[v + 1] - offsets[v]));
+    }
+  };
+
+  // Bounds the merge's cursor array. A constant rule whose anchor would be
+  // a further attribute goes on the always-visited list instead.
+  static constexpr std::size_t kMaxAnchorAttrs = 14;
+
+  void BuildDispatch();
+
   Table* table_;
   const RuleSet* rules_;
   std::vector<RuleStats> stats_;
+  std::vector<AnchorTable> anchors_;
+  // Visited for every row: variable rules and constant rules with no LHS
+  // constant. Ascending.
+  std::vector<RuleId> always_rules_;
+  // attr * |Σ| + rule → slot in RulesMentioning(attr), or -1.
+  std::vector<std::int32_t> affected_slot_;
   std::uint64_t version_ = 0;
   GroupKey key_scratch_;  // mutation scratch; const queries never touch it
 
@@ -547,31 +612,6 @@ class HypotheticalBatch {
   /// Requires !IsNoOp(row) (see the class contract).
   Effect Probe(std::size_t k, RowId row);
 
-  /// Hints the prefetcher at the per-rule row-indexed slots Probe will
-  /// read for `row`: the row→GroupId entry of each staged variable rule
-  /// and the violation flag of each staged constant rule. A group's
-  /// updates touch scattered rows, so the batched scoring loop issues
-  /// this for update j+1 while update j's closed forms execute. Pure
-  /// hint — no correctness effect; a no-op before Stage() or on
-  /// out-of-range rows.
-  void PrefetchRow(RowId row) const {
-#if defined(__GNUC__) || defined(__clang__)
-    const std::size_t r = static_cast<std::size_t>(row);
-    for (const StagedRule& sr : staged_) {
-      const RuleStats& rs = *sr.rs;
-      if (rs.is_constant) {
-        if (r < rs.row_violates.size()) {
-          __builtin_prefetch(rs.row_violates.data() + r);
-        }
-      } else if (r < rs.row_group.size()) {
-        __builtin_prefetch(rs.row_group.data() + r);
-      }
-    }
-#else
-    (void)row;
-#endif
-  }
-
  private:
   using RuleStats = ViolationIndex::RuleStats;
   using GroupCounts = ViolationIndex::GroupCounts;
@@ -595,6 +635,37 @@ class HypotheticalBatch {
   std::vector<StagedRule> staged_;
   GroupKey key_scratch_;  // LHS-moving probes build the hypothetical key here
 };
+
+template <typename Fn>
+void ViolationIndex::ForEachCandidateRule(RowId row, AttrId attr,
+                                          ValueId value, Fn&& fn) const {
+  // The sources are disjoint ascending lists (a rule sits on exactly one,
+  // and the two spans of the written attribute hold different values), so
+  // a k-way merge yields each candidate once, in RuleId order.
+  std::array<std::span<const RuleId>, kMaxAnchorAttrs + 2> sources;
+  std::size_t n = 0;
+  const auto add = [&sources, &n](std::span<const RuleId> rules) {
+    if (!rules.empty()) sources[n++] = rules;
+  };
+  add(always_rules_);
+  for (const AnchorTable& anchor : anchors_) {
+    const ValueId current = table_->id_at(row, anchor.attr);
+    add(anchor.RulesFor(current));
+    if (anchor.attr == attr && value != current) add(anchor.RulesFor(value));
+  }
+  while (n > 1) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (sources[i].front() < sources[best].front()) best = i;
+    }
+    fn(sources[best].front());
+    sources[best] = sources[best].subspan(1);
+    if (sources[best].empty()) sources[best] = sources[--n];
+  }
+  if (n == 1) {
+    for (const RuleId rule : sources[0]) fn(rule);
+  }
+}
 
 }  // namespace gdr
 

@@ -370,12 +370,9 @@ Result<SessionAppendOutcome> GdrSession::AppendDirtyRows(
 
 void GdrSession::RefreshPickedGroup() {
   const ScopedTimer timer(&engine_->stats_.timings.grouping_seconds);
-  for (UpdateGroup& group : GroupUpdates(*engine_->pool_)) {
-    if (group.attr == picked_.attr && group.value == picked_.value) {
-      picked_ = std::move(group);
-      return;
-    }
-  }
+  std::vector<Update> updates =
+      engine_->pool_->GroupOf(picked_.attr, picked_.value);
+  if (!updates.empty()) picked_.updates = std::move(updates);
 }
 
 bool GdrSession::IsLive(std::uint64_t update_id) const {

@@ -24,20 +24,25 @@ double VoiRanker::UpdateBenefit(const Update& update,
   if (affected == 0) return 0.0;
   if (batch->IsNoOp(update.row)) return 0.0;  // writing the cell's own value
 
+  // Terms over the dispatched affected rules, in ascending k. drop =
+  // vio(D) − vio(D^rj) = −adjustment. A zero adjustment would contribute
+  // exactly +0.0, so skipping it — and every affected rule the index does
+  // not dispatch, a constant rule with the row outside its context before
+  // and after the write — leaves the sum bit-identical to the sum over all
+  // affected rules.
   double benefit = 0.0;
-  for (std::size_t k = 0; k < affected; ++k) {
-    // drop = vio(D) − vio(D^rj) = −adjustment. A zero adjustment would
-    // contribute exactly +0.0, so skipping it leaves the sum unchanged.
-    const HypotheticalBatch::Effect effect = batch->Probe(k, update.row);
-    if (effect.adjustment == 0) continue;
-    if (effect.satisfying <= 0) {
-      continue;  // no denominator: rule fully violated
-    }
-    benefit +=
-        (*weights_)[static_cast<std::size_t>(batch->affected_rule(k))] *
-        static_cast<double>(-effect.adjustment) /
-        static_cast<double>(effect.satisfying);
-  }
+  index_->ForEachCandidateRule(
+      update.row, update.attr, update.value, [&](RuleId rule) {
+        const std::int32_t k = index_->AffectedSlot(update.attr, rule);
+        if (k < 0) return;
+        const HypotheticalBatch::Effect effect =
+            batch->Probe(static_cast<std::size_t>(k), update.row);
+        if (effect.adjustment == 0) return;
+        if (effect.satisfying <= 0) return;  // no denominator: fully violated
+        benefit += (*weights_)[static_cast<std::size_t>(rule)] *
+                   static_cast<double>(-effect.adjustment) /
+                   static_cast<double>(effect.satisfying);
+      });
   return benefit;
 }
 
@@ -58,19 +63,9 @@ VoiRanker::Ranking VoiRanker::Rank(
                           &probabilities);
     const std::size_t n = group.updates.size();
     ScopedPhaseTimer timer(&perf, PerfPhase::kVoiProbe, n);
-    if (n != 0) {
-      // Stage the group's shared (attr, value) context up front so the
-      // per-update prefetch below can resolve the affected rules before
-      // the first probe. Every update of a group shares the target, so
-      // this is the same single Stage the loop would have paid.
-      batch.Stage(group.updates.front().attr, group.updates.front().value);
-    }
     // Terms in update order, probability times benefit.
     double score = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      // Pull the next update's per-rule row→group slots toward the cache
-      // while the current update's closed forms execute.
-      if (j + 1 < n) batch.PrefetchRow(group.updates[j + 1].row);
       score += probabilities[j] * UpdateBenefit(group.updates[j], &batch);
     }
     ranking.scores[i] = score;

@@ -36,7 +36,9 @@ using ConfirmProbabilityBatchFn =
 /// and each update's effect is a closed-form integer probe against the
 /// read-only shared index — scoring never mutates shared state. Rules not
 /// mentioning the update's attribute contribute zero (their violation
-/// counts cannot change) and are skipped.
+/// counts cannot change) and are skipped, and so are the constant rules
+/// whose pattern the row matches neither before nor after the write (rule
+/// dispatch, see ViolationIndex::ForEachCandidateRule).
 ///
 /// p̃_j comes from the function passed to Rank, evaluated once per group.
 ///

@@ -8,7 +8,20 @@ namespace gdr {
 ConsistencyManager::ConsistencyManager(ViolationIndex* index,
                                        UpdatePool* pool, RepairState* state,
                                        UpdateGenerator* generator)
-    : index_(index), pool_(pool), state_(state), generator_(generator) {}
+    : index_(index), pool_(pool), state_(state), generator_(generator) {
+  const RuleSet& rules = index_->rules();
+  revisit_attrs_.resize(index_->table().num_attrs());
+  for (std::size_t a = 0; a < revisit_attrs_.size(); ++a) {
+    std::vector<AttrId>& attrs = revisit_attrs_[a];
+    for (RuleId rid : rules.RulesMentioning(static_cast<AttrId>(a))) {
+      const Cfd& rule = rules.rule(rid);
+      for (const PatternCell& c : rule.lhs()) attrs.push_back(c.attr);
+      attrs.push_back(rule.rhs().attr);
+    }
+    std::sort(attrs.begin(), attrs.end());
+    attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+  }
+}
 
 std::size_t ConsistencyManager::Initialize() {
   dirty_.clear();
@@ -50,10 +63,9 @@ std::size_t ConsistencyManager::AdmitRows(RowId first_row, std::size_t count) {
   std::unordered_set<CellKey, CellKeyHash> revisit;
   for (std::size_t i = 0; i < count; ++i) {
     const RowId row = first_row + static_cast<RowId>(i);
-    for (std::size_t ridx = 0; ridx < rules.size(); ++ridx) {
-      const RuleId rid = static_cast<RuleId>(ridx);
+    index_->ForEachCandidateRule(row, [&](RuleId rid) {
       const Cfd& rule = rules.rule(rid);
-      if (!rule.IsVariable() || !index_->Violates(row, rid)) continue;
+      if (!rule.IsVariable() || !index_->Violates(row, rid)) return;
       partner_scratch_.clear();
       index_->AppendViolationPartners(row, rid, &partner_scratch_);
       for (RowId p : partner_scratch_) {
@@ -66,7 +78,7 @@ std::size_t ConsistencyManager::AdmitRows(RowId first_row, std::size_t count) {
         }
         revisit.insert(CellKey{p, rule.rhs().attr});
       }
-    }
+    });
   }
   for (const RowId p : partners) {
     if (dirty_.contains(p)) continue;
@@ -163,12 +175,31 @@ void ConsistencyManager::ApplyConfirmedChange(
   const RuleSet& rules = index_->rules();
   const Table& table = index_->table();
 
+  // Calls fn(rid) for each rule mentioning `change_attr` that the index
+  // dispatches for `r`, ascending. Every rule `r` violates (and every
+  // variable rule) is among them: the rest have `r` outside their context.
+  const auto for_each_affected = [&](RowId r, AttrId change_attr,
+                                     const auto& fn) {
+    index_->ForEachCandidateRule(r, [&](RuleId rid) {
+      if (index_->AffectedSlot(change_attr, rid) >= 0) fn(rid);
+    });
+  };
+  // Partners of `r` under the affected variable rules into `rows`.
+  // (Unsorted allocation-free enumeration: everything lands in keyed
+  // sets, so partner order never matters in this routine.)
+  const auto add_partners = [&](RowId r, AttrId change_attr,
+                                std::unordered_set<RowId>* rows) {
+    for_each_affected(r, change_attr, [&](RuleId rid) {
+      partner_scratch_.clear();
+      index_->AppendViolationPartners(r, rid, &partner_scratch_);
+      rows->insert(partner_scratch_.begin(), partner_scratch_.end());
+    });
+  };
+
   while (!queue.empty()) {
     const PendingChange change = queue.front();
     queue.pop_front();
     const CellKey cell{change.row, change.attr};
-    const std::vector<RuleId>& affected_rules =
-        rules.RulesMentioning(change.attr);
 
     // Confirming the value (even if it equals the current one) freezes the
     // cell and retires its pooled suggestion.
@@ -180,33 +211,23 @@ void ConsistencyManager::ApplyConfirmedChange(
       // rule's evidence: if the rule is still violated, its LHS is now
       // fully frozen, and its RHS is changeable, tp[A] is entailed
       // (step 3(a)i applies to the freeze, not only to value changes).
-      for (RuleId rid : affected_rules) {
+      for_each_affected(change.row, change.attr, [&](RuleId rid) {
         const Cfd& rule = rules.rule(rid);
-        if (!rule.IsConstant() || !index_->Violates(change.row, rid)) {
-          continue;
-        }
-        if (RhsEntailed(change.row, rule)) {
+        if (rule.IsConstant() && index_->Violates(change.row, rid) &&
+            RhsEntailed(change.row, rule)) {
           queue.push_back(
               {change.row, rule.rhs().attr, index_->RhsConstant(rid), true});
         }
-      }
+      });
       RefreshDirty(change.row);
       continue;
     }
 
     // Partner tuples *before* the change: exactly the rows whose violation
     // counts will drop when this row's value moves away from them.
-    // (Unsorted allocation-free enumeration: everything lands in keyed
-    // sets, so partner order never matters in this routine.)
     std::unordered_set<RowId> affected_rows;
     affected_rows.insert(change.row);
-    for (RuleId rid : affected_rules) {
-      if (rules.rule(rid).IsVariable()) {
-        partner_scratch_.clear();
-        index_->AppendViolationPartners(change.row, rid, &partner_scratch_);
-        for (RowId p : partner_scratch_) affected_rows.insert(p);
-      }
-    }
+    add_partners(change.row, change.attr, &affected_rows);
 
     const ValueId old_value =
         index_->ApplyCellChange(change.row, change.attr, change.value);
@@ -214,57 +235,48 @@ void ConsistencyManager::ApplyConfirmedChange(
         {change.row, change.attr, old_value, change.value, change.forced});
 
     // Partner tuples *after* the change: rows gaining new violations.
-    for (RuleId rid : affected_rules) {
-      if (rules.rule(rid).IsVariable()) {
+    add_partners(change.row, change.attr, &affected_rows);
+
+    // Step 3(a): per affected rule the row still violates, either escalate
+    // (forced RHS of a constant rule with fully frozen LHS) or mark cells
+    // for revisiting.
+    std::unordered_set<CellKey, CellKeyHash> revisit;
+    const auto revisit_rule_attrs = [&revisit](RowId r, const Cfd& rule,
+                                               AttrId skip) {
+      for (const PatternCell& c : rule.lhs()) {
+        if (c.attr != skip) revisit.insert(CellKey{r, c.attr});
+      }
+      if (rule.rhs().attr != skip) revisit.insert(CellKey{r, rule.rhs().attr});
+    };
+    for_each_affected(change.row, change.attr, [&](RuleId rid) {
+      if (!index_->Violates(change.row, rid)) return;
+      const Cfd& rule = rules.rule(rid);
+      if (rule.IsConstant() && RhsEntailed(change.row, rule)) {
+        // Step 3(a)i: the context is confirmed, so tp[A] is entailed;
+        // apply it directly (cascade).
+        queue.push_back(
+            {change.row, rule.rhs().attr, index_->RhsConstant(rid), true});
+        return;
+      }
+      revisit_rule_attrs(change.row, rule, change.attr);
+      if (rule.IsVariable()) {
+        // Step 3(a)ii: the row's (new) partners need fresh suggestions on
+        // every attribute of the rule too.
         partner_scratch_.clear();
         index_->AppendViolationPartners(change.row, rid, &partner_scratch_);
-        for (RowId p : partner_scratch_) affected_rows.insert(p);
-      }
-    }
-
-    // Steps 3(a)/3(b): per affected rule, either escalate (forced RHS of a
-    // constant rule with fully frozen LHS) or mark cells for revisiting.
-    std::unordered_set<CellKey, CellKeyHash> revisit;
-    for (RuleId rid : affected_rules) {
-      const Cfd& rule = rules.rule(rid);
-
-      // Attributes of X ∪ A for this rule.
-      std::vector<AttrId> rule_attrs;
-      rule_attrs.reserve(rule.lhs().size() + 1);
-      for (const PatternCell& c : rule.lhs()) rule_attrs.push_back(c.attr);
-      rule_attrs.push_back(rule.rhs().attr);
-
-      if (index_->Violates(change.row, rid)) {
-        if (rule.IsConstant()) {
-          if (RhsEntailed(change.row, rule)) {
-            // Step 3(a)i: the context is confirmed, so tp[A] is entailed;
-            // apply it directly (cascade).
-            queue.push_back(
-                {change.row, rule.rhs().attr, index_->RhsConstant(rid), true});
-          } else {
-            for (AttrId a : rule_attrs) {
-              if (a != change.attr) revisit.insert(CellKey{change.row, a});
-            }
-          }
-        } else {
-          // Step 3(a)ii: this row and its (new) partners need fresh
-          // suggestions on every attribute of the rule.
-          for (AttrId a : rule_attrs) {
-            if (a != change.attr) revisit.insert(CellKey{change.row, a});
-          }
-          partner_scratch_.clear();
-          index_->AppendViolationPartners(change.row, rid, &partner_scratch_);
-          for (RowId p : partner_scratch_) {
-            for (AttrId a : rule_attrs) revisit.insert(CellKey{p, a});
-          }
+        for (RowId p : partner_scratch_) {
+          revisit_rule_attrs(p, rule, kInvalidAttrId);
         }
       }
-      // Step 3(b) and invariant (ii): every row whose violation state was
-      // touched gets its suggestions for this rule's attributes refreshed.
-      for (RowId r : affected_rows) {
-        if (r == change.row) continue;
-        for (AttrId a : rule_attrs) revisit.insert(CellKey{r, a});
-      }
+    });
+    // Step 3(b) and invariant (ii): every other row whose violation state
+    // was touched gets its suggestions refreshed on the attributes of
+    // every rule mentioning the changed attribute.
+    const std::vector<AttrId>& attrs =
+        revisit_attrs_[static_cast<std::size_t>(change.attr)];
+    for (RowId r : affected_rows) {
+      if (r == change.row) continue;
+      for (AttrId a : attrs) revisit.insert(CellKey{r, a});
     }
 
     // Steps 4–5: drop and regenerate suggestions for revisited cells.

@@ -118,6 +118,9 @@ class ConsistencyManager {
   RepairState* state_;
   UpdateGenerator* generator_;
   std::unordered_set<RowId> dirty_;
+  // attr → the attributes (X ∪ A) of every rule mentioning attr, sorted
+  // and unique: the cells step 3(b) revisits on each touched row.
+  std::vector<std::vector<AttrId>> revisit_attrs_;
   // Scratch for AppendViolationPartners during confirm cascades; partner
   // order is irrelevant there (results land in keyed sets/pools), so the
   // allocation-free unsorted enumeration suffices.

@@ -30,4 +30,15 @@ std::vector<Update> UpdatePool::AllGroupedByValue() const {
   return out;
 }
 
+std::vector<Update> UpdatePool::GroupOf(AttrId attr, ValueId value) const {
+  std::vector<Update> out;
+  for (const auto& [cell, update] : pool_) {
+    if (update.attr == attr && update.value == value) out.push_back(update);
+  }
+  std::sort(out.begin(), out.end(), [](const Update& a, const Update& b) {
+    return a.row < b.row;
+  });
+  return out;
+}
+
 }  // namespace gdr

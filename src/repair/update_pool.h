@@ -55,6 +55,11 @@ class UpdatePool {
   /// the old map-based grouping produced, rows ascending within each.
   std::vector<Update> AllGroupedByValue() const;
 
+  /// The pooled updates suggesting `value` for `attr`, ascending by row:
+  /// that one group's run of AllGroupedByValue, without copying or sorting
+  /// the rest of the pool.
+  std::vector<Update> GroupOf(AttrId attr, ValueId value) const;
+
  private:
   std::unordered_map<CellKey, Update, CellKeyHash> pool_;
 };
