@@ -27,7 +27,7 @@ ViolationIndex::ViolationIndex(Table* table, const RuleSet* rules)
     rs.rhs_attr = rule.rhs().attr;
     if (rs.is_constant) {
       rs.rhs_const = table_->InternValue(rs.rhs_attr, *rule.rhs().constant);
-      rs.row_violates.assign(table_->num_rows(), 0);
+      rs.row_violates.assign(table_->num_rows(), false);
     } else {
       rs.row_group.assign(table_->num_rows(), kNoGroup);
     }
@@ -194,9 +194,9 @@ void ViolationIndex::AddRow(RuleStats& rs, RowId row) {
   if (rs.is_constant) {
     const bool violates = table_->id_at(row, rs.rhs_attr) != rs.rhs_const;
     if (static_cast<std::size_t>(row) >= rs.row_violates.size()) {
-      rs.row_violates.resize(table_->num_rows(), 0);
+      rs.row_violates.resize(table_->num_rows(), false);
     }
-    rs.row_violates[static_cast<std::size_t>(row)] = violates ? 1 : 0;
+    rs.row_violates[static_cast<std::size_t>(row)] = violates;
     if (violates) {
       ++rs.violations;
       ++rs.violating_tuples;
@@ -230,7 +230,7 @@ void ViolationIndex::RemoveRow(RuleStats& rs, RowId row) {
     if (rs.ViolatesFlag(row)) {
       --rs.violations;
       --rs.violating_tuples;
-      rs.row_violates[static_cast<std::size_t>(row)] = 0;
+      rs.row_violates[static_cast<std::size_t>(row)] = false;
     }
     return;
   }

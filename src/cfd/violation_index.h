@@ -369,9 +369,10 @@ class ViolationIndex {
     std::int64_t violating_tuples = 0;  // |D| - |D ⊨ φ|
     std::int64_t context_count = 0;     // |D(φ)|
 
-    // Constant rules: per-row violation flag (1 ⇔ in context AND
-    // violating, so queries need no separate context test).
-    std::vector<std::uint8_t> row_violates;
+    // Constant rules: per-row violation bit (set ⇔ in context AND
+    // violating, so queries need no separate context test). Bit-packed:
+    // one byte per row per constant rule was 1.6 MB on a 20k-row dataset1.
+    std::vector<bool> row_violates;
 
     // Variable rules: the flattened group layout. row_group is the query
     // hot path (one array read); groups/members are dense storage indexed
@@ -395,7 +396,7 @@ class ViolationIndex {
     }
     bool ViolatesFlag(RowId row) const {
       const std::size_t r = static_cast<std::size_t>(row);
-      return r < row_violates.size() && row_violates[r] != 0;
+      return r < row_violates.size() && row_violates[r];
     }
   };
 
