@@ -42,8 +42,8 @@ using ConfirmProbabilityBatchFn =
 ///
 /// p̃_j comes from the function passed to Rank, evaluated once per group.
 ///
-/// Ranking is serial. Parallelism lives where the work is coarse: whole
-/// shards (RunShardedRepair) and concurrent sessions (SessionManager).
+/// Ranking is serial. Parallelism lives where the work is coarse:
+/// concurrent sessions (SessionManager).
 class VoiRanker {
  public:
   /// `index` is read-only; `weights` must have one entry per rule (Eq. 3

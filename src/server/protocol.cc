@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -43,6 +44,18 @@ std::string FormatDouble(double value) {
   return buf;
 }
 
+// Parses a positive `int` option; the range check runs before narrowing so
+// an overflowing value cannot wrap past it.
+Result<int> ParsePositiveInt(std::string_view value, std::string_view name) {
+  GDR_ASSIGN_OR_RETURN(const std::int64_t parsed, ParseInt64(value, name));
+  constexpr int kMax = std::numeric_limits<int>::max();
+  if (parsed < 1 || parsed > kMax) {
+    return Status::InvalidArgument(std::string(name) + " must be in [1, " +
+                                   std::to_string(kMax) + "]");
+  }
+  return static_cast<int>(parsed);
+}
+
 // Parses the optional `key=value` tail of `open` into `config`.
 Status ParseOpenOption(std::string_view token, OpenConfig* config) {
   const std::size_t eq = token.find('=');
@@ -55,9 +68,7 @@ Status ParseOpenOption(std::string_view token, OpenConfig* config) {
   if (key == "strategy") {
     config->strategy = std::string(value);
   } else if (key == "ns") {
-    GDR_ASSIGN_OR_RETURN(const std::int64_t ns, ParseInt64(value, "ns"));
-    if (ns < 1) return Status::InvalidArgument("ns must be >= 1");
-    config->ns = static_cast<int>(ns);
+    GDR_ASSIGN_OR_RETURN(config->ns, ParsePositiveInt(value, "ns"));
   } else if (key == "budget") {
     GDR_ASSIGN_OR_RETURN(const std::uint64_t budget,
                          ParseUint64(value, "budget"));
@@ -65,12 +76,8 @@ Status ParseOpenOption(std::string_view token, OpenConfig* config) {
   } else if (key == "seed") {
     GDR_ASSIGN_OR_RETURN(config->seed, ParseUint64(value, "seed"));
   } else if (key == "max-outer") {
-    GDR_ASSIGN_OR_RETURN(const std::int64_t max_outer,
-                         ParseInt64(value, "max-outer"));
-    if (max_outer < 1) {
-      return Status::InvalidArgument("max-outer must be >= 1");
-    }
-    config->max_outer_iterations = static_cast<int>(max_outer);
+    GDR_ASSIGN_OR_RETURN(config->max_outer_iterations,
+                         ParsePositiveInt(value, "max-outer"));
   } else {
     return Status::InvalidArgument("unknown open option '" +
                                    std::string(key) + "'");

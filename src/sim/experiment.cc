@@ -1,19 +1,34 @@
 #include "sim/experiment.h"
 
+#include <bit>
+#include <cstdio>
 #include <sstream>
 
 #include "core/session.h"
 #include "repair/heuristic_repair.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 
 namespace gdr {
+
+namespace {
+
+// Doubles travel through the fingerprint by bit pattern: the contract is
+// "the same computation", not "approximately the same number".
+void AppendDoubleBits(std::ostringstream* out, double value) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(value)));
+  *out << buf;
+}
+
+}  // namespace
 
 Result<ExperimentResult> RunStrategyExperiment(
     const Dataset& dataset, const ExperimentConfig& config) {
   Table working = dataset.dirty;  // repaired in place; dataset untouched
 
   UserOracleOptions oracle_options;
-  oracle_options.volunteer_probability = config.volunteer_probability;
   oracle_options.seed = config.seed ^ 0xA5A5A5A5ULL;
   UserOracle oracle(&dataset.clean, oracle_options);
 
@@ -91,6 +106,38 @@ Result<ExperimentResult> RunHeuristicExperiment(const Dataset& dataset) {
       result.accuracy,
       ComputeRepairAccuracy(dataset.dirty, working, dataset.clean));
   return result;
+}
+
+std::string FingerprintExperimentResult(const ExperimentResult& result) {
+  std::ostringstream out;
+  out << "strategy " << result.strategy_name << '\n';
+  const GdrStats& s = result.stats;
+  out << "stats " << s.initial_dirty << ' ' << s.user_feedback << ' '
+      << s.user_confirms << ' ' << s.user_rejects << ' ' << s.user_retains
+      << ' ' << s.user_suggested_values << ' ' << s.learner_decisions << ' '
+      << s.learner_confirms << ' ' << s.forced_repairs << ' '
+      << s.outer_iterations << ' ' << s.appended_rows << ' '
+      << s.admitted_dirty << '\n';
+  out << "accuracy " << result.accuracy.updated_cells << ' '
+      << result.accuracy.correctly_updated_cells << ' '
+      << result.accuracy.initially_incorrect_cells << '\n';
+  out << "loss ";
+  AppendDoubleBits(&out, result.initial_loss);
+  out << ' ';
+  AppendDoubleBits(&out, result.final_loss);
+  out << ' ';
+  AppendDoubleBits(&out, result.final_improvement_pct);
+  out << '\n';
+  out << "violations " << result.remaining_violations << '\n';
+  out << "curve " << result.curve.size() << '\n';
+  for (const CurvePoint& point : result.curve) {
+    out << point.feedback << ' ';
+    AppendDoubleBits(&out, point.improvement_pct);
+    out << ' ';
+    AppendDoubleBits(&out, point.loss);
+    out << '\n';
+  }
+  return Fnv1a64Hex(out.str());
 }
 
 std::string FormatCurve(const std::vector<CurvePoint>& curve,

@@ -26,7 +26,6 @@ struct ExperimentConfig {
   std::size_t feedback_budget = GdrOptions::kUnlimitedBudget;
   int ns = 5;
   std::uint64_t seed = 42;
-  double volunteer_probability = 0.0;
   /// Curve granularity: a point is recorded every `sample_every` labels
   /// (plus the final state).
   std::size_t sample_every = 25;
@@ -56,6 +55,13 @@ Result<ExperimentResult> RunStrategyExperiment(const Dataset& dataset,
 /// Runs the Automatic-Heuristic baseline (BatchRepair) on a copy of the
 /// dirty instance; the curve is the single constant level the paper plots.
 Result<ExperimentResult> RunHeuristicExperiment(const Dataset& dataset);
+
+/// Canonical digest of everything deterministic in a result: strategy,
+/// stats counters, accuracy, initial/final loss and curve points (doubles
+/// by bit pattern), remaining violations. Timings and wall-clock are
+/// excluded. Equal fingerprints across two runs mean bit-identical repair
+/// outcomes.
+std::string FingerprintExperimentResult(const ExperimentResult& result);
 
 /// Renders a curve as "feedback_pct improvement_pct" rows, with feedback
 /// expressed as a percentage of `denominator` (Figure 3 normalizes by the

@@ -102,7 +102,7 @@ inline std::vector<std::string> SplitString(std::string_view text, char sep) {
 }
 
 /// 64-bit FNV-1a over arbitrary bytes. Stable across platforms and runs —
-/// used for content-addressed keys (the workload cache, sweep result
+/// used for content-addressed keys (the workload cache, experiment result
 /// fingerprints), never for adversarial inputs.
 inline std::uint64_t Fnv1a64(std::string_view bytes,
                              std::uint64_t seed = 14695981039346656037ULL) {

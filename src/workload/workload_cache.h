@@ -44,8 +44,8 @@ struct WorkloadCacheOptions {
 /// slot is found (counted in `collisions_resolved`). The in-memory layer
 /// is keyed by the canonical string itself, so it cannot collide at all.
 ///
-/// Not thread-safe: one cache per resolving thread (benches and the sweep
-/// runner resolve serially).
+/// Not thread-safe: one cache per resolving thread (the benches resolve
+/// serially).
 class WorkloadCache {
  public:
   struct Counters {
@@ -64,8 +64,8 @@ class WorkloadCache {
 
   /// Returns the cached Dataset for `spec`'s canonical form, resolving it
   /// through the global WorkloadRegistry on the first request. The result
-  /// is shared and immutable — many concurrent readers (per-shard session
-  /// builders, sweep cells) may hold it at once.
+  /// is shared and immutable — many concurrent readers (one per
+  /// experiment run) may hold it at once.
   Result<std::shared_ptr<const Dataset>> Resolve(const WorkloadSpec& spec);
 
   const Counters& counters() const { return counters_; }

@@ -1,5 +1,7 @@
 #include "sim/experiment.h"
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -75,6 +77,34 @@ TEST(ExperimentTest, DeterministicPerSeed) {
   EXPECT_EQ(a->stats.user_feedback, b->stats.user_feedback);
   EXPECT_DOUBLE_EQ(a->final_loss, b->final_loss);
   EXPECT_DOUBLE_EQ(a->accuracy.Precision(), b->accuracy.Precision());
+}
+
+TEST(ExperimentTest, FingerprintCoversOutcomesNotTimings) {
+  Dataset dataset = TinyDataset();
+  ExperimentConfig config;
+  config.feedback_budget = 60;
+  config.sample_every = 10;
+  auto result = RunStrategyExperiment(dataset, config);
+  ASSERT_TRUE(result.ok());
+  ASSERT_GE(result->curve.size(), 2u);
+  const std::string base = FingerprintExperimentResult(*result);
+
+  // Wall-clock numbers are not part of the outcome.
+  ExperimentResult timed = *result;
+  timed.wall_seconds += 1.5;
+  timed.stats.timings.total_seconds += 2.0;
+  timed.stats.timings.ranking_seconds += 0.25;
+  EXPECT_EQ(FingerprintExperimentResult(timed), base);
+
+  // Curve doubles are compared by bit pattern: one ulp is a change.
+  ExperimentResult nudged = *result;
+  double& loss = nudged.curve.back().loss;
+  loss = std::bit_cast<double>(std::bit_cast<std::uint64_t>(loss) ^ 1u);
+  EXPECT_NE(FingerprintExperimentResult(nudged), base);
+
+  ExperimentResult counted = *result;
+  ++counted.stats.forced_repairs;
+  EXPECT_NE(FingerprintExperimentResult(counted), base);
 }
 
 TEST(ExperimentTest, FormatCurveNormalizes) {

@@ -25,7 +25,6 @@
 #include "cfd/violation_index.h"
 #include "core/quality.h"
 #include "core/session.h"
-#include "plane/sharded_repair.h"
 #include "sim/experiment.h"
 #include "sim/oracle.h"
 #include "workload/registry.h"
@@ -87,7 +86,7 @@ std::string FormatEntry(const std::string& name, std::size_t budget,
                 result.final_improvement_pct, result.stats.user_feedback,
                 result.stats.learner_decisions);
   return name + " E=" + std::to_string(budget) +
-         " fingerprint=" + plane::FingerprintExperimentResult(result) +
+         " fingerprint=" + FingerprintExperimentResult(result) +
          numbers;
 }
 

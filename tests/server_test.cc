@@ -345,16 +345,23 @@ TEST(ProtocolTest, MalformedInputGetsTypedErrorsNeverCrashes) {
       "feedback acme s1 1 maybe\n"
       "feedback acme s1 1 reject zz\n"
       "append acme s1 nothex\n"
+      // Out of int range: rejected before narrowing, not wrapped to 0/INT_MIN.
+      "open acme s1 figure1 ns=4294967296\n"
+      "open acme s1 figure1 max-outer=4294967296\n"
+      "open acme s1 figure1 ns=2147483648\n"
       "quit\n",
       "gdr_spill_protocol_errors");
-  ASSERT_EQ(lines.size(), 14u);
+  ASSERT_EQ(lines.size(), 17u);
   for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
     EXPECT_EQ(lines[i].rfind("ERR ", 0), 0u) << lines[i];
   }
   EXPECT_EQ(lines[8].rfind("ERR NotFound", 0), 0u);
   EXPECT_EQ(lines[9].rfind("ERR InvalidArgument", 0), 0u);   // "12x"
   EXPECT_NE(lines[9].find("12x"), std::string::npos);
-  EXPECT_EQ(lines[13], "OK bye");
+  for (std::size_t i = 13; i < 16; ++i) {
+    EXPECT_EQ(lines[i].rfind("ERR InvalidArgument", 0), 0u) << lines[i];
+  }
+  EXPECT_EQ(lines[16], "OK bye");
 }
 
 TEST(ProtocolTest, AppendCarriesArbitraryBytesInHex) {
