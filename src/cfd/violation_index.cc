@@ -41,6 +41,7 @@ ViolationIndex::ViolationIndex(Table* table, const RuleSet* rules)
     }
   }
   BuildDispatch();
+  row_stamp_.assign(table_->num_rows(), version_);
   for (std::size_t r = 0; r < table_->num_rows(); ++r) {
     const RowId row = static_cast<RowId>(r);
     ForEachCandidateRule(row, [this, row](RuleId id) {
@@ -108,6 +109,7 @@ void ViolationIndex::BuildDispatch() {
 Result<RowId> ViolationIndex::AppendRow(const std::vector<std::string>& values) {
   GDR_ASSIGN_OR_RETURN(const RowId row, table_->AppendRow(values));
   ++version_;
+  row_stamp_.push_back(version_);
   ForEachCandidateRule(row, [this, row](RuleId id) {
     AddRow(stats_[static_cast<std::size_t>(id)], row);
   });
@@ -143,6 +145,7 @@ Result<RowId> ViolationIndex::AppendRows(
     });
     for (Projection& proj : projections_) JoinBucket(proj, *row);
   }
+  row_stamp_.resize(table_->num_rows(), version_);
   return first;
 }
 
@@ -182,8 +185,10 @@ GroupId ViolationIndex::InternGroup(RuleStats& rs, RowId row) {
     rs.groups.emplace_back();
     rs.groups.back().key = key_scratch_;
     rs.members.emplace_back();
+    rs.group_stamp.emplace_back();
   }
   rs.key_to_group.Insert(rs.groups[static_cast<std::size_t>(gid)].key, gid);
+  rs.key_epoch = version_;
   return gid;
 }
 
@@ -206,6 +211,9 @@ void ViolationIndex::AddRow(RuleStats& rs, RowId row) {
 
   const GroupId gid = InternGroup(rs, row);
   Group& g = rs.groups[static_cast<std::size_t>(gid)];
+  // The slot's stamp covers its tallies and, since minting and retiring a
+  // slot only happen here and in RemoveRow, its key and liveness too.
+  rs.group_stamp[static_cast<std::size_t>(gid)] = version_;
   // Retire the group's old contribution to the rule aggregates, mutate,
   // then account the new contribution.
   rs.violations -= g.PairViolations();
@@ -242,6 +250,7 @@ void ViolationIndex::RemoveRow(RuleStats& rs, RowId row) {
   --rs.context_count;
 
   Group& g = rs.groups[static_cast<std::size_t>(gid)];
+  rs.group_stamp[static_cast<std::size_t>(gid)] = version_;
   rs.violations -= g.PairViolations();
   rs.violating_tuples -= g.ViolatingTuples();
   g.Decrement(table_->id_at(row, rs.rhs_attr));
@@ -273,6 +282,7 @@ ValueId ViolationIndex::ApplyCellChange(RowId row, AttrId attr,
   const ValueId old = table_->id_at(row, attr);
   if (old == value) return old;
   ++version_;
+  row_stamp_[static_cast<std::size_t>(row)] = version_;
   // Only the rules mentioning attr change, and of those only the ones
   // dispatched for the write: a skipped constant rule has the row outside
   // its context under the old and the new value, so RemoveRow and AddRow
@@ -653,6 +663,7 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
   std::int64_t d_vio = 0;  // vio(D^rj) − vio(D)
   std::int64_t d_vt = 0;   // violating-tuple delta
   std::int64_t d_ctx = 0;  // |D(φ)| delta
+  Effect effect;
 
   if (rs.is_constant) {
     if (!sr.attr_in_lhs) {
@@ -687,6 +698,7 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
     // sum n² − Σc² moves by 2(c_old − c_new) − 2, and the violating-tuple
     // count is n iff the group still holds ≥ 2 distinct values.
     const GroupId gid = rs.GroupIdOf(row);
+    effect.own_group = gid;
     if (gid != kNoGroup) {
       const GroupCounts& g = rs.groups[static_cast<std::size_t>(gid)];
       const std::int64_t n = g.total;
@@ -705,6 +717,7 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
     // differs at the written component.
     const ValueId b_rm = table.id_at(row, rs.rhs_attr);
     const GroupId gid = rs.GroupIdOf(row);
+    effect.own_group = gid;
     if (gid != kNoGroup) {
       // Leave: group (n, Σc², d0 distinct) loses one b_rm. Pair
       // violations move by (n−1)² − (Σc² − 2c + 1) minus n² − Σc²,
@@ -726,10 +739,12 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
                               ? value_
                               : table.id_at(row, rs.lhs_attrs[i]);
       }
+      effect.key_group = kAbsentGroup;
       if (const GroupId* found = rs.key_to_group.Find(key_scratch_)) {
         // Join: target group (n, Σc², d0) gains one b_add. Pair
         // violations move by 2(n − c). A miss means a novel singleton
         // group — zero pairs, one distinct value, nothing to add.
+        effect.key_group = *found;
         const GroupCounts& g2 = rs.groups[static_cast<std::size_t>(*found)];
         const ValueId b_add = sr.attr_is_rhs ? value_ : b_rm;
         const std::int64_t n = g2.total;
@@ -742,8 +757,8 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
     }
   }
 
-  Effect effect;
   effect.adjustment = d_vio;
+  effect.d_sat = d_ctx - d_vt;
   effect.satisfying =
       (rs.context_count + d_ctx) - (rs.violating_tuples + d_vt);
   return effect;

@@ -24,6 +24,11 @@ using GroupId = std::int32_t;
 
 inline constexpr GroupId kNoGroup = -1;
 
+/// What HypotheticalBatch::Probe reports for a hypothetical LHS key that no
+/// live group holds: the answer can only change when the rule interns a key
+/// (ViolationIndex::GroupStamp reads the rule's key epoch for it).
+inline constexpr GroupId kAbsentGroup = -2;
+
 /// Incrementally maintained violation statistics for a (Table, RuleSet)
 /// pair. This is the performance workhorse of the library: the consistency
 /// manager, the quality-loss metric (Eq. 3), and the VOI benefit estimator
@@ -67,6 +72,15 @@ inline constexpr GroupId kNoGroup = -1;
 /// base, so VOI ranking can score many hypotheticals concurrently against
 /// one shared immutable index.
 ///
+/// Change stamps: every mutation sets the stamps of what it moves to the
+/// version() it runs at — a row's stamp when its cells (and so its
+/// constant-rule flags and group memberships) change or it is appended, a
+/// variable rule's group slot's stamp when the slot's tallies, key or
+/// liveness change, and the rule's key epoch when it interns a new key. A
+/// reader that recorded version() together with where it read can tell
+/// that nothing it read has moved while every stamp it read is still at or
+/// below that version (VoiRanker's re-ranking cache does exactly this).
+///
 /// The index holds a non-owning pointer to the table; the table must
 /// outlive the index, and all mutations while the index is alive must go
 /// through ApplyCellChange.
@@ -92,6 +106,28 @@ class ViolationIndex {
 
   /// String-value convenience overload (interns `value` first).
   ValueId ApplyCellChange(RowId row, AttrId attr, std::string_view value);
+
+  /// The version() of the last change to `row`'s cells (or of its append).
+  std::uint64_t RowStamp(RowId row) const {
+    return row_stamp_[static_cast<std::size_t>(row)];
+  }
+
+  /// The group slot `row` occupies under variable rule `rule`; kNoGroup for
+  /// constant rules and rows outside the context. It only changes with the
+  /// row's own cells, so it moves no later than RowStamp(row).
+  GroupId GroupIdOf(RowId row, RuleId rule) const {
+    return stats_[static_cast<std::size_t>(rule)].GroupIdOf(row);
+  }
+
+  /// For a group a probe read (HypotheticalBatch::Effect): the version() of
+  /// the last change to variable rule `rule`'s group slot `group`, or, for
+  /// kAbsentGroup, of the last key the rule interned.
+  std::uint64_t GroupStamp(RuleId rule, GroupId group) const {
+    const RuleStats& rs = stats_[static_cast<std::size_t>(rule)];
+    return group == kAbsentGroup
+               ? rs.key_epoch
+               : rs.group_stamp[static_cast<std::size_t>(group)];
+  }
 
   /// Streaming ingestion: appends one row to the table and indexes it
   /// incrementally — the new row joins its LHS group (or mints one,
@@ -387,6 +423,10 @@ class ViolationIndex {
     std::vector<std::vector<RowId>> members;
     std::vector<GroupId> free_groups;
     FlatTable<GroupKey, GroupId, GroupKeyHash> key_to_group;
+    // Change stamps (see the class comment): per group slot, aligned with
+    // groups, and the version of the last key interned.
+    std::vector<std::uint64_t> group_stamp;
+    std::uint64_t key_epoch = 0;
 
     // Query-path accessors; bounds-guarded so rows appended to the table
     // but not yet indexed read as "outside the context" rather than UB.
@@ -492,6 +532,7 @@ class ViolationIndex {
   // attr * |Σ| + rule → slot in RulesMentioning(attr), or -1.
   std::vector<std::int32_t> affected_slot_;
   std::uint64_t version_ = 0;
+  std::vector<std::uint64_t> row_stamp_;  // row -> version of its last change
   GroupKey key_scratch_;  // mutation scratch; const queries never touch it
 
   std::vector<Projection> projections_;
@@ -577,7 +618,11 @@ class ViolationIndex {
 /// The base must outlive the batch and must not be mutated mid-probe;
 /// Stage() revalidates against base->version(), so a stale staging is
 /// refreshed on the next call. One batch per worker thread (the key
-/// scratch makes Probe non-reentrant); copy/construct freely.
+/// scratch makes Probe non-reentrant); copy/construct freely. VoiRanker
+/// keeps one for all its Rank calls, which is one reason a ranker must not
+/// rank concurrently. Each probe reports the groups it read, so a caller
+/// can keep its answer for as long as the change stamps of the row and of
+/// those groups stay put (VoiRanker's re-ranking cache does).
 class HypotheticalBatch {
  public:
   explicit HypotheticalBatch(const ViolationIndex* base);
@@ -607,10 +652,21 @@ class HypotheticalBatch {
   struct Effect {
     std::int64_t adjustment = 0;  // vio(D^rj, {φ}) − vio(D, {φ})
     std::int64_t satisfying = 0;  // |D^rj ⊨ φ|
+    std::int64_t d_sat = 0;       // satisfying − SatisfyingCount(φ)
+    // The variable rule's group slots the probe read besides the row: the
+    // row's own group (kNoGroup: out of context or a constant rule) and,
+    // for a write that moves the LHS key into the context, the group of
+    // the hypothetical key (kAbsentGroup: no live group holds it; kNoGroup:
+    // not looked up).
+    GroupId own_group = kNoGroup;
+    GroupId key_group = kNoGroup;
   };
 
   /// Effect of the staged write applied at `row` on affected rule k.
-  /// Requires !IsNoOp(row) (see the class contract).
+  /// Requires !IsNoOp(row) (see the class contract). Everything it reads
+  /// is the row, the rule's aggregates and the groups it reports, so while
+  /// RowStamp(row) and the GroupStamp of each reported group stay put, a
+  /// repeat probe returns the same adjustment, d_sat and groups.
   Effect Probe(std::size_t k, RowId row);
 
  private:

@@ -101,7 +101,9 @@ struct GdrTimings {
   /// vs forest tree walks, `learner_inferences` updates total): ranking
   /// p̃, uncertainty ordering, the displayed batch metadata, take-over,
   /// sweep and the scoring of displayed predictions against feedback;
-  /// voi_probe_* covers the benefit probes (`voi_probes` updates probed).
+  /// voi_probe_* covers the benefit probes (`voi_probes` updates scored,
+  /// `voi_reprobes` of them probed rather than reused from the previous
+  /// ranking pass).
   /// learner_train_* covers forest retraining after feedback (time inside
   /// RandomForest::Train; `learner_trains` counts training examples
   /// summed over retrains) and is synced after every retrain too.
@@ -116,6 +118,7 @@ struct GdrTimings {
   double regenerate_seconds = 0.0;
   std::uint64_t learner_inferences = 0;
   std::uint64_t voi_probes = 0;
+  std::uint64_t voi_reprobes = 0;
   std::uint64_t learner_trains = 0;
   std::uint64_t regenerations = 0;
 };

@@ -1,7 +1,9 @@
 #ifndef GDR_CORE_VOI_H_
 #define GDR_CORE_VOI_H_
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,8 +44,26 @@ using ConfirmProbabilityBatchFn =
 ///
 /// p̃_j comes from the function passed to Rank, evaluated once per group.
 ///
-/// Ranking is serial. Parallelism lives where the work is coarse:
-/// concurrent sessions (SessionManager).
+/// Re-ranking is incremental. Eq. 6's terms read only the update's row,
+/// its LHS groups and the group its write would join, so Rank keeps each
+/// probed update's non-zero (rule, adjustment, d_sat) terms together with
+/// the group slots the probe read (ViolationIndex's change stamps). The
+/// next Rank reuses an update's terms when the same (cell, value) comes
+/// back and neither its row stamp nor any group stamp it read has moved
+/// since; otherwise it re-probes. A reused update's benefit is recomputed
+/// from the current aggregates — satisfying = SatisfyingCount(φ) + d_sat,
+/// summed as w_φ·(−adjustment)/satisfying in ascending RuleId order, the
+/// order a probe sums in — so scores, order and picks are bit-identical
+/// to probing every update afresh. The cache is derived state: a new
+/// ranker starts empty, UpdateBenefit never reads it, and a Rank keeps
+/// only the updates it visited. It follows GroupUpdates' order, (attr,
+/// value, row); updates out of that order simply re-probe.
+///
+/// Ranking is serial, and Rank is stateful: it updates the cache, the
+/// reused HypotheticalBatch and probability buffer and the counters, so
+/// Rank must not run concurrently on one ranker (each engine owns its
+/// ranker). Parallelism lives where the work is coarse: concurrent
+/// sessions (SessionManager).
 class VoiRanker {
  public:
   /// `index` is read-only; `weights` must have one entry per rule (Eq. 3
@@ -64,7 +84,8 @@ class VoiRanker {
 
   /// Scores all groups; returns indices into `groups` sorted by descending
   /// benefit (ties by ascending index), plus the scores themselves. Each
-  /// group's score sums p̃_j times UpdateBenefit in update order.
+  /// group's score sums p̃_j times UpdateBenefit in update order, reusing
+  /// the previous Rank's probes where nothing they read has moved.
   struct Ranking {
     std::vector<std::size_t> order;  // group indices, best first
     std::vector<double> scores;      // aligned with `groups`
@@ -76,17 +97,76 @@ class VoiRanker {
   Ranking Rank(const std::vector<UpdateGroup>& groups,
                const ConfirmProbabilityFn& confirm_probability) const;
 
-  /// Cumulative probe-phase counters (kVoiProbe: benefit-probe ns plus the
-  /// number of updates probed), merged in after each ranking pass. Not
-  /// thread-safe w.r.t. concurrent Rank calls on the *same* ranker — each
-  /// engine owns its ranker, so that never happens.
+  /// Cumulative probe-phase counters, merged in after each ranking pass:
+  /// kVoiProbe is the scoring loop's ns and the number of updates scored,
+  /// kVoiReprobe (count only) the updates actually probed rather than
+  /// reused. Not thread-safe w.r.t. concurrent Rank calls on the *same*
+  /// ranker — each engine owns its ranker, so that never happens.
   const PerfCounters& perf_counters() const { return perf_; }
   void ResetPerfCounters() { perf_.Reset(); }
 
  private:
+  // A FIFO of 32-bit words in fixed-size chunks recycled through a free
+  // list. Rank reads the last pass's entries off the front while it
+  // appends this pass's at the back, so a chunk the reader has finished is
+  // the writer's next one and the cache never needs room for two passes.
+  class WordQueue {
+   public:
+    static constexpr std::size_t kChunkWords = 4096;
+
+    WordQueue() = default;
+    WordQueue(const WordQueue&) = delete;
+    WordQueue& operator=(const WordQueue&) = delete;
+
+    /// Room for `n` ≤ kChunkWords contiguous words at the back; with
+    /// `fresh_chunk`, in a chunk of their own.
+    std::uint32_t* Append(std::size_t n, bool fresh_chunk = false);
+    /// The next unread word. The caller knows that one was written.
+    const std::uint32_t* Front() const { return head_->words + read_; }
+    void PopFront(std::size_t n);
+
+   private:
+    struct Chunk {
+      std::unique_ptr<Chunk> next;
+      std::size_t used = 0;
+      std::uint32_t words[kChunkWords];
+    };
+    std::unique_ptr<Chunk> head_;  // live chunks, oldest first
+    Chunk* tail_ = nullptr;
+    std::unique_ptr<Chunk> free_;  // recycled chunks
+    std::size_t read_ = 0;         // read position in head_
+  };
+
+  // A variable rule mentioning an attribute. A probe of a write into the
+  // attribute reads the row's group under it and, when the attribute is in
+  // the rule's X (the write moves the key), the hypothetical key's group.
+  struct VariableRule {
+    RuleId rule = 0;
+    bool key_moves = false;
+  };
+
+  // UpdateBenefit's probe. With `entry` set it also writes the update's
+  // cache entry there (see Rank), or leaves it empty when the probe's
+  // integers do not fit the entry's 32-bit words.
+  double ProbeBenefit(const Update& update, HypotheticalBatch* batch,
+                      std::vector<std::uint32_t>* entry) const;
+
   const ViolationIndex* index_;
   const std::vector<double>* weights_;
+  // Per attribute, the variable rules mentioning it in ascending order,
+  // and how many of them move their key.
+  std::vector<std::vector<VariableRule>> variable_rules_;
+  std::vector<std::size_t> key_reads_;
   mutable PerfCounters perf_;
+  // Rank's reused working state (see the class comment): the batch, the
+  // p̃ buffer, the cached entries of the last pass (cached_groups_ groups,
+  // valid at index version cache_version_) and one entry's scratch.
+  mutable HypotheticalBatch batch_;
+  mutable std::vector<double> probabilities_;
+  mutable WordQueue cache_;
+  mutable std::size_t cached_groups_ = 0;
+  mutable std::uint64_t cache_version_ = 0;
+  mutable std::vector<std::uint32_t> entry_;
 };
 
 }  // namespace gdr

@@ -86,15 +86,16 @@ struct WireServerStats {
   std::size_t rehydrations = 0;
   /// Hot-path phase counters aggregated over the resident sessions
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
-  /// benefit-probe seconds and probe count, forest-retrain seconds and
-  /// examples trained on, update-regeneration seconds and
-  /// UpdateAttributeTuple calls, pool-grouping seconds). Evicted sessions'
-  /// time is not replayed into these — they reset to their snapshot's
-  /// history on rehydration like every other timing.
+  /// benefit-probe seconds, updates scored and updates actually probed,
+  /// forest-retrain seconds and examples trained on, update-regeneration
+  /// seconds and UpdateAttributeTuple calls, pool-grouping seconds).
+  /// Evicted sessions' time is not replayed into these — they reset to
+  /// their snapshot's history on rehydration like every other timing.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
   std::uint64_t voi_probes = 0;
+  std::uint64_t voi_reprobes = 0;
   double learner_train_seconds = 0.0;
   std::uint64_t learner_trains = 0;
   double regenerate_seconds = 0.0;

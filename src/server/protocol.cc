@@ -143,6 +143,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " learner-treewalk-s=" << stats.learner_tree_walk_seconds
         << " voi-probe-s=" << stats.voi_probe_seconds
         << " voi-probes=" << stats.voi_probes
+        << " voi-reprobes=" << stats.voi_reprobes
         << " learner-train-s=" << stats.learner_train_seconds
         << " learner-trains=" << stats.learner_trains
         << " regenerate-s=" << stats.regenerate_seconds

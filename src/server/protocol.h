@@ -40,6 +40,7 @@ namespace gdr::server {
 ///                                          learner-encode-s=X
 ///                                          learner-treewalk-s=X
 ///                                          voi-probe-s=X voi-probes=N
+///                                          voi-reprobes=N
 ///                                          learner-train-s=X
 ///                                          learner-trains=N
 ///                                          regenerate-s=X

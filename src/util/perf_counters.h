@@ -22,9 +22,12 @@ enum class PerfPhase : std::size_t {
   kLearnerTrain,
   /// Candidate-update (re)generation: UpdateAttributeTuple calls.
   kRegenerate,
+  /// VOI benefit probes actually run, i.e. not reused from the previous
+  /// ranking pass; count only (their time is inside kVoiProbe).
+  kVoiReprobe,
 };
 
-inline constexpr std::size_t kNumPerfPhases = 5;
+inline constexpr std::size_t kNumPerfPhases = 6;
 
 /// Alloc-free cumulative phase counters: wall nanoseconds plus an item
 /// count per phase (updates encoded, rows walked, updates probed, examples

@@ -311,6 +311,30 @@ TEST(ProtocolTest, StatsReplyCarriesRegenerationCounters) {
   EXPECT_GT(std::stoull(lines[2].substr(at + 15)), 0u) << lines[2];
 }
 
+TEST(ProtocolTest, StatsReplyCarriesVoiReprobes) {
+  const auto lines = RunScript(
+      "stats\n"
+      "open acme s1 figure1 seed=7 budget=40\n"
+      "next acme s1\n"
+      "stats\n"
+      "quit\n",
+      "gdr_spill_protocol_reprobes");
+  ASSERT_GE(lines.size(), 4u);
+  EXPECT_NE(lines.front().find(" voi-probes=0 voi-reprobes=0 learner-train-s="),
+            std::string::npos)
+      << lines.front();
+  // The pull ranked the session's pool once, probing every update.
+  const std::string& after_pull = lines[lines.size() - 2];
+  const std::size_t probes = after_pull.find(" voi-probes=");
+  const std::size_t reprobes = after_pull.find(" voi-reprobes=");
+  ASSERT_NE(probes, std::string::npos) << after_pull;
+  ASSERT_NE(reprobes, std::string::npos) << after_pull;
+  EXPECT_GT(std::stoull(after_pull.substr(reprobes + 14)), 0u) << after_pull;
+  EXPECT_EQ(std::stoull(after_pull.substr(reprobes + 14)),
+            std::stoull(after_pull.substr(probes + 12)))
+      << after_pull;
+}
+
 TEST(ProtocolTest, StatsReplyEndsWithGroupingTime) {
   const auto lines = RunScript(
       "stats\n"

@@ -228,6 +228,35 @@ TEST(GdrSessionTest, RunsToCompletionAndReportsDone) {
   EXPECT_EQ(session.state(), SessionState::kDone);
 }
 
+// The second ranking pass reuses the first pass's probes wherever the
+// group session in between left their reads alone, so it probes fewer
+// updates than it scores.
+TEST(GdrSessionTest, SecondRankingReprobesOnlyWhatMoved) {
+  Dataset dataset =
+      *WorkloadRegistry::Global().Resolve("dataset1:records=1000,seed=11");
+  Table working = dataset.dirty;
+  UserOracle oracle(&dataset.clean);
+  GdrOptions options;
+  options.strategy = Strategy::kGdrNoLearning;
+  GdrSession session(&working, &dataset.rules, options);
+  ASSERT_TRUE(session.Start().ok());
+  std::uint64_t first_pass = 0;
+  while (session.stats().outer_iterations < 2 &&
+         session.state() != SessionState::kDone) {
+    auto batch = session.NextBatch();
+    ASSERT_TRUE(batch.ok());
+    if (first_pass == 0) first_pass = session.stats().timings.voi_probes;
+    AnswerBatch(&session, *batch, &oracle);
+  }
+  ASSERT_EQ(session.stats().outer_iterations, 2u);
+  const GdrTimings& timings = session.stats().timings;
+  // The first pass probed every update it scored.
+  EXPECT_GT(first_pass, 0u);
+  EXPECT_GT(timings.voi_probes, first_pass);
+  EXPECT_GE(timings.voi_reprobes, first_pass);
+  EXPECT_LT(timings.voi_reprobes, timings.voi_probes);
+}
+
 TEST(GdrSessionTest, SessionStateNames) {
   EXPECT_STREQ(SessionStateName(SessionState::kAwaitingFeedback),
                "awaiting-feedback");
