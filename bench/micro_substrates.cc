@@ -16,10 +16,12 @@
 #include "core/gdr.h"
 #include "core/grouping.h"
 #include "core/quality.h"
+#include "core/session.h"
 #include "core/voi.h"
 #include "ml/random_forest.h"
 #include "repair/consistency_manager.h"
 #include "repair/update_generator.h"
+#include "sim/oracle.h"
 #include "sim/stream_gen.h"
 #include "util/flat_table.h"
 #include "util/rng.h"
@@ -729,6 +731,69 @@ void BM_CountOfScan(benchmark::State& state) {
                           static_cast<std::int64_t>(distinct));
 }
 BENCHMARK(BM_CountOfScan)->Arg(4)->Arg(64)->Arg(1024);
+
+// Rehydration cost by session age (Arg = pulls answered before the
+// snapshot): a 1k-row dataset1 GDR session under the paper's protocol
+// (budget E, oracle user) is snapshotted after Arg pulls; each iteration
+// parses the snapshot text and restores it over a fresh copy of the
+// original dirty table — what a server does when an evicted session is
+// touched. A checkpoint makes this flat in Arg; replaying the session's
+// history made it grow with it.
+void BM_RestoreAtPull(benchmark::State& state) {
+  static const Dataset* dataset = new Dataset(
+      *WorkloadRegistry::Global().Resolve("dataset1:records=1000,seed=7"));
+  GdrOptions options;
+  options.strategy = Strategy::kGdr;
+  {
+    Table probe_table = dataset->dirty;
+    GdrSession probe(&probe_table, &dataset->rules, options);
+    if (!probe.Start().ok()) {
+      state.SkipWithError("start failed");
+      return;
+    }
+    options.feedback_budget = probe.stats().initial_dirty;
+  }
+  Table table = dataset->dirty;
+  GdrSession session(&table, &dataset->rules, options);
+  UserOracle oracle(&dataset->clean);
+  if (!session.Start().ok()) {
+    state.SkipWithError("start failed");
+    return;
+  }
+  for (std::int64_t pull = 0;
+       pull < state.range(0) && session.state() != SessionState::kDone;
+       ++pull) {
+    const auto batch = session.NextBatch();
+    if (!batch.ok()) {
+      state.SkipWithError("pull failed");
+      return;
+    }
+    for (const SuggestedUpdate& s : *batch) {
+      if (!session.IsLive(s.update_id)) continue;
+      if (!session
+               .SubmitFeedback(s.update_id,
+                               oracle.GetFeedback(session.table(), s.update))
+               .ok()) {
+        state.SkipWithError("feedback failed");
+        return;
+      }
+    }
+  }
+  const std::string text = session.Snapshot().Serialize();
+  for (auto _ : state) {
+    Table fresh = dataset->dirty;
+    GdrSession restored(&fresh, &dataset->rules, options);
+    const auto snapshot = SessionSnapshot::Deserialize(text);
+    if (!snapshot.ok() || !restored.Restore(*snapshot).ok()) {
+      state.SkipWithError("restore failed");
+      return;
+    }
+    benchmark::DoNotOptimize(restored.stats().user_feedback);
+  }
+  state.counters["snapshot_bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK(BM_RestoreAtPull)->Arg(25)->Arg(50)->Arg(75)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gdr

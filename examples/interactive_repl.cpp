@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Deterministic workloads rebuild identically on every launch — snapshot
-  // replay requires the original dirty instance.
+  // Deterministic workloads rebuild identically on every launch — a
+  // snapshot restores only over the original dirty instance.
   auto dataset = ResolveWorkloadOrReport(workload_spec);
   if (!dataset.ok()) return 2;
   Table& table = dataset->dirty;
@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   GdrSession session(&table, &rules, options);
 
   // Resume from a previous run's snapshot when one exists. The file leads
-  // with a "workload <spec>" header so answers recorded against one
-  // dataset are never replayed onto another.
+  // with a "workload <spec>" header so a session recorded against one
+  // dataset is never restored onto another.
   std::ifstream snapshot_file(snapshot_path, std::ios::binary);
   if (snapshot_file.good() && !fresh) {
     std::stringstream buffer;

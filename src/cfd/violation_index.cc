@@ -531,6 +531,25 @@ ViolationIndex::Projection& ViolationIndex::ProjectionFor(RuleId rule,
   return proj;
 }
 
+std::vector<std::pair<RuleId, AttrId>> ViolationIndex::RegisteredProjections()
+    const {
+  std::vector<std::pair<RuleId, AttrId>> out;
+  const std::size_t num_attrs = table_->num_attrs();
+  for (std::size_t slot = 0; slot < projection_slot_.size(); ++slot) {
+    if (projection_slot_[slot] < 0) continue;
+    out.emplace_back(static_cast<RuleId>(slot / num_attrs),
+                     static_cast<AttrId>(slot % num_attrs));
+  }
+  return out;
+}
+
+void ViolationIndex::RegisterProjection(RuleId rule, AttrId attr) {
+  Projection& proj = ProjectionFor(rule, attr);
+  for (ProjBucket& bucket : proj.buckets) {
+    if (bucket.stale) DeriveBucket(proj, &bucket);
+  }
+}
+
 void ViolationIndex::BuildProjKey(const Projection& proj, RowId row,
                                   GroupKey* key) const {
   key->resize(proj.key_attrs.size());

@@ -269,6 +269,18 @@ class ViolationIndex {
   const ProjectionValues& ProjectionBucket(RuleId rule, AttrId attr,
                                            RowId row);
 
+  /// The (rule, B) pairs ProjectionBucket has been asked for, ascending.
+  /// A session checkpoint carries them, and a restored session registers
+  /// them up front (RegisterProjection): otherwise each would cost one
+  /// full scan inside a later feedback call, where the original session
+  /// paid it long ago.
+  std::vector<std::pair<RuleId, AttrId>> RegisteredProjections() const;
+
+  /// Registers the projection serving (rule, attr), as its first
+  /// ProjectionBucket query would, and derives every bucket's values, as
+  /// the queries of a long-running session would have.
+  void RegisterProjection(RuleId rule, AttrId attr);
+
   /// Introspection for tests: distinct projections registered so far.
   std::size_t num_projections() const { return projections_.size(); }
 

@@ -55,6 +55,17 @@ Status GdrEngine::Initialize() {
     return Status::FailedPrecondition("engine already initialized");
   }
   const Stopwatch init_watch;
+  BuildComponents();
+  weights_ = ContextRuleWeights(*index_);
+  stats_ = GdrStats{};
+  stats_.initial_dirty = manager_->Initialize();
+  stats_.timings.init_seconds = init_watch.ElapsedSeconds();
+  SyncPerfTimings();
+  initialized_ = true;
+  return Status::OK();
+}
+
+void GdrEngine::BuildComponents() {
   index_ = std::make_unique<ViolationIndex>(table_, rules_);
   pool_ = std::make_unique<UpdatePool>();
   state_ = std::make_unique<RepairState>();
@@ -65,16 +76,7 @@ Status GdrEngine::Initialize() {
   LearnerBankOptions learner_options = options_.learner;
   learner_options.seed = options_.seed ^ 0x9E3779B97F4A7C15ULL;
   bank_ = std::make_unique<LearnerBank>(table_, index_.get(), learner_options);
-
-  weights_ = ContextRuleWeights(*index_);
   voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_);
-
-  stats_ = GdrStats{};
-  stats_.initial_dirty = manager_->Initialize();
-  stats_.timings.init_seconds = init_watch.ElapsedSeconds();
-  SyncPerfTimings();
-  initialized_ = true;
-  return Status::OK();
 }
 
 void GdrEngine::SyncPerfTimings() {

@@ -191,7 +191,7 @@ class GdrEngine {
   /// w_i = |D(φ_i)|/|D| for the grown instance. Requires Initialize().
   /// Rows violating no rule are appended but admit nothing. Deterministic:
   /// the same engine history plus the same appends yields a bit-identical
-  /// engine, which is what lets GdrSession record appends in its event log.
+  /// engine, which is what lets a snapshot's event tail replay appends.
   Result<AppendOutcome> AppendDirtyRows(
       const std::vector<std::vector<std::string>>& rows);
 
@@ -215,6 +215,12 @@ class GdrEngine {
   // state-free per-strategy step functions below, each resumable at any
   // point because all of its inputs are engine components.
   friend class GdrSession;
+
+  // Creates every component over the table as it stands, empty: the
+  // index is built, nothing is pooled, frozen, learned or weighted yet.
+  // Initialize() seeds them from the initial instance; a session
+  // checkpoint loads them instead.
+  void BuildComponents();
 
   bool UsesLearner() const {
     return options_.strategy == Strategy::kGdr ||

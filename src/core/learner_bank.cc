@@ -43,10 +43,8 @@ LearnerBank::LearnerBank(const Table* table, const ViolationIndex* index,
     forest_options.seed = options_.seed * 1000003ULL + a;
     models_.emplace_back(forest_options);
   }
-  trained_.assign(n, false);
-  stale_.assign(n, false);
+  trained_on_.assign(n, 0);
   outcome_window_.assign(n * kNumFeedbackClasses, {});
-  outcome_next_.assign(n * kNumFeedbackClasses, 0);
   outcome_count_.assign(n * kNumFeedbackClasses, 0);
 }
 
@@ -69,9 +67,8 @@ void LearnerBank::RecordPredictionOutcome(AttrId attr, Feedback predicted,
   if (window.size() < kAccuracyWindow) {
     window.push_back(correct);
   } else {
-    window[outcome_next_[slot] % kAccuracyWindow] = correct;
+    window[outcome_count_[slot] % kAccuracyWindow] = correct;
   }
-  ++outcome_next_[slot];
   ++outcome_count_[slot];
 }
 
@@ -87,8 +84,7 @@ bool LearnerBank::IsReliable(AttrId attr, Feedback predicted,
                              double min_accuracy,
                              std::size_t min_samples) const {
   const std::size_t slot = OutcomeSlot(attr, predicted);
-  return trained_[static_cast<std::size_t>(attr)] &&
-         outcome_count_[slot] >= min_samples &&
+  return IsTrained(attr) && outcome_count_[slot] >= min_samples &&
          RollingAccuracy(attr, predicted) >= min_accuracy;
 }
 
@@ -123,13 +119,12 @@ std::vector<double> LearnerBank::Encode(const Update& update) const {
 
 Status LearnerBank::AddFeedback(const Update& update, Feedback feedback) {
   const std::size_t a = static_cast<std::size_t>(update.attr);
-  const bool trained = trained_[a];
+  const bool trained = IsTrained(update.attr);
   // A one-update Votes call leaves the update's encoding in matrix_scratch_.
   if (trained) Votes(std::span<const Update>(&update, 1), &votes_scratch_);
   std::vector<double> features = trained ? matrix_scratch_ : Encode(update);
   GDR_RETURN_NOT_OK(
       sets_[a].Add(Example{std::move(features), static_cast<int>(feedback)}));
-  stale_[a] = true;
   if (trained) {
     const auto predicted =
         static_cast<Feedback>(RandomForest::MajorityClass(votes_scratch_));
@@ -140,19 +135,76 @@ Status LearnerBank::AddFeedback(const Update& update, Feedback feedback) {
 
 Status LearnerBank::Retrain(AttrId attr) {
   const std::size_t a = static_cast<std::size_t>(attr);
-  if (!stale_[a]) return Status::OK();
+  if (sets_[a].size() == trained_on_[a]) return Status::OK();  // not stale
   if (sets_[a].size() < options_.min_training_examples) return Status::OK();
   {
     ScopedPhaseTimer timer(&perf_, PerfPhase::kLearnerTrain, sets_[a].size());
     GDR_RETURN_NOT_OK(models_[a].Train(sets_[a]));
   }
-  trained_[a] = true;
-  stale_[a] = false;
+  trained_on_[a] = sets_[a].size();
   return Status::OK();
 }
 
 bool LearnerBank::IsTrained(AttrId attr) const {
-  return trained_[static_cast<std::size_t>(attr)];
+  return trained_on_[static_cast<std::size_t>(attr)] > 0;
+}
+
+std::vector<LearnerBank::AttrState> LearnerBank::SaveState() const {
+  std::vector<AttrState> state(sets_.size());
+  for (std::size_t a = 0; a < sets_.size(); ++a) {
+    state[a].examples = sets_[a].examples();
+    state[a].trained_on = trained_on_[a];
+    for (std::size_t c = 0; c < kNumFeedbackClasses; ++c) {
+      const std::size_t slot = a * kNumFeedbackClasses + c;
+      state[a].outcome_count[c] = outcome_count_[slot];
+      state[a].outcome_window[c] = outcome_window_[slot];
+    }
+  }
+  return state;
+}
+
+Status LearnerBank::LoadState(const std::vector<AttrState>& state) {
+  if (state.size() != sets_.size()) {
+    return Status::InvalidArgument("learner state covers " +
+                                   std::to_string(state.size()) +
+                                   " attributes, the schema has " +
+                                   std::to_string(sets_.size()));
+  }
+  for (std::size_t a = 0; a < sets_.size(); ++a) {
+    const AttrState& attr = state[a];
+    if (!sets_[a].empty() || trained_on_[a] != 0) {
+      return Status::FailedPrecondition("learner bank already has feedback");
+    }
+    // Retrain() only ever trains a set that reached the threshold.
+    if (attr.trained_on > attr.examples.size() ||
+        (attr.trained_on > 0 &&
+         attr.trained_on < options_.min_training_examples)) {
+      return Status::InvalidArgument("learner state: bad trained prefix");
+    }
+    for (std::size_t i = 0; i < attr.examples.size(); ++i) {
+      if (attr.examples[i].features.size() != EncodedWidth()) {
+        return Status::InvalidArgument("learner state: bad example width");
+      }
+      GDR_RETURN_NOT_OK(sets_[a].Add(attr.examples[i]));
+      if (i + 1 == attr.trained_on) {
+        // The forest saw exactly this prefix: train before the rest joins
+        // (the set's value coding grows with every example).
+        GDR_RETURN_NOT_OK(models_[a].Train(sets_[a]));
+        trained_on_[a] = attr.trained_on;
+      }
+    }
+    for (std::size_t c = 0; c < kNumFeedbackClasses; ++c) {
+      const std::vector<bool>& window = attr.outcome_window[c];
+      if (window.size() !=
+          std::min(attr.outcome_count[c], kAccuracyWindow)) {
+        return Status::InvalidArgument("learner state: bad outcome window");
+      }
+      const std::size_t slot = a * kNumFeedbackClasses + c;
+      outcome_count_[slot] = attr.outcome_count[c];
+      outcome_window_[slot] = window;
+    }
+  }
+  return Status::OK();
 }
 
 void LearnerBank::Votes(std::span<const Update> updates,
@@ -167,7 +219,7 @@ void LearnerBank::Votes(std::span<const Update> updates,
     j = i + 1;
     while (j < n && updates[j].attr == attr) ++j;
     const std::size_t a = static_cast<std::size_t>(attr);
-    if (!trained_[a]) continue;
+    if (trained_on_[a] == 0) continue;
     const std::size_t rows = j - i;
     const std::size_t width = EncodedWidth();
     {

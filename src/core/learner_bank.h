@@ -1,6 +1,7 @@
 #ifndef GDR_CORE_LEARNER_BANK_H_
 #define GDR_CORE_LEARNER_BANK_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -104,6 +105,32 @@ class LearnerBank {
     return sets_[static_cast<std::size_t>(attr)].size();
   }
 
+  /// What one attribute's model has accumulated from feedback: everything
+  /// a session checkpoint carries for the bank. The forest itself is not
+  /// part of it — RandomForest::Train reseeds per call, so retraining on
+  /// the first `trained_on` examples rebuilds it bit for bit.
+  struct AttrState {
+    std::vector<Example> examples;
+    /// Examples the forest was last trained on (a prefix of `examples`);
+    /// 0 = never trained.
+    std::size_t trained_on = 0;
+    /// Per predicted class: outcomes observed, and the ring buffer of the
+    /// most recent ones (min(count, kAccuracyWindow) entries).
+    std::array<std::size_t, kNumFeedbackClasses> outcome_count{};
+    std::array<std::vector<bool>, kNumFeedbackClasses> outcome_window;
+  };
+  static constexpr std::size_t kAccuracyWindow = 20;
+
+  /// One AttrState per attribute.
+  std::vector<AttrState> SaveState() const;
+
+  /// Loads SaveState()'s output into a bank that has seen no feedback,
+  /// retraining each trained attribute once on its recorded prefix.
+  /// Validates every field (example width and labels, trained prefix,
+  /// window sizes); on failure the bank is left partly loaded and must be
+  /// discarded.
+  Status LoadState(const std::vector<AttrState>& state);
+
   /// The attribute's committee (tests evaluate it independently of Votes).
   const RandomForest& model(AttrId attr) const {
     return models_[static_cast<std::size_t>(attr)];
@@ -129,8 +156,6 @@ class LearnerBank {
                   std::size_t min_samples = 8) const;
 
  private:
-  static constexpr std::size_t kAccuracyWindow = 20;
-
   // Number of features per encoded example (schema width).
   std::size_t EncodedWidth() const { return table_->num_attrs() + 7; }
 
@@ -144,13 +169,15 @@ class LearnerBank {
   LearnerBankOptions options_;
   std::vector<TrainingSet> sets_;      // one per attribute
   std::vector<RandomForest> models_;   // one per attribute
-  std::vector<bool> trained_;
-  std::vector<bool> stale_;            // feedback added since last train
+  // Per attribute: the training-set size at the last retrain (0 = the
+  // model is untrained). Feedback since then (size > trained_on) makes
+  // the model stale.
+  std::vector<std::size_t> trained_on_;
   // Ring buffers of recent prediction outcomes, one per (attribute,
-  // predicted class), indexed attr * kNumFeedbackClasses + class.
+  // predicted class), indexed attr * kNumFeedbackClasses + class; the
+  // count of outcomes observed doubles as the ring cursor.
   std::vector<std::vector<bool>> outcome_window_;
-  std::vector<std::size_t> outcome_next_;   // ring cursors
-  std::vector<std::size_t> outcome_count_;  // total outcomes observed
+  std::vector<std::size_t> outcome_count_;
 
   // Hot-path scratch (prediction-side methods are logically const but
   // reuse these buffers — the reason the bank is documented not

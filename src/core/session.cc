@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "util/stopwatch.h"
@@ -22,10 +21,6 @@ const char* SessionStateName(SessionState state) {
   return "unknown";
 }
 
-// ---------------------------------------------------------------------------
-// SessionSnapshot wire format
-// ---------------------------------------------------------------------------
-
 namespace {
 
 // Accumulates its scope's elapsed wall-clock into *sink on destruction,
@@ -42,178 +37,7 @@ class ScopedTimer {
   double* sink_;
 };
 
-constexpr char kSnapshotMagic[] = "GDRSNAP";
-// Version 2 added the append ("A") event for streaming admissions;
-// version 3 added the trailing "end" marker, which is how Deserialize
-// distinguishes a complete snapshot from a truncated prefix (a crash
-// mid-write used to be able to produce a prefix that still parsed, with a
-// silently shortened last value). Version-1/2 snapshots (no marker) still
-// deserialize.
-constexpr int kSnapshotVersion = 3;
-
-// Unread bytes of `in`: the ceiling for any count a snapshot declares, so
-// a corrupt count fails as InvalidArgument instead of a huge allocation.
-std::size_t BytesLeft(std::istringstream& in) {
-  return static_cast<std::size_t>(
-      std::max<std::streamsize>(0, in.rdbuf()->in_avail()));
-}
-
 }  // namespace
-
-std::string SessionSnapshot::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);  // doubles round-trip exactly at 17 significant digits
-  out << kSnapshotMagic << " " << kSnapshotVersion << "\n";
-  out << "strategy " << StrategyName(strategy) << "\n";
-  out << "seed " << seed << "\n";
-  out << "budget " << feedback_budget << "\n";
-  out << "ns " << ns << "\n";
-  out << "max_outer " << max_outer_iterations << "\n";
-  out << "sweep_passes " << learner_sweep_passes << "\n";
-  out << "max_uncertainty " << learner_max_uncertainty << "\n";
-  out << "min_accuracy " << learner_min_accuracy << "\n";
-  out << "events " << events.size() << "\n";
-  for (const Event& event : events) {
-    if (event.kind == Event::Kind::kPull) {
-      out << "P\n";
-      continue;
-    }
-    if (event.kind == Event::Kind::kAppend) {
-      // Rows are recorded verbatim so replay re-appends exactly what the
-      // live session ingested; arity is uniform (AppendRows validated it).
-      const std::size_t arity = event.rows.empty() ? 0 : event.rows[0].size();
-      out << "A " << event.rows.size() << " " << arity << " "
-          << event.newly_dirty << "\n";
-      for (const std::vector<std::string>& row : event.rows) {
-        for (std::size_t a = 0; a < row.size(); ++a) {
-          if (a > 0) out << " ";
-          // Any byte is legal in a cell value.
-          out << "V" << EncodeHex(row[a]);
-        }
-        out << "\n";
-      }
-      continue;
-    }
-    out << "S " << event.update_id << " " << static_cast<int>(event.feedback)
-        << " " << (event.applied ? "A" : "X") << " ";
-    if (event.has_value) {
-      out << "V" << EncodeHex(event.value);
-    } else {
-      out << "-";
-    }
-    out << "\n";
-  }
-  out << "end\n";
-  return out.str();
-}
-
-Result<SessionSnapshot> SessionSnapshot::Deserialize(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kSnapshotMagic) {
-    return Status::InvalidArgument("not a GDR session snapshot");
-  }
-  if (version < 1 || version > kSnapshotVersion) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version));
-  }
-  SessionSnapshot snapshot;
-  std::string key, strategy_name;
-  unsigned long long seed = 0, budget = 0;
-  std::size_t num_events = 0;
-  if (!(in >> key >> strategy_name) || key != "strategy" ||
-      !(in >> key >> seed) || key != "seed" ||          //
-      !(in >> key >> budget) || key != "budget" ||      //
-      !(in >> key >> snapshot.ns) || key != "ns" ||     //
-      !(in >> key >> snapshot.max_outer_iterations) || key != "max_outer" ||
-      !(in >> key >> snapshot.learner_sweep_passes) ||
-      key != "sweep_passes" ||
-      !(in >> key >> snapshot.learner_max_uncertainty) ||
-      key != "max_uncertainty" ||
-      !(in >> key >> snapshot.learner_min_accuracy) ||
-      key != "min_accuracy" ||
-      !(in >> key >> num_events) || key != "events") {
-    return Status::InvalidArgument("malformed snapshot header");
-  }
-  GDR_ASSIGN_OR_RETURN(snapshot.strategy, StrategyFromName(strategy_name));
-  snapshot.seed = seed;
-  snapshot.feedback_budget = static_cast<std::size_t>(budget);
-  // Every event takes at least two bytes ("P\n").
-  if (num_events > BytesLeft(in) / 2) {
-    return Status::InvalidArgument("snapshot declares " +
-                                   std::to_string(num_events) +
-                                   " events, more than its bytes can hold");
-  }
-  snapshot.events.reserve(num_events);
-  for (std::size_t i = 0; i < num_events; ++i) {
-    std::string tag;
-    if (!(in >> tag)) {
-      return Status::InvalidArgument("snapshot truncated: expected " +
-                                     std::to_string(num_events) + " events");
-    }
-    Event event;
-    if (tag == "P") {
-      event.kind = Event::Kind::kPull;
-    } else if (tag == "S") {
-      event.kind = Event::Kind::kSubmit;
-      int feedback = -1;
-      std::string applied, payload;
-      if (!(in >> event.update_id >> feedback >> applied >> payload) ||
-          feedback < 0 || feedback >= kNumFeedbackClasses ||
-          (applied != "A" && applied != "X")) {
-        return Status::InvalidArgument("malformed submit event");
-      }
-      event.feedback = static_cast<Feedback>(feedback);
-      event.applied = applied == "A";
-      if (payload != "-") {
-        if (payload.front() != 'V' ||
-            !DecodeHex(std::string_view(payload).substr(1), &event.value)) {
-          return Status::InvalidArgument("malformed volunteered value");
-        }
-        event.has_value = true;
-      }
-    } else if (tag == "A") {
-      event.kind = Event::Kind::kAppend;
-      std::size_t num_rows = 0, arity = 0;
-      if (!(in >> num_rows >> arity >> event.newly_dirty)) {
-        return Status::InvalidArgument("malformed append event");
-      }
-      // Every row ends in a newline and every cell takes at least two
-      // bytes ("V" plus a separator).
-      const std::size_t left = BytesLeft(in);
-      if (num_rows > left || (arity > 0 && num_rows > left / 2 / arity)) {
-        return Status::InvalidArgument(
-            "append event declares more cells than the snapshot holds");
-      }
-      event.rows.assign(num_rows, std::vector<std::string>(arity));
-      for (std::vector<std::string>& row : event.rows) {
-        for (std::string& cell : row) {
-          std::string token;
-          if (!(in >> token) || token.front() != 'V' ||
-              !DecodeHex(std::string_view(token).substr(1), &cell)) {
-            return Status::InvalidArgument("malformed append event cell");
-          }
-        }
-      }
-    } else {
-      return Status::InvalidArgument("unknown snapshot event tag '" + tag +
-                                     "'");
-    }
-    snapshot.events.push_back(std::move(event));
-  }
-  if (version >= 3) {
-    // The explicit terminator is the truncation check: without it, a
-    // prefix cut inside the last event's hex payload could parse as a
-    // complete snapshot with a silently corrupted value.
-    std::string terminator;
-    if (!(in >> terminator) || terminator != "end") {
-      return Status::InvalidArgument(
-          "snapshot truncated: missing 'end' marker after events");
-    }
-  }
-  return snapshot;
-}
 
 // ---------------------------------------------------------------------------
 // GdrSession
@@ -239,6 +63,12 @@ Status GdrSession::Start() {
     return Status::FailedPrecondition("session already started");
   }
   if (!engine_->initialized_) {
+    const Table& table = *engine_->table_;
+    base_rows_ = table.num_rows();
+    base_domain_.resize(table.num_attrs());
+    for (std::size_t a = 0; a < base_domain_.size(); ++a) {
+      base_domain_[a] = table.DomainSize(static_cast<AttrId>(a));
+    }
     GDR_RETURN_NOT_OK(engine_->Initialize());
   }
   iterations_ = 0;
@@ -256,9 +86,6 @@ Result<std::vector<SuggestedUpdate>> GdrSession::NextBatch() {
   std::vector<SuggestedUpdate> batch;
   if (state_ == SessionState::kDone) return batch;
   const ScopedTimer timer(&engine_->stats_.timings.total_seconds);
-  SessionSnapshot::Event pull;
-  pull.kind = SessionSnapshot::Event::Kind::kPull;
-  log_.push_back(pull);
   state_ = SessionState::kRanking;
   GDR_RETURN_NOT_OK(Advance(&batch));
   return batch;
@@ -292,8 +119,8 @@ Result<FeedbackOutcome> GdrSession::SubmitFeedback(
     const Status applied = engine_->ApplyUserFeedback(
         entry->suggestion.update, feedback, suggested_value,
         replaying_ ? GdrEngine::ProgressCallback() : callback_);
-    // On failure the entry stays unresolved and unlogged: the submission
-    // is retryable and a snapshot never records a half-applied answer.
+    // On failure the entry stays unresolved: the submission is retryable
+    // and a snapshot never holds a half-applied answer.
     if (!applied.ok()) return applied;
     if (engine_->options_.strategy == Strategy::kActiveLearning) {
       ++labeled_in_round_;
@@ -305,15 +132,6 @@ Result<FeedbackOutcome> GdrSession::SubmitFeedback(
   }
   entry->resolved = true;
   ++resolved_count_;
-  log_.push_back(SessionSnapshot::Event{
-      .kind = SessionSnapshot::Event::Kind::kSubmit,
-      .update_id = update_id,
-      .feedback = feedback,
-      .applied = outcome == FeedbackOutcome::kApplied,
-      .has_value = suggested_value.has_value(),
-      .value = suggested_value.value_or(std::string()),
-      .rows = {},
-      .newly_dirty = 0});
   if (resolved_count_ == outstanding_.size()) {
     // The batch is fully answered; machine steps (retrain, reorder, group
     // transition) run on the next pull.
@@ -329,7 +147,7 @@ Result<SessionAppendOutcome> GdrSession::AppendDirtyRows(
         "call Start() before AppendDirtyRows()");
   }
   SessionAppendOutcome outcome;
-  if (rows.empty()) return outcome;  // nothing ingested, nothing logged
+  if (rows.empty()) return outcome;  // nothing ingested
   GdrEngine& engine = *engine_;
   const ScopedTimer total_timer(&engine.stats_.timings.total_seconds);
   const std::int64_t pool_before =
@@ -359,12 +177,6 @@ Result<SessionAppendOutcome> GdrSession::AppendDirtyRows(
     state_ = SessionState::kRanking;
     outcome.revived = true;
   }
-
-  SessionSnapshot::Event event;
-  event.kind = SessionSnapshot::Event::Kind::kAppend;
-  event.rows = rows;
-  event.newly_dirty = outcome.newly_dirty;
-  log_.push_back(std::move(event));
   return outcome;
 }
 
@@ -668,6 +480,99 @@ void GdrSession::DeliverBatch(const std::vector<Update>& live,
   }
 }
 
+namespace {
+
+// FNV-1a over the original dirty instance as far as a checkpoint leaves
+// it readable: its dictionaries' first base_domain[a] values and every
+// cell of its first base_rows rows outside `frozen` (ascending by (row,
+// attr)) — the cells the session never wrote.
+std::uint64_t BaseDigest(const Table& table, std::size_t base_rows,
+                         const std::vector<std::size_t>& base_domain,
+                         const std::vector<SessionCheckpoint::Cell>& frozen) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    hash ^= word;
+    hash *= 0x100000001B3ULL;
+  };
+  for (std::size_t a = 0; a < base_domain.size(); ++a) {
+    const ValueDict& dict = table.dict(static_cast<AttrId>(a));
+    for (std::size_t id = 0; id < base_domain[a]; ++id) {
+      for (const char c : dict.ToString(static_cast<ValueId>(id))) {
+        mix(static_cast<unsigned char>(c));
+      }
+      mix(0x100);  // value separator, outside the byte range
+    }
+  }
+  auto next = frozen.begin();
+  for (std::size_t r = 0; r < base_rows; ++r) {
+    const RowId row = static_cast<RowId>(r);
+    for (std::size_t a = 0; a < table.num_attrs(); ++a) {
+      const AttrId attr = static_cast<AttrId>(a);
+      if (next != frozen.end() && next->row == row && next->attr == attr) {
+        ++next;
+        continue;
+      }
+      mix(static_cast<std::uint64_t>(table.id_at(row, attr)));
+    }
+  }
+  return hash;
+}
+
+}  // namespace
+
+SessionCheckpoint GdrSession::SaveCheckpoint() const {
+  const GdrEngine& engine = *engine_;
+  const Table& table = *engine.table_;
+  const std::size_t num_attrs = table.num_attrs();
+  SessionCheckpoint cp;
+  cp.base_rows = base_rows_;
+  cp.base_domain = base_domain_;
+  cp.interned.resize(num_attrs);
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    const ValueDict& dict = table.dict(static_cast<AttrId>(a));
+    for (std::size_t id = base_domain_[a]; id < dict.size(); ++id) {
+      cp.interned[a].push_back(dict.ToString(static_cast<ValueId>(id)));
+    }
+  }
+  for (std::size_t r = base_rows_; r < table.num_rows(); ++r) {
+    std::vector<ValueId>& row = cp.appended.emplace_back(num_attrs);
+    for (std::size_t a = 0; a < num_attrs; ++a) {
+      row[a] = table.id_at(static_cast<RowId>(r), static_cast<AttrId>(a));
+    }
+  }
+  for (const CellKey& cell : engine.state_->FrozenCells()) {
+    cp.frozen.push_back({cell.row, cell.attr, table.id_at(cell.row, cell.attr)});
+  }
+  for (const auto& [cell, value] : engine.state_->PreventedValues()) {
+    cp.prevented.push_back({cell.row, cell.attr, value});
+  }
+  cp.base_digest = BaseDigest(table, base_rows_, base_domain_, cp.frozen);
+
+  cp.pool = engine.pool_->All();
+  cp.dirty = engine.manager_->DirtyRows();
+  cp.rule_weights = engine.weights_;
+  cp.projections = engine.index_->RegisteredProjections();
+  cp.rng = engine.rng_.state();
+  cp.stats = engine.stats_;
+  cp.stats.timings = GdrTimings{};
+  cp.learner = engine.bank_->SaveState();
+
+  cp.phase = static_cast<std::uint8_t>(phase_);
+  cp.iterations = iterations_;
+  cp.picked = picked_;
+  cp.group_score = group_score_;
+  cp.quota = quota_;
+  cp.labeled_in_group = labeled_in_group_;
+  cp.before_feedback = before_feedback_;
+  cp.before_decisions = before_decisions_;
+  cp.admitted_since_iteration = admitted_since_iteration_;
+  cp.labeled_in_round = labeled_in_round_;
+  cp.touched_attrs = touched_attrs_;
+  cp.outstanding = outstanding_;
+  cp.next_update_id = next_update_id_;
+  return cp;
+}
+
 SessionSnapshot GdrSession::Snapshot() const {
   SessionSnapshot snapshot;
   const GdrOptions& options = engine_->options_;
@@ -679,8 +584,187 @@ SessionSnapshot GdrSession::Snapshot() const {
   snapshot.learner_sweep_passes = options.learner_sweep_passes;
   snapshot.learner_max_uncertainty = options.learner_max_uncertainty;
   snapshot.learner_min_accuracy = options.learner_min_accuracy;
-  snapshot.events = log_;
+  // A session that never started restores by starting: no checkpoint.
+  if (phase_ != Phase::kNotStarted) snapshot.checkpoint = SaveCheckpoint();
   return snapshot;
+}
+
+Status GdrSession::LoadCheckpoint(const SessionCheckpoint& cp) {
+  const Stopwatch watch;
+  GdrEngine& engine = *engine_;
+  Table& table = *engine.table_;
+  const std::size_t num_attrs = table.num_attrs();
+  const auto corrupt = [](const std::string& what) {
+    return Status::InvalidArgument("snapshot checkpoint: " + what);
+  };
+
+  // 1. The original dirty table: same shape, and the same contents
+  // wherever the session never wrote.
+  if (cp.base_rows != table.num_rows() || cp.base_domain.size() != num_attrs ||
+      cp.interned.size() != num_attrs) {
+    return corrupt("the table's shape is not the original dirty instance's");
+  }
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    if (cp.base_domain[a] != table.DomainSize(static_cast<AttrId>(a))) {
+      return corrupt("the table's dictionaries are not the original's");
+    }
+  }
+  if (BaseDigest(table, cp.base_rows, cp.base_domain, cp.frozen) !=
+      cp.base_digest) {
+    return corrupt("the table is not the original dirty instance");
+  }
+
+  // 2. The dictionary suffix, in id order; 3. the appended rows and the
+  // written cells.
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    const AttrId attr = static_cast<AttrId>(a);
+    for (std::size_t i = 0; i < cp.interned[a].size(); ++i) {
+      if (static_cast<std::size_t>(table.InternValue(attr, cp.interned[a][i])) !=
+          cp.base_domain[a] + i) {
+        return corrupt("an interned value repeats");
+      }
+    }
+  }
+  const auto valid_value = [&table, num_attrs](AttrId attr, ValueId value) {
+    return attr >= 0 && static_cast<std::size_t>(attr) < num_attrs &&
+           value >= 0 &&
+           static_cast<std::size_t>(value) < table.DomainSize(attr);
+  };
+  const auto valid_update = [&table, &valid_value](const Update& u) {
+    return u.row >= 0 && static_cast<std::size_t>(u.row) < table.num_rows() &&
+           valid_value(u.attr, u.value);
+  };
+  std::vector<std::string> cells(num_attrs);
+  for (const std::vector<ValueId>& row : cp.appended) {
+    if (row.size() != num_attrs) return corrupt("bad appended row");
+    for (std::size_t a = 0; a < num_attrs; ++a) {
+      const AttrId attr = static_cast<AttrId>(a);
+      if (!valid_value(attr, row[a])) return corrupt("bad appended row");
+      cells[a] = table.dict(attr).ToString(row[a]);  // interned: id kept
+    }
+    GDR_RETURN_NOT_OK(table.AppendRow(cells).status());
+  }
+  for (const SessionCheckpoint::Cell& c : cp.frozen) {
+    if (!valid_update(Update{c.row, c.attr, c.value, 0.0})) {
+      return corrupt("bad frozen cell");
+    }
+    table.SetById(c.row, c.attr, c.value);
+  }
+
+  // 4. The components, the index built once over the patched table. Its
+  // constructor interns the rule constants, which the suffix already holds.
+  engine.BuildComponents();
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    if (table.DomainSize(static_cast<AttrId>(a)) !=
+        cp.base_domain[a] + cp.interned[a].size()) {
+      return corrupt("rule constants missing from the interned values");
+    }
+  }
+
+  // 5. Their state; the bank retrains each trained attribute once.
+  for (const SessionCheckpoint::Cell& c : cp.frozen) {
+    engine.state_->Freeze(CellKey{c.row, c.attr});
+  }
+  for (const SessionCheckpoint::Cell& c : cp.prevented) {
+    if (!valid_update(Update{c.row, c.attr, c.value, 0.0})) {
+      return corrupt("bad prevented value");
+    }
+    engine.state_->Prevent(CellKey{c.row, c.attr}, c.value);
+  }
+  for (const Update& u : cp.pool) {
+    if (!valid_update(u)) return corrupt("bad pooled update");
+    engine.pool_->Upsert(u);
+  }
+  for (RowId row : cp.dirty) {
+    if (row < 0 || static_cast<std::size_t>(row) >= table.num_rows()) {
+      return corrupt("bad dirty row");
+    }
+  }
+  engine.manager_->RestoreDirtyRows(cp.dirty);
+  if (cp.rule_weights.size() != engine.rules_->size()) {
+    return corrupt("rule weights do not match the rule set");
+  }
+  engine.weights_ = cp.rule_weights;
+  for (const auto& [rule, attr] : cp.projections) {
+    if (rule < 0 || static_cast<std::size_t>(rule) >= engine.rules_->size() ||
+        attr < 0 || static_cast<std::size_t>(attr) >= num_attrs) {
+      return corrupt("bad projection");
+    }
+    engine.index_->RegisterProjection(rule, attr);
+  }
+  engine.rng_.set_state(cp.rng);
+  engine.stats_ = cp.stats;
+  engine.stats_.timings = GdrTimings{};
+  GDR_RETURN_NOT_OK(engine.bank_->LoadState(cp.learner));
+  engine.initialized_ = true;
+
+  // 6. The loop position.
+  const Phase phase = static_cast<Phase>(cp.phase);
+  const bool active_learning =
+      engine.options_.strategy == Strategy::kActiveLearning;
+  switch (phase) {
+    case Phase::kIterationStart:
+    case Phase::kRoundStart:
+    case Phase::kBatchOut:
+    case Phase::kRoundEnd:
+    case Phase::kTakeOver:
+      if (active_learning) return corrupt("bad loop phase");
+      break;
+    case Phase::kAlRoundStart:
+    case Phase::kAlBatchOut:
+    case Phase::kAlRoundEnd:
+      if (!active_learning) return corrupt("bad loop phase");
+      break;
+    case Phase::kFinalSweep:
+    case Phase::kDone:
+      break;
+    default:
+      return corrupt("bad loop phase");
+  }
+  const UpdateGroup& picked = cp.picked;
+  if (!(picked.attr == kInvalidAttrId && picked.value == kInvalidValueId) &&
+      !valid_value(picked.attr, picked.value)) {
+    return corrupt("bad picked group");
+  }
+  for (const Update& u : picked.updates) {
+    if (!valid_update(u)) return corrupt("bad picked group");
+  }
+  for (AttrId attr : cp.touched_attrs) {
+    if (attr < 0 || static_cast<std::size_t>(attr) >= num_attrs) {
+      return corrupt("bad touched attribute");
+    }
+  }
+  resolved_count_ = 0;
+  for (const OutstandingEntry& entry : cp.outstanding) {
+    const SuggestedUpdate& s = entry.suggestion;
+    if (!valid_update(s.update) || !valid_value(s.group_attr, s.group_value)) {
+      return corrupt("bad outstanding suggestion");
+    }
+    if (entry.resolved) ++resolved_count_;
+  }
+  phase_ = phase;
+  iterations_ = cp.iterations;
+  picked_ = picked;
+  group_score_ = cp.group_score;
+  quota_ = cp.quota;
+  labeled_in_group_ = cp.labeled_in_group;
+  before_feedback_ = cp.before_feedback;
+  before_decisions_ = cp.before_decisions;
+  admitted_since_iteration_ = cp.admitted_since_iteration;
+  labeled_in_round_ = cp.labeled_in_round;
+  touched_attrs_ = cp.touched_attrs;
+  outstanding_ = cp.outstanding;
+  next_update_id_ = cp.next_update_id;
+  base_rows_ = cp.base_rows;
+  base_domain_ = cp.base_domain;
+  const bool batch_out = phase == Phase::kBatchOut || phase == Phase::kAlBatchOut;
+  state_ = phase == Phase::kDone ? SessionState::kDone
+           : batch_out && resolved_count_ < outstanding_.size()
+               ? SessionState::kAwaitingFeedback
+               : SessionState::kRanking;
+  engine.stats_.timings.init_seconds = watch.ElapsedSeconds();
+  engine.SyncPerfTimings();
+  return Status::OK();
 }
 
 Status GdrSession::Restore(const SessionSnapshot& snapshot) {
@@ -702,10 +786,10 @@ Status GdrSession::Restore(const SessionSnapshot& snapshot) {
         "feedback_budget, max_outer_iterations, learner_sweep_passes, and "
         "the learner delegation thresholds must match");
   }
-  // Replay mutates the table in place and grows engine state event by
-  // event, so a snapshot that diverges mid-replay (corrupted file, table
-  // not reloaded in its original dirty state) would otherwise strand the
-  // session half-replayed. Save the pristine dirty instance up front; on
+  // Loading a checkpoint and replaying a tail both mutate the table in
+  // place, so a snapshot that fails partway (corrupted file, table not
+  // reloaded in its original dirty state) would otherwise strand the
+  // session half-restored. Save the pristine dirty instance up front; on
   // any failure, put the table back, rebuild a fresh engine over it, and
   // reset the loop to not-started — the session stays fully usable (a
   // subsequent Start() runs it as if the restore was never attempted).
@@ -723,13 +807,10 @@ Status GdrSession::Restore(const SessionSnapshot& snapshot) {
 }
 
 Status GdrSession::ReplaySnapshot(const SessionSnapshot& snapshot) {
-  GDR_RETURN_NOT_OK(Start());
-  const GdrStats& stats = engine_->stats_;
-  if (stats.user_feedback != 0 || stats.learner_decisions != 0 ||
-      stats.outer_iterations != 0 || stats.forced_repairs != 0) {
-    return Status::FailedPrecondition(
-        "Restore() requires a pristine engine over the original dirty "
-        "table");
+  if (snapshot.checkpoint.has_value()) {
+    GDR_RETURN_NOT_OK(LoadCheckpoint(*snapshot.checkpoint));
+  } else {
+    GDR_RETURN_NOT_OK(Start());
   }
   replaying_ = true;
   Status status = Status::OK();
@@ -800,7 +881,8 @@ void GdrSession::ResetToNotStarted() {
   outstanding_.clear();
   resolved_count_ = 0;
   next_update_id_ = 1;
-  log_.clear();
+  base_rows_ = 0;
+  base_domain_.clear();
   replaying_ = false;
 }
 

@@ -70,14 +70,85 @@ struct SuggestedUpdate {
   std::size_t budget_remaining = GdrOptions::kUnlimitedBudget;
 };
 
-/// A serializable record of a session's loop position. Event-sourced: the
-/// snapshot is the exact sequence of API calls (pulls, submissions, and
-/// row appends) that produced the current state. Because every component is
-/// deterministic under a fixed seed, replaying the events against a fresh
-/// session over the *original dirty table* reconstructs the pool, the
-/// learner bank (training sets, forests, rolling accuracy), the RNG
-/// streams, and the stats bit-for-bit — which is what lets a session
-/// survive a process restart without serializing any of those directly.
+/// A session's complete state at one API boundary — what a restored
+/// session needs to continue bit-identically — stored as a delta against
+/// the session's original dirty table. Derived state is left out and
+/// rebuilt by Restore(): the violation index (built once over the patched
+/// table), the forests (each retrained once on its recorded prefix) and
+/// the VOI ranker's re-ranking cache (rebuilt from empty). Phase timings
+/// are process-local and not carried: a restored session's GdrTimings
+/// count from the restore.
+struct SessionCheckpoint {
+  /// One cell and a value: a frozen cell's current value, or a value the
+  /// cell's prevented list holds.
+  struct Cell {
+    RowId row = -1;
+    AttrId attr = kInvalidAttrId;
+    ValueId value = kInvalidValueId;
+  };
+  struct Outstanding {
+    SuggestedUpdate suggestion;
+    bool resolved = false;
+  };
+
+  // --- The table, against the original dirty instance.
+  std::size_t base_rows = 0;
+  /// Digest of the original instance as the session left it readable: its
+  /// dictionaries and every cell outside `frozen`. Restore() rejects a
+  /// table that does not reproduce it (not the original dirty instance).
+  std::uint64_t base_digest = 0;
+  /// Per attribute: the original dictionary size, and the values interned
+  /// since (rule constants, volunteered values, appended cells), in id
+  /// order.
+  std::vector<std::size_t> base_domain;
+  std::vector<std::vector<std::string>> interned;
+  /// Rows appended since Start(), as current value ids.
+  std::vector<std::vector<ValueId>> appended;
+  /// Every frozen cell with its current value, ascending by (row, attr).
+  /// The consistency manager freezes each cell it writes, so these patch
+  /// every cell that differs from the original instance.
+  std::vector<Cell> frozen;
+  /// The prevented lists, ascending by (row, attr, value).
+  std::vector<Cell> prevented;
+
+  // --- Engine components.
+  std::vector<Update> pool;  // ascending by (row, attr)
+  std::vector<RowId> dirty;  // ascending
+  /// The Eq. 3 weights, fixed on the initial instance (and refreshed by
+  /// appends) — not recomputable from the current one.
+  std::vector<double> rule_weights;
+  /// The violation index's registered (rule, attribute) projections,
+  /// ascending: derived state, but registering them during the restore
+  /// keeps their scans out of later feedback calls.
+  std::vector<std::pair<RuleId, AttrId>> projections;
+  Rng::State rng{};
+  GdrStats stats;  // counters only; timings are not carried
+  std::vector<LearnerBank::AttrState> learner;  // one per attribute
+
+  // --- The loop position (GdrSession's members of the same names).
+  std::uint8_t phase = 0;
+  int iterations = 0;
+  UpdateGroup picked;
+  double group_score = 0.0;
+  std::size_t quota = 0;
+  std::size_t labeled_in_group = 0;
+  std::size_t before_feedback = 0;
+  std::size_t before_decisions = 0;
+  bool admitted_since_iteration = false;
+  std::size_t labeled_in_round = 0;
+  std::vector<AttrId> touched_attrs;
+  std::vector<Outstanding> outstanding;  // in delivery order
+  std::uint64_t next_update_id = 1;
+};
+
+/// A serializable session: an optional checkpoint of the session's state
+/// plus the tail of API calls (pulls, submissions, row appends) made after
+/// it. Restore() applies the checkpoint — or Start()s over the original
+/// dirty table when there is none — and then replays the tail. Every
+/// component is deterministic under a fixed seed, so the replay
+/// reconstructs what those calls produced bit for bit. Snapshot() writes a
+/// checkpoint and an empty tail, so restoring costs one index build and
+/// one retrain per trained attribute, whatever the session's age.
 struct SessionSnapshot {
   struct Event {
     enum class Kind : std::uint8_t { kPull = 0, kSubmit = 1, kAppend = 2 };
@@ -102,10 +173,10 @@ struct SessionSnapshot {
 
   /// The options the session ran under, for compatibility validation at
   /// Restore() time. The caller is responsible for reconstructing the
-  /// full GdrOptions (replay assumes every knob matches — a silent
+  /// full GdrOptions (restore assumes every knob matches — a silent
   /// mismatch anywhere, including nested learner/forest options, diverges
-  /// the replay); these scalar loop knobs are carried along so the common
-  /// mistakes are caught loudly instead.
+  /// the restored session); these scalar loop knobs are carried along so
+  /// the common mistakes are caught loudly instead.
   Strategy strategy = Strategy::kGdr;
   std::uint64_t seed = 0;
   std::size_t feedback_budget = GdrOptions::kUnlimitedBudget;
@@ -115,13 +186,20 @@ struct SessionSnapshot {
   double learner_max_uncertainty = 0.0;
   double learner_min_accuracy = 0.0;
 
-  std::vector<Event> events;
+  std::optional<SessionCheckpoint> checkpoint;
+  std::vector<Event> events;  // the tail after the checkpoint
 
-  /// Plain-text wire format (versioned header + hex-encoded values, so
-  /// volunteered strings and appended cells may contain any bytes).
-  /// Version 2 adds the append ("A") event; version 3 adds a trailing
+  /// Plain-text wire format (versioned header + hex-encoded strings, so
+  /// volunteered values and appended cells may contain any bytes).
+  /// Version 2 added the append ("A") event; version 3 added a trailing
   /// "end" marker so a truncated prefix (crash mid-write) can never parse
-  /// as a complete snapshot. Version-1/2 snapshots still deserialize.
+  /// as a complete snapshot; version 4 adds the checkpoint between the
+  /// header and the events, one section per group of SessionCheckpoint
+  /// fields, in their order. A snapshot without a checkpoint is written as
+  /// version 3, byte for byte what earlier builds wrote, and version 1–3
+  /// texts still deserialize — as "no checkpoint plus the full log".
+  /// Every count is bounded by the bytes left, so a corrupt text fails
+  /// with InvalidArgument instead of allocating.
   std::string Serialize() const;
   static Result<SessionSnapshot> Deserialize(std::string_view text);
 };
@@ -208,9 +286,9 @@ class GdrSession {
   /// pool, so admitted updates that join its (attribute, value) surface in
   /// its later rounds and in its learner take-over. Every other admitted
   /// update is grouped and ranked at the next iteration, as always. Clean
-  /// rows (violating nothing) admit nothing and change nothing. Appends
-  /// are recorded in the event log, so Snapshot()/Restore() replays them
-  /// in position; a kDone session with new dirt is re-armed (`revived`).
+  /// rows (violating nothing) admit nothing and change nothing. A
+  /// snapshot carries the appended rows in its checkpoint; a kDone
+  /// session with new dirt is re-armed (`revived`).
   Result<SessionAppendOutcome> AppendDirtyRows(
       const std::vector<std::vector<std::string>>& rows);
 
@@ -227,32 +305,35 @@ class GdrSession {
   /// Invoked after every applied label and after every learner batch, with
   /// the engine in a consistent state (experiments record quality curves
   /// here).
-  /// Suppressed while Restore() replays history (the events already fired
-  /// in the original session).
+  /// Suppressed while Restore() replays a snapshot's event tail (the
+  /// events already fired in the original session).
   void SetProgressCallback(GdrEngine::ProgressCallback callback);
 
   const GdrEngine& engine() const { return *engine_; }
   const Table& table() const { return engine_->table(); }
   const GdrStats& stats() const { return engine_->stats(); }
 
-  /// The session's event log since Start(), restorable at any point —
-  /// including mid-batch. Cheap: the log is maintained incrementally.
+  /// The session's state as a checkpoint with an empty event tail,
+  /// restorable at any API boundary — including mid-batch. Costs one pass
+  /// over the session's state (pool, repair state, training sets); the
+  /// live session keeps no history.
   SessionSnapshot Snapshot() const;
 
-  /// Rebuilds the loop position recorded in `snapshot` by replaying its
-  /// events. Requirements: the session has not been started (Restore
-  /// starts it), the engine is pristine (freshly constructed over the
-  /// *original dirty table* — replay re-applies every repair), and the
-  /// session's strategy/seed/ns/feedback_budget match the snapshot's.
+  /// Rebuilds the session recorded in `snapshot`: applies its checkpoint,
+  /// or Start()s when it has none, then replays its event tail.
+  /// Requirements: the session has not been started (Restore starts it),
+  /// the table is the *original dirty table* (a checkpoint is a delta
+  /// against it; a tail replays every repair over it), and the session's
+  /// strategy/seed/ns/feedback_budget match the snapshot's.
   /// After a successful restore the session continues exactly where the
-  /// snapshotted one stood: same pool, learner bank, RNG streams, stats,
-  /// outstanding batch, and update-id sequence.
+  /// snapshotted one stood: same pool, learner bank, RNG streams, stats
+  /// counters, outstanding batch, and update-id sequence.
   ///
-  /// A failed restore (corrupted snapshot, diverging replay, non-pristine
-  /// engine) is fully rolled back: the table is returned to its pre-call
-  /// contents, the engine is rebuilt pristine over it, and the session is
-  /// reset to not-started — Start() afterwards runs it exactly like a
-  /// fresh session.
+  /// A failed restore (corrupted snapshot, a table that is not the
+  /// original, diverging replay) is fully rolled back: the table is
+  /// returned to its pre-call contents, the engine is rebuilt pristine
+  /// over it, and the session is reset to not-started — Start()
+  /// afterwards runs it exactly like a fresh session.
   Status Restore(const SessionSnapshot& snapshot);
 
  private:
@@ -277,10 +358,7 @@ class GdrSession {
   };
 
   // One delivered suggestion awaiting (or already given) feedback.
-  struct OutstandingEntry {
-    SuggestedUpdate suggestion;
-    bool resolved = false;
-  };
+  using OutstandingEntry = SessionCheckpoint::Outstanding;
 
   // Runs machine steps until a batch is delivered (returned in `batch`)
   // or the loop completes (empty `batch`, state kDone).
@@ -308,9 +386,14 @@ class GdrSession {
   // vanished (its dead updates then drain via LiveGroupUpdates).
   void RefreshPickedGroup();
 
-  // The fallible middle of Restore(): Start + pristine check + event
-  // replay. Restore() wraps it with the all-or-nothing rollback.
+  // The fallible middle of Restore(): checkpoint (or Start), then the
+  // event tail. Restore() wraps it with the all-or-nothing rollback.
   Status ReplaySnapshot(const SessionSnapshot& snapshot);
+  // Loads a checkpoint into this not-started session and its
+  // uninitialized engine: patches the table, builds the components over
+  // it, loads their state and the loop position.
+  Status LoadCheckpoint(const SessionCheckpoint& checkpoint);
+  SessionCheckpoint SaveCheckpoint() const;
   // Returns every loop member to its freshly-constructed value.
   void ResetToNotStarted();
 
@@ -342,8 +425,12 @@ class GdrSession {
   std::size_t resolved_count_ = 0;
   std::uint64_t next_update_id_ = 1;
 
-  // Event log backing Snapshot(); replay suppresses callbacks.
-  std::vector<SessionSnapshot::Event> log_;
+  // The original dirty table's shape, recorded by Start() (or carried
+  // over by a checkpoint): checkpoints are deltas against it.
+  std::size_t base_rows_ = 0;
+  std::vector<std::size_t> base_domain_;
+
+  // Set while Restore() replays an event tail; suppresses callbacks.
   bool replaying_ = false;
 };
 

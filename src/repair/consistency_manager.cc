@@ -92,9 +92,7 @@ std::size_t ConsistencyManager::AdmitRows(RowId first_row, std::size_t count) {
   // Sorted order: regeneration itself is cell-independent, but a
   // deterministic sweep keeps the whole admission replayable step by step.
   std::vector<CellKey> cells(revisit.begin(), revisit.end());
-  std::sort(cells.begin(), cells.end(), [](const CellKey& a, const CellKey& b) {
-    return a.row != b.row ? a.row < b.row : a.attr < b.attr;
-  });
+  std::sort(cells.begin(), cells.end(), CellKeyLess);
   for (const CellKey& cell : cells) Revisit(cell);
 
   return dirty_.size() - dirty_before;

@@ -89,6 +89,12 @@ class ConsistencyManager {
   /// Current dirty tuples, ascending. Maintained incrementally.
   std::vector<RowId> DirtyRows() const;
 
+  /// Replaces the dirty set (loading a session checkpoint; DirtyRows()
+  /// is what the checkpoint saved).
+  void RestoreDirtyRows(const std::vector<RowId>& rows) {
+    dirty_ = std::unordered_set<RowId>(rows.begin(), rows.end());
+  }
+
   std::size_t dirty_count() const { return dirty_.size(); }
   bool HasDirtyRows() const { return !dirty_.empty(); }
   bool IsDirty(RowId row) const { return dirty_.contains(row); }

@@ -1,8 +1,11 @@
 #ifndef GDR_REPAIR_REPAIR_STATE_H_
 #define GDR_REPAIR_REPAIR_STATE_H_
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "repair/update.h"
 
@@ -43,6 +46,26 @@ class RepairState {
   }
 
   std::size_t frozen_count() const { return frozen_.size(); }
+
+  /// Every frozen cell, ascending by (row, attr).
+  std::vector<CellKey> FrozenCells() const {
+    std::vector<CellKey> cells(frozen_.begin(), frozen_.end());
+    std::sort(cells.begin(), cells.end(), CellKeyLess);
+    return cells;
+  }
+
+  /// Every (cell, prevented value) pair, ascending by (row, attr, value).
+  std::vector<std::pair<CellKey, ValueId>> PreventedValues() const {
+    std::vector<std::pair<CellKey, ValueId>> out;
+    for (const auto& [cell, values] : prevented_) {
+      for (ValueId value : values) out.emplace_back(cell, value);
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      if (!(a.first == b.first)) return CellKeyLess(a.first, b.first);
+      return a.second < b.second;
+    });
+    return out;
+  }
 
  private:
   std::unordered_set<CellKey, CellKeyHash> frozen_;

@@ -20,6 +20,11 @@ struct CellKey {
   }
 };
 
+/// Row-major cell order: by row, then attribute.
+inline bool CellKeyLess(const CellKey& a, const CellKey& b) {
+  return a.row != b.row ? a.row < b.row : a.attr < b.attr;
+}
+
 struct CellKeyHash {
   std::size_t operator()(const CellKey& key) const {
     // Rows and attrs are small non-negative ints; pack and mix.

@@ -84,13 +84,17 @@ struct WireServerStats {
   std::size_t opens = 0;
   std::size_t evictions = 0;
   std::size_t rehydrations = 0;
+  /// Cumulative wall milliseconds spent rehydrating evicted sessions:
+  /// reading the spill file, resolving the workload, parsing the snapshot
+  /// and GdrSession::Restore.
+  double restore_ms = 0.0;
   /// Hot-path phase counters aggregated over the resident sessions
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
   /// benefit-probe seconds, updates scored and updates actually probed,
   /// forest-retrain seconds and examples trained on, update-regeneration
   /// seconds and UpdateAttributeTuple calls, pool-grouping seconds).
-  /// Evicted sessions' time is not replayed into these — they reset to
-  /// their snapshot's history on rehydration like every other timing.
+  /// An evicted session's time is not carried over: a rehydrated
+  /// session's timings count from its restore, like every other timing.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;

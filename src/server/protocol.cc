@@ -139,6 +139,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " budget=" << stats.memory_budget_bytes << " opens=" << stats.opens
         << " evictions=" << stats.evictions
         << " rehydrations=" << stats.rehydrations
+        << " restore-ms=" << stats.restore_ms
         << " learner-encode-s=" << stats.learner_encode_seconds
         << " learner-treewalk-s=" << stats.learner_tree_walk_seconds
         << " voi-probe-s=" << stats.voi_probe_seconds

@@ -37,6 +37,7 @@ namespace gdr::server {
 ///   stats                               -> OK resident=N evicted=N
 ///                                          bytes=N budget=N opens=N
 ///                                          evictions=N rehydrations=N
+///                                          restore-ms=X
 ///                                          learner-encode-s=X
 ///                                          learner-treewalk-s=X
 ///                                          voi-probe-s=X voi-probes=N

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/fileio.h"
+#include "util/stopwatch.h"
 #include "workload/registry.h"
 
 namespace gdr::server {
@@ -12,7 +13,7 @@ namespace gdr::server {
 namespace {
 
 // The spill-file header, shared with examples/interactive_repl.cpp: the
-// snapshot is only replayable over the workload it was recorded against.
+// snapshot only restores over the workload it was recorded against.
 constexpr char kWorkloadHeader[] = "workload ";
 
 // Resident-footprint estimate for the budget policy. Exactness does not
@@ -118,8 +119,8 @@ std::string SessionManager::SerializeSession(ManagedSession* session) const {
 Status SessionManager::Materialize(ManagedSession* session,
                                    const std::string* snapshot_text) {
   // Deterministic workloads rebuild identically on every call — the
-  // registry-resolved dirty instance *is* the original dirty instance the
-  // event log replays over.
+  // registry-resolved dirty instance *is* the original dirty instance a
+  // snapshot's checkpoint is a delta against.
   Result<Dataset> dataset =
       WorkloadRegistry::Global().Resolve(session->config.workload_spec);
   if (!dataset.ok()) return dataset.status();
@@ -167,13 +168,18 @@ Status SessionManager::Materialize(ManagedSession* session,
 
 Status SessionManager::EnsureResident(ManagedSession* session) {
   if (session->resident.load(std::memory_order_acquire)) return Status::OK();
+  const Stopwatch watch;
   Result<std::string> text = ReadFileToString(session->spill_path);
   if (!text.ok()) {
     return Status::Internal("session '" + session->key.session +
                             "' is evicted and its snapshot cannot be read: " +
                             text.status().message());
   }
-  GDR_RETURN_NOT_OK(Materialize(session, &*text));
+  const Status materialized = Materialize(session, &*text);
+  restore_ns_.fetch_add(
+      static_cast<std::uint64_t>(watch.ElapsedSeconds() * 1e9),
+      std::memory_order_relaxed);
+  GDR_RETURN_NOT_OK(materialized);
   rehydrations_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -468,6 +474,8 @@ WireServerStats SessionManager::Stats() const {
   stats.opens = opens_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.rehydrations = rehydrations_.load(std::memory_order_relaxed);
+  stats.restore_ms =
+      static_cast<double>(restore_ns_.load(std::memory_order_relaxed)) * 1e-6;
   return stats;
 }
 

@@ -39,13 +39,14 @@ struct SessionManagerOptions {
 /// and keeps them under a memory budget by snapshotting cold sessions to
 /// disk and transparently rehydrating them on the next touch.
 ///
-/// Why this works: a GdrSession is event-sourced over a deterministic
-/// workload, so its entire state is (workload spec, event log). Eviction
-/// writes exactly that — crash-safely, via temp-file + rename — and
-/// rehydration re-resolves the spec and replays the log, reconstructing
-/// the pool, learner bank, RNG streams, and outstanding batch
-/// bit-identically. The differential suites pin evicted-and-rehydrated
-/// sessions to never-evicted controls.
+/// Why this works: a GdrSession's snapshot is a checkpoint of its state
+/// as a delta against its deterministic workload's dirty table, so
+/// (workload spec, snapshot) is the whole session. Eviction writes exactly
+/// that — crash-safely, via temp-file + rename — and rehydration
+/// re-resolves the spec and restores the checkpoint, reconstructing the
+/// pool, learner bank, RNG streams, and outstanding batch bit-identically
+/// at a cost that does not grow with the session's age. The differential
+/// suites pin evicted-and-rehydrated sessions to never-evicted controls.
 ///
 /// Concurrency: any number of client threads may call any operation. A
 /// manager-wide mutex guards only the session map; each session has its
@@ -128,6 +129,7 @@ class SessionManager {
   std::atomic<std::size_t> opens_{0};
   std::atomic<std::size_t> evictions_{0};
   std::atomic<std::size_t> rehydrations_{0};
+  std::atomic<std::uint64_t> restore_ns_{0};
 };
 
 /// Binds `manager` behind the vtable boundary. The returned Backend is

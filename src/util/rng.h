@@ -1,6 +1,7 @@
 #ifndef GDR_UTIL_RNG_H_
 #define GDR_UTIL_RNG_H_
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -17,6 +18,12 @@ class Rng {
 
   /// Re-seeds the generator via SplitMix64 state expansion.
   void Seed(std::uint64_t seed);
+
+  /// The raw xoshiro state, for checkpoints: set_state(state()) resumes
+  /// the stream exactly where it stood.
+  using State = std::array<std::uint64_t, 4>;
+  State state() const { return state_; }
+  void set_state(const State& state) { state_ = state; }
 
   /// Next raw 64-bit value.
   std::uint64_t Next();
@@ -57,7 +64,7 @@ class Rng {
                                     std::vector<std::size_t>* out);
 
  private:
-  std::uint64_t state_[4];
+  State state_;
 };
 
 }  // namespace gdr

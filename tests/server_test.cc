@@ -354,6 +354,33 @@ TEST(ProtocolTest, StatsReplyEndsWithGroupingTime) {
   EXPECT_GT(std::stod(after_pull.substr(at + 12)), 0.0) << after_pull;
 }
 
+TEST(ProtocolTest, StatsReplyCarriesRestoreMs) {
+  const auto lines = RunScript(
+      "stats\n"
+      "open acme s1 figure1 seed=7 budget=40\n"
+      "evict acme s1\n"
+      "stats\n"
+      "dump acme s1\n"
+      "stats\n"
+      "quit\n",
+      "gdr_spill_protocol_restore");
+  ASSERT_GE(lines.size(), 5u);
+  EXPECT_NE(lines.front().find(" rehydrations=0 restore-ms=0 "),
+            std::string::npos)
+      << lines.front();
+  // Evicting restores nothing; the dump rehydrated the session once.
+  EXPECT_NE(lines[3].find(" rehydrations=0 restore-ms=0 "), std::string::npos)
+      << lines[3];
+  const std::string& after_dump = lines[lines.size() - 2];
+  EXPECT_NE(after_dump.find(" rehydrations=1 restore-ms="), std::string::npos)
+      << after_dump;
+  const std::size_t at = after_dump.find(" restore-ms=");
+  ASSERT_NE(at, std::string::npos) << after_dump;
+  EXPECT_GT(std::stod(after_dump.substr(at + 12)), 0.0) << after_dump;
+  // grouping-s stays the reply's last field.
+  EXPECT_LT(at, after_dump.find(" grouping-s=")) << after_dump;
+}
+
 TEST(ProtocolTest, MalformedInputGetsTypedErrorsNeverCrashes) {
   const auto lines = RunScript(
       "bogus\n"

@@ -1,10 +1,12 @@
 // Crash-safety of snapshot persistence and restore:
-//  - a truncated wire-v3 prefix (crash mid-write) can never deserialize as
-//    a complete snapshot — the "end" marker regression;
+//  - a truncated wire-v3 or v4 prefix (crash mid-write) can never
+//    deserialize as a complete snapshot — the "end" marker regression;
 //  - legacy v1/v2 texts still load, and truncated legacy prefixes never
 //    crash and never strand a session;
-//  - a failed Restore() rolls the session back to pristine: the table is
+//  - a failed Restore() — a diverging event replay or a corrupt
+//    checkpoint — rolls the session back to pristine: the table is
 //    untouched and the session runs fresh to the same finals as a control;
+//  - a checkpoint restores only over the original dirty table;
 //  - WriteFileAtomic round-trips bytes and replaces files whole.
 #include <gtest/gtest.h>
 
@@ -111,30 +113,50 @@ std::vector<std::string> TableCells(const Table& table) {
 
 // Drives a session part way — one full batch answered, then a reject with
 // a volunteered value carrying bytes that need hex framing — and returns
-// its snapshot. The last event is a submit with a V<hex> payload, which is
-// exactly the shape whose truncation used to parse silently.
-SessionSnapshot PartialSnapshot(Table* table, const RuleSet* rules) {
+// the event log of those calls: the snapshot as a build without
+// checkpoints wrote it (no checkpoint, the whole history as the tail),
+// which Restore() still replays. The last event is a submit with a V<hex>
+// payload, which is exactly the shape whose truncation used to parse
+// silently. `checkpointed`, when given, receives the session's own
+// Snapshot(): a checkpoint with an empty tail.
+SessionSnapshot PartialSnapshot(Table* table, const RuleSet* rules,
+                                SessionSnapshot* checkpointed = nullptr) {
   GdrSession session(table, rules, TestOptions());
   EXPECT_TRUE(session.Start().ok());
-  auto batch = session.NextBatch();
+  std::vector<SessionSnapshot::Event> log;
+  const auto pull = [&session, &log] {
+    log.push_back({.kind = SessionSnapshot::Event::Kind::kPull});
+    return session.NextBatch();
+  };
+  const auto submit = [&session, &log](std::uint64_t id, Feedback feedback,
+                                       std::optional<std::string> value) {
+    const auto outcome = session.SubmitFeedback(id, feedback, value);
+    EXPECT_TRUE(outcome.ok());
+    log.push_back({.kind = SessionSnapshot::Event::Kind::kSubmit,
+                   .update_id = id,
+                   .feedback = feedback,
+                   .applied = outcome.ok() && *outcome == FeedbackOutcome::kApplied,
+                   .has_value = value.has_value(),
+                   .value = value.value_or("")});
+  };
+  auto batch = pull();
   EXPECT_TRUE(batch.ok());
   const Truth truth = BaseTruth();
   for (const SuggestedUpdate& s : *batch) {
     if (!session.IsLive(s.update_id)) continue;
     const PolicyAnswer answer = Answer(session.table(), truth, s);
-    EXPECT_TRUE(session
-                    .SubmitFeedback(s.update_id, answer.feedback,
-                                    answer.volunteered)
-                    .ok());
+    submit(s.update_id, answer.feedback, answer.volunteered);
   }
-  batch = session.NextBatch();
+  batch = pull();
   EXPECT_TRUE(batch.ok());
   EXPECT_FALSE(batch->empty());
-  EXPECT_TRUE(session
-                  .SubmitFeedback((*batch)[0].update_id, Feedback::kReject,
-                                  std::string("Spring field\nvalue"))
-                  .ok());
-  return session.Snapshot();
+  submit((*batch)[0].update_id, Feedback::kReject,
+         std::string("Spring field\nvalue"));
+  SessionSnapshot snapshot = session.Snapshot();
+  if (checkpointed != nullptr) *checkpointed = snapshot;
+  snapshot.checkpoint.reset();
+  snapshot.events = std::move(log);
+  return snapshot;
 }
 
 bool SnapshotsEqual(const SessionSnapshot& a, const SessionSnapshot& b) {
@@ -183,6 +205,24 @@ TEST(SnapshotTruncationTest, V3PrefixNeverParsesAsComplete) {
   const std::size_t last_v = text.rfind(" V");
   ASSERT_NE(last_v, std::string::npos);
   EXPECT_FALSE(SessionSnapshot::Deserialize(text.substr(0, last_v + 6)).ok());
+}
+
+TEST(SnapshotTruncationTest, V4PrefixNeverParsesAsComplete) {
+  Table table = BaseDirty();
+  const RuleSet rules = TestRules();
+  SessionSnapshot full;
+  PartialSnapshot(&table, &rules, &full);
+  ASSERT_TRUE(full.checkpoint.has_value());
+  const std::string text = full.Serialize();
+  ASSERT_EQ(text.rfind("GDRSNAP 4\n", 0), 0u);
+
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    const auto parsed = SessionSnapshot::Deserialize(text.substr(0, len));
+    if (parsed.ok()) {
+      EXPECT_EQ(parsed->Serialize(), text)
+          << "prefix of length " << len << " parsed as a different snapshot";
+    }
+  }
 }
 
 TEST(SnapshotTruncationTest, LegacyV1V2StillLoadAndTruncationsNeverStrand) {
@@ -315,6 +355,70 @@ TEST(RestoreRollbackTest, FailedRestoreThenValidRestoreSucceeds) {
   std::vector<std::string> trace;
   Drive(&session, BaseTruth(), &trace);
   EXPECT_EQ(session.state(), SessionState::kDone);
+}
+
+// A checkpoint that fails to load — before the table is touched, after
+// some written cells are patched back in, after the components are built
+// — leaves the table and the session exactly as a failed replay does.
+TEST(RestoreRollbackTest, CorruptCheckpointRollsBackFully) {
+  const RuleSet rules = TestRules();
+  Table snapshot_table = BaseDirty();
+  SessionSnapshot valid;
+  PartialSnapshot(&snapshot_table, &rules, &valid);
+  ASSERT_TRUE(valid.checkpoint.has_value());
+  ASSERT_GE(valid.checkpoint->frozen.size(), 2u);
+
+  Table control_table = BaseDirty();
+  GdrSession control(&control_table, &rules, TestOptions());
+  ASSERT_TRUE(control.Start().ok());
+  std::vector<std::string> control_trace;
+  Drive(&control, BaseTruth(), &control_trace);
+
+  std::vector<SessionSnapshot> corrupt(4, valid);
+  corrupt[0].checkpoint->base_digest ^= 1;
+  corrupt[1].checkpoint->frozen.back().value = 1 << 20;
+  corrupt[2].checkpoint->dirty.push_back(1 << 20);
+  corrupt[3].checkpoint->phase = 99;
+  for (std::size_t i = 0; i < corrupt.size(); ++i) {
+    Table table = BaseDirty();
+    GdrSession session(&table, &rules, TestOptions());
+    const Status restored = session.Restore(corrupt[i]);
+    ASSERT_FALSE(restored.ok()) << "corruption " << i;
+    EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument) << i;
+    EXPECT_EQ(TableCells(table), TableCells(BaseDirty())) << i;
+
+    ASSERT_TRUE(session.Start().ok());
+    std::vector<std::string> trace;
+    Drive(&session, BaseTruth(), &trace);
+    EXPECT_EQ(trace, control_trace) << i;
+    EXPECT_EQ(TableCells(table), TableCells(control_table)) << i;
+  }
+
+  // And the valid checkpoint still restores after a failed attempt.
+  Table table = BaseDirty();
+  GdrSession session(&table, &rules, TestOptions());
+  ASSERT_FALSE(session.Restore(corrupt[1]).ok());
+  ASSERT_TRUE(session.Restore(valid).ok());
+  EXPECT_EQ(TableCells(table), TableCells(snapshot_table));
+  EXPECT_EQ(session.Snapshot().Serialize(), valid.Serialize());
+}
+
+// A checkpoint is a delta against the original dirty instance; restoring
+// it over any other table is refused, not silently patched.
+TEST(RestoreRollbackTest, CheckpointOverADifferentTableIsRejected) {
+  const RuleSet rules = TestRules();
+  Table snapshot_table = BaseDirty();
+  SessionSnapshot valid;
+  PartialSnapshot(&snapshot_table, &rules, &valid);
+
+  Table other = BaseDirty();
+  other.Set(5, 0, "Daltom");  // a cell the session never wrote
+  const std::vector<std::string> before = TableCells(other);
+  GdrSession session(&other, &rules, TestOptions());
+  const Status restored = session.Restore(valid);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(TableCells(other), before);
 }
 
 TEST(FileIoTest, WriteFileAtomicRoundTripsAndReplaces) {
