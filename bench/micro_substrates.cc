@@ -9,12 +9,14 @@
 #include <cstdlib>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/gdr.h"
 #include "core/grouping.h"
+#include "core/learner_bank.h"
 #include "core/quality.h"
 #include "core/session.h"
 #include "core/voi.h"
@@ -526,6 +528,75 @@ void BM_RerankAfterGroup(benchmark::State& state) {
   state.SetItemsProcessed(reranked);
 }
 BENCHMARK(BM_RerankAfterGroup)->Unit(benchmark::kMillisecond);
+
+// One committee evaluation of a real candidate group, as ranking and the
+// session's within-group order run it: the engine's round-one pool on the
+// shared dataset, a default LearnerBank trained from ground-truth answers
+// on up to 1500 pooled updates, and one LearnerBank::Votes call over the
+// largest group of a trained attribute. The similarity memo is warm (an
+// untimed call first), as it is after a group's first evaluation.
+struct VotesFixture {
+  explicit VotesFixture(const Dataset& dataset)
+      : table(dataset.dirty), engine(&table, &dataset.rules) {}
+  Table table;
+  GdrEngine engine;
+  std::unique_ptr<LearnerBank> bank;
+  UpdateGroup group;
+};
+
+VotesFixture& SharedVotesFixture() {
+  static VotesFixture* fixture = []() {
+    const Dataset& dataset = SharedDataset();
+    auto* f = new VotesFixture(dataset);
+    if (!f->engine.Initialize().ok()) {
+      std::fprintf(stderr, "votes fixture: engine initialize failed\n");
+      std::exit(1);
+    }
+    const std::vector<UpdateGroup> groups = GroupUpdates(f->engine.pool());
+    f->bank = std::make_unique<LearnerBank>(&f->table, &f->engine.index());
+    UserOracle oracle(&dataset.clean);
+    constexpr std::size_t kMaxLabels = 1500;
+    std::size_t labels = 0;
+    for (const UpdateGroup& group : groups) {
+      for (const Update& update : group.updates) {
+        if (labels == kMaxLabels) break;
+        ++labels;
+        (void)f->bank->AddFeedback(update,
+                                   oracle.GetFeedback(f->table, update));
+      }
+      if (labels == kMaxLabels) break;
+    }
+    for (std::size_t a = 0; a < f->table.num_attrs(); ++a) {
+      (void)f->bank->Retrain(static_cast<AttrId>(a));
+    }
+    for (const UpdateGroup& group : groups) {
+      if (f->bank->IsTrained(group.attr) && group.size() > f->group.size()) {
+        f->group = group;
+      }
+    }
+    if (f->group.updates.empty()) {
+      std::fprintf(stderr, "votes fixture: no trained attribute\n");
+      std::exit(1);
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_LearnerVotes(benchmark::State& state) {
+  VotesFixture& fixture = SharedVotesFixture();
+  const std::span<const Update> updates(fixture.group.updates);
+  std::vector<double> fractions;
+  fixture.bank->Votes(updates, &fractions);
+  for (auto _ : state) {
+    fixture.bank->Votes(updates, &fractions);
+    benchmark::DoNotOptimize(fractions.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(updates.size()));
+  state.counters["group"] = static_cast<double>(updates.size());
+}
+BENCHMARK(BM_LearnerVotes);
 
 void BM_EditDistance(benchmark::State& state) {
   const std::string a = "Michigan City";

@@ -88,6 +88,35 @@ bool LearnerBank::IsReliable(AttrId attr, Feedback predicted,
          RollingAccuracy(attr, predicted) >= min_accuracy;
 }
 
+std::size_t LearnerBank::SimilarityKeyHash::operator()(
+    const SimilarityKey& key) const {
+  // SplitMix64's finalizer over the packed ids: FlatTable probes from the
+  // low bits, so they must depend on every field.
+  std::uint64_t h =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.current))
+       << 32) ^
+      static_cast<std::uint32_t>(key.suggested) ^
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.attr))
+       << 48);
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return static_cast<std::size_t>(h ^ (h >> 31));
+}
+
+double LearnerBank::Similarity(AttrId attr, ValueId current,
+                               ValueId suggested) const {
+  const SimilarityKey key{attr, current, suggested};
+  if (const double* memo = similarity_memo_.Find(key)) return *memo;
+  if (similarity_memo_.size() >= kSimilarityMemoLimit) {
+    similarity_memo_.Clear();
+  }
+  const ValueDict& dict = table_->dict(attr);
+  const double sim = NormalizedEditSimilarity(dict.ToString(current),
+                                              dict.ToString(suggested));
+  similarity_memo_.Insert(key, sim);
+  return sim;
+}
+
 void LearnerBank::EncodeIntoRaw(const Update& update, double* dst) const {
   const std::size_t num_attrs = table_->num_attrs();
   for (std::size_t a = 0; a < num_attrs; ++a) {
@@ -96,9 +125,7 @@ void LearnerBank::EncodeIntoRaw(const Update& update, double* dst) const {
   }
   const ValueId current = table_->id_at(update.row, update.attr);
   dst[num_attrs] = static_cast<double>(update.value);
-  dst[num_attrs + 1] = NormalizedEditSimilarity(
-      table_->at(update.row, update.attr),
-      table_->dict(update.attr).ToString(update.value));
+  dst[num_attrs + 1] = Similarity(update.attr, current, update.value);
   dst[num_attrs + 2] = update.score;
   dst[num_attrs + 3] = std::log1p(
       static_cast<double>(table_->ValueCount(update.attr, current)));
@@ -139,7 +166,7 @@ Status LearnerBank::Retrain(AttrId attr) {
   if (sets_[a].size() < options_.min_training_examples) return Status::OK();
   {
     ScopedPhaseTimer timer(&perf_, PerfPhase::kLearnerTrain, sets_[a].size());
-    GDR_RETURN_NOT_OK(models_[a].Train(sets_[a]));
+    GDR_RETURN_NOT_OK(models_[a].Train(sets_[a], &train_workspace_));
   }
   trained_on_[a] = sets_[a].size();
   return Status::OK();
@@ -189,7 +216,7 @@ Status LearnerBank::LoadState(const std::vector<AttrState>& state) {
       if (i + 1 == attr.trained_on) {
         // The forest saw exactly this prefix: train before the rest joins
         // (the set's value coding grows with every example).
-        GDR_RETURN_NOT_OK(models_[a].Train(sets_[a]));
+        GDR_RETURN_NOT_OK(models_[a].Train(sets_[a], &train_workspace_));
         trained_on_[a] = attr.trained_on;
       }
     }

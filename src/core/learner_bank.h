@@ -11,6 +11,7 @@
 #include "ml/example.h"
 #include "ml/random_forest.h"
 #include "repair/update.h"
+#include "util/flat_table.h"
 #include "util/perf_counters.h"
 #include "util/result.h"
 
@@ -46,7 +47,12 @@ struct LearnerBankOptions {
 /// The consistency features are what let a model generalize across data
 /// sources instead of memorizing source ids. Categorical feature values
 /// are the table's interned value ids, which keeps example construction
-/// allocation-free on the hot path.
+/// allocation-free on the hot path. The similarity feature is memoised per
+/// (attribute, current id, suggested id): value dictionaries are
+/// append-only, so an id pair always names the same two strings and the
+/// memo holds exactly the double NormalizedEditSimilarity returned. The
+/// memo is a bounded cache (cleared when it reaches
+/// kSimilarityMemoLimit entries) and is not part of the saved state.
 class LearnerBank {
  public:
   /// `table` and `index` are non-owning and must outlive the bank;
@@ -121,6 +127,10 @@ class LearnerBank {
   };
   static constexpr std::size_t kAccuracyWindow = 20;
 
+  /// Entries the similarity memo holds before it is cleared.
+  static constexpr std::size_t kSimilarityMemoLimit = std::size_t{1} << 12;
+  std::size_t similarity_memo_size() const { return similarity_memo_.size(); }
+
   /// One AttrState per attribute.
   std::vector<AttrState> SaveState() const;
 
@@ -164,11 +174,27 @@ class LearnerBank {
   // so training examples and inference rows agree bit for bit.
   void EncodeIntoRaw(const Update& update, double* dst) const;
 
+  // sim(t[A], v) for the attribute's current and suggested value ids,
+  // through the memo.
+  double Similarity(AttrId attr, ValueId current, ValueId suggested) const;
+
+  struct SimilarityKey {
+    AttrId attr = 0;
+    ValueId current = 0;
+    ValueId suggested = 0;
+    friend bool operator==(const SimilarityKey&,
+                           const SimilarityKey&) = default;
+  };
+  struct SimilarityKeyHash {
+    std::size_t operator()(const SimilarityKey& key) const;
+  };
+
   const Table* table_;
   const ViolationIndex* index_;
   LearnerBankOptions options_;
   std::vector<TrainingSet> sets_;      // one per attribute
   std::vector<RandomForest> models_;   // one per attribute
+  SplitWorkspace train_workspace_;     // shared by models_' retrains
   // Per attribute: the training-set size at the last retrain (0 = the
   // model is untrained). Feedback since then (size > trained_on) makes
   // the model stale.
@@ -185,6 +211,8 @@ class LearnerBank {
   mutable std::vector<double> matrix_scratch_;    // one run's features
   mutable std::vector<double> fraction_scratch_;  // one run's fractions
   mutable std::vector<double> votes_scratch_;     // the readers' Votes
+  mutable FlatTable<SimilarityKey, double, SimilarityKeyHash>
+      similarity_memo_;
   mutable PerfCounters perf_;
 };
 

@@ -21,14 +21,29 @@ struct DecisionTreeOptions {
   int feature_subsample = 0;
 };
 
-/// Split-search buffers reused across nodes and trees: the (levels ×
-/// classes) count histogram, the per-level item counts with the list of
-/// levels a node touched, the candidate features, and the node/left/right
-/// class counts. A forest keeps one per Train call and passes it to every
-/// tree; sized by DecisionTree::Train, never shrunk.
+/// Training buffers reused across nodes and trees. A forest passes one to
+/// every tree of a retrain, and a LearnerBank keeps one for all of its
+/// forests; DecisionTree::Train resizes the buffers within their kept
+/// capacity, so a warm retrain allocates nothing.
+///  * `bag`: a forest's bootstrap draws, filled by RandomForest::Train
+///    (DecisionTree::Train reads only its `bag` argument);
+///  * `slots`: per example of the training set, its multiplicity in the
+///    bag (0 = not drawn) and its label, read together by every count;
+///  * `items`: the bag's distinct examples, partitioned in place per node;
+///  * the (levels × classes) count histogram and the per-level bag counts
+///    of one node and feature, with the list of levels the node touched —
+///    both all-zero between split searches;
+///  * the candidate features and the node/left/right class counts.
 struct SplitWorkspace {
+  struct Slot {
+    std::uint32_t weight = 0;
+    std::uint32_t label = 0;
+  };
+  std::vector<std::size_t> bag;
+  std::vector<Slot> slots;
+  std::vector<std::size_t> items;
   std::vector<std::size_t> histogram;      // code * classes + label
-  std::vector<std::uint32_t> level_items;  // items per code in the node
+  std::vector<std::uint32_t> level_items;  // bag items per code in the node
   std::vector<std::uint32_t> touched;      // codes with level_items > 0
   std::vector<std::size_t> candidates;
   std::vector<std::size_t> counts;
@@ -45,12 +60,16 @@ struct SplitWorkspace {
 /// uses via WEKA. One-vs-rest equality splits keep high-cardinality
 /// categorical attributes (city names, zip codes) tractable.
 ///
-/// Training works on the TrainingSet's dense value codes: per node and
-/// candidate feature one counting pass fills a (levels × classes)
-/// histogram, the touched levels are ordered by value, and the
-/// one-vs-rest or threshold sweep reads class counts from it. The node's
-/// items are a [begin, end) range of one index buffer, partitioned in
-/// place for the children. The split search allocates nothing per node.
+/// Training works on the TrainingSet's dense value codes over a weighted
+/// bag: the bootstrap bag is compacted into its distinct examples, each
+/// carrying its multiplicity, so every count is the bag's count while the
+/// passes visit each drawn example once. Per node and candidate feature
+/// one counting pass fills a (levels × classes) histogram. Categorical
+/// features score each touched level one-vs-rest in any order, the
+/// smallest value winning ties; numeric features sort the touched levels
+/// by value and sweep thresholds. The node's items are a [begin, end)
+/// range of one index buffer, partitioned in place for the children. The
+/// split search allocates nothing per node.
 ///
 /// Nodes are stored structure-of-arrays — feature / threshold / left /
 /// right / majority as parallel arrays in Build's pre-order — and Build
@@ -66,7 +85,9 @@ class DecisionTree {
   /// Trains on `indices` into `data` (duplicates allowed — this is how
   /// bootstrap bags are passed). Resets prior contents. `rng` is needed
   /// only when options.feature_subsample > 0 (may be nullptr otherwise).
-  /// Fails on an empty index set or an empty schema.
+  /// Fails on an empty index set, an index past the training set, a bag
+  /// of 2^32 or more indices, or an empty schema; a failed call leaves the
+  /// tree as it was.
   Status Train(const TrainingSet& data,
                const std::vector<std::size_t>& indices,
                const DecisionTreeOptions& options, Rng* rng);
@@ -75,10 +96,10 @@ class DecisionTree {
   Status Train(const TrainingSet& data, const DecisionTreeOptions& options,
                Rng* rng = nullptr);
 
-  /// The same training over caller-owned buffers: `items` is reordered in
-  /// place and `workspace` is reused, so training allocates only when a
-  /// buffer or node array outgrows its capacity.
-  Status Train(const TrainingSet& data, std::span<std::size_t> items,
+  /// The same training over a caller-owned workspace, reused across calls:
+  /// training allocates only when a buffer or node array outgrows its
+  /// capacity.
+  Status Train(const TrainingSet& data, std::span<const std::size_t> bag,
                const DecisionTreeOptions& options, Rng* rng,
                SplitWorkspace* workspace);
 
@@ -113,8 +134,8 @@ class DecisionTree {
   }
 
  private:
-  // Recursive builder over the items [begin, end); returns the index of
-  // the created node.
+  // Recursive builder over the distinct bag items [begin, end), weighted
+  // by ws->slots; returns the index of the created node.
   std::int32_t Build(const TrainingSet& data, std::size_t* begin,
                      std::size_t* end, int depth,
                      const DecisionTreeOptions& options, Rng* rng,

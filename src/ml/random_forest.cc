@@ -2,19 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 namespace gdr {
 
 Status RandomForest::Train(const TrainingSet& data) {
+  SplitWorkspace workspace;
+  return Train(data, &workspace);
+}
+
+Status RandomForest::Train(const TrainingSet& data,
+                           SplitWorkspace* workspace) {
   // Every way a tree can fail is checked here, before the committee is
   // touched, so a failed call leaves the forest as it was.
+  if (options_.num_trees <= 0) {
+    return Status::InvalidArgument("num_trees must be positive, got " +
+                                   std::to_string(options_.num_trees));
+  }
+  if (!std::isfinite(options_.bootstrap_fraction) ||
+      options_.bootstrap_fraction <= 0.0) {
+    return Status::InvalidArgument(
+        "bootstrap_fraction must be finite and positive, got " +
+        std::to_string(options_.bootstrap_fraction));
+  }
   if (data.empty()) {
     return Status::InvalidArgument("cannot train a forest on zero examples");
   }
   const std::size_t num_features = data.schema().num_features();
   if (num_features == 0) {
     return Status::InvalidArgument("feature schema is empty");
+  }
+  const std::size_t n = data.size();
+  const double bag_examples =
+      options_.bootstrap_fraction * static_cast<double>(n);
+  // A tree counts its bag in 32 bits.
+  if (bag_examples >=
+      static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+    return Status::InvalidArgument("bootstrap bag of " +
+                                   std::to_string(bag_examples) +
+                                   " examples is too large");
   }
   DecisionTreeOptions tree_options = options_.tree;
   tree_options.feature_subsample =
@@ -24,15 +52,13 @@ Status RandomForest::Train(const TrainingSet& data) {
                 std::ceil(std::sqrt(static_cast<double>(num_features))));
 
   Rng rng(options_.seed);
-  const std::size_t n = data.size();
-  const std::size_t bag_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.bootstrap_fraction *
-                                  static_cast<double>(n)));
+  const std::size_t bag_size =
+      std::max<std::size_t>(1, static_cast<std::size_t>(bag_examples));
 
-  // One bag buffer and one split workspace serve every tree of this call;
-  // the trees are rebuilt in place, reusing their node arrays' capacity.
-  std::vector<std::size_t> bag(bag_size);
-  SplitWorkspace workspace;
+  // The bag buffer and the split buffers serve every tree; the trees are
+  // rebuilt in place, reusing their node arrays' capacity.
+  std::vector<std::size_t>& bag = workspace->bag;
+  bag.resize(bag_size);
   trees_.resize(static_cast<std::size_t>(options_.num_trees));
   for (DecisionTree& tree : trees_) {
     // Bootstrap bag: sample with replacement.
@@ -40,7 +66,7 @@ Status RandomForest::Train(const TrainingSet& data) {
       index = static_cast<std::size_t>(rng.NextBounded(n));
     }
     const Status trained =
-        tree.Train(data, bag, tree_options, &rng, &workspace);
+        tree.Train(data, bag, tree_options, &rng, workspace);
     if (!trained.ok()) {
       // Unreachable after the checks above; never keep a partial committee.
       trees_.clear();

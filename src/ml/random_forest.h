@@ -36,11 +36,19 @@ class RandomForest {
       : options_(options) {}
 
   /// (Re)trains the committee on `data`. Deterministic given options.seed.
-  /// Fails on an empty training set or an empty feature schema; a failed
-  /// call leaves the forest as it was. The bootstrap bag and the split
-  /// workspace are shared by the call's trees, and each tree is rebuilt in
-  /// its previous storage, so a retrain allocates little once warm.
+  /// Fails on an empty training set, an empty feature schema, a
+  /// non-positive num_trees, or a bootstrap_fraction that is not finite
+  /// and positive or asks for a bag of 2^32 or more examples; a failed
+  /// call leaves the forest as it was. Each tree is rebuilt in its
+  /// previous storage; the bootstrap bag and the split buffers come from a
+  /// workspace local to the call.
   Status Train(const TrainingSet& data);
+
+  /// The same training over a caller-owned workspace shared by every tree
+  /// (its `bag` holds the bootstrap draws). A caller that retrains many
+  /// forests one at a time passes them one workspace, so the buffers are
+  /// held once and a warm retrain allocates nothing.
+  Status Train(const TrainingSet& data, SplitWorkspace* workspace);
 
   bool trained() const { return !trees_.empty(); }
   int num_trees() const { return static_cast<int>(trees_.size()); }

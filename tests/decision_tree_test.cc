@@ -1,6 +1,8 @@
 #include "ml/decision_tree.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,36 @@ TEST(DecisionTreeTest, DuplicateIndicesActAsWeights) {
   DecisionTree tree;
   ASSERT_TRUE(tree.Train(set, {0, 1, 1, 1, 1}, {}, nullptr).ok());
   EXPECT_EQ(tree.Predict({0.0, 0.0}), 1);
+}
+
+// An index past the training set is rejected before the tree is touched.
+TEST(DecisionTreeTest, RejectsIndexPastTrainingSet) {
+  TrainingSet set(MixedSchema(), 2);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(set.Add({{static_cast<double>(i % 3), static_cast<double>(i)},
+                         i < 5 ? 0 : 1})
+                    .ok());
+  }
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Train(set, {}, nullptr).ok());
+  const std::vector<std::int32_t> features(tree.node_features().begin(),
+                                           tree.node_features().end());
+  const std::vector<double> thresholds(tree.node_thresholds().begin(),
+                                       tree.node_thresholds().end());
+  ASSERT_GT(features.size(), 1u);
+
+  EXPECT_EQ(tree.Train(set, {0, 1, 10}, {}, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.Train(set, {0, static_cast<std::size_t>(-1)}, {}, nullptr)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(std::vector<std::int32_t>(tree.node_features().begin(),
+                                      tree.node_features().end()),
+            features);
+  EXPECT_EQ(std::vector<double>(tree.node_thresholds().begin(),
+                                tree.node_thresholds().end()),
+            thresholds);
+  EXPECT_EQ(tree.num_classes(), 2);
 }
 
 TEST(DecisionTreeTest, FeatureSubsampleRequiresRng) {

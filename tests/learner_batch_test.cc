@@ -3,10 +3,13 @@
 // be bit-identical to the per-update committee oracles of
 // testing/forest_oracle.h — probabilities, scores, AND ranking order —
 // across random groups, retrain boundaries, and untrained attributes.
-// Also pins the tree's own invariants on fuzzed trees and inputs.
+// Also pins the tree's own invariants on fuzzed trees and inputs, and the
+// encoder's similarity memo against similarities recomputed from strings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -18,6 +21,7 @@
 #include "ml/random_forest.h"
 #include "testing/forest_oracle.h"
 #include "util/rng.h"
+#include "util/string_similarity.h"
 
 namespace gdr {
 namespace {
@@ -170,7 +174,6 @@ struct RandomLearnerInstance {
     weights.resize(rules.size());
     for (double& w : weights) w = 0.05 + 0.95 * rng.NextDouble();
 
-    LearnerBankOptions bank_options;
     bank_options.min_training_examples = 12;
     bank_options.seed = seed * 31 + 5;
     bank = std::make_unique<LearnerBank>(&table, index.get(), bank_options);
@@ -225,6 +228,7 @@ struct RandomLearnerInstance {
   Rng rng;
   std::unique_ptr<ViolationIndex> index;
   std::vector<double> weights;
+  LearnerBankOptions bank_options;
   std::unique_ptr<LearnerBank> bank;
   std::vector<UpdateGroup> groups;
 };
@@ -363,6 +367,166 @@ TEST_P(LearnerBatchTest, PerfCountersAccumulate) {
   });
   EXPECT_EQ(ranker.perf_counters().Count(PerfPhase::kVoiProbe), total_updates);
   EXPECT_GT(ranker.perf_counters().Seconds(PerfPhase::kVoiProbe), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The encoder's similarity memo against NormalizedEditSimilarity itself.
+
+std::vector<std::uint64_t> Bits(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+// Encode(update) with the similarity feature recomputed from the strings.
+std::vector<double> DirectEncoding(const LearnerBank& bank, const Table& table,
+                                   const Update& update) {
+  std::vector<double> row = bank.Encode(update);
+  row[table.num_attrs() + 1] = NormalizedEditSimilarity(
+      table.at(update.row, update.attr),
+      table.dict(update.attr).ToString(update.value));
+  return row;
+}
+
+// Every update's Encode row, and the Votes rows of each attribute run, are
+// bitwise equal to the rows built from the direct encodings.
+void ExpectMemoMatchesDirect(const LearnerBank& bank, const Table& table,
+                             const std::vector<Update>& updates) {
+  for (const Update& update : updates) {
+    ASSERT_EQ(Bits(bank.Encode(update)),
+              Bits(DirectEncoding(bank, table, update)))
+        << "row " << update.row << " attr " << update.attr << " value "
+        << update.value;
+  }
+  std::vector<double> votes;
+  bank.Votes(updates, &votes);
+  std::vector<double> expected(votes.size(), 0.0);
+  std::vector<double> matrix;
+  std::vector<double> fractions;
+  for (std::size_t i = 0, j = 0; i < updates.size(); i = j) {
+    j = i + 1;
+    while (j < updates.size() && updates[j].attr == updates[i].attr) ++j;
+    if (!bank.IsTrained(updates[i].attr)) continue;
+    matrix.clear();
+    for (std::size_t r = i; r < j; ++r) {
+      const std::vector<double> row = DirectEncoding(bank, table, updates[r]);
+      matrix.insert(matrix.end(), row.begin(), row.end());
+    }
+    bank.model(updates[i].attr)
+        .VoteFractionsBatch(matrix.data(), j - i, matrix.size() / (j - i),
+                            &fractions);
+    std::copy(fractions.begin(), fractions.end(),
+              expected.begin() +
+                  static_cast<std::ptrdiff_t>(i * kNumFeedbackClasses));
+  }
+  EXPECT_EQ(Bits(votes), Bits(expected));
+}
+
+// Updates suggesting random values of the current dictionaries, in runs
+// of one attribute.
+std::vector<Update> RandomUpdates(RandomLearnerInstance* inst,
+                                  std::size_t count) {
+  std::vector<Update> updates;
+  while (updates.size() < count) {
+    const AttrId attr =
+        static_cast<AttrId>(inst->rng.NextBounded(inst->table.num_attrs()));
+    const std::size_t run = 1 + inst->rng.NextBounded(8);
+    for (std::size_t k = 0; k < run; ++k) {
+      Update update;
+      update.row =
+          static_cast<RowId>(inst->rng.NextBounded(inst->table.num_rows()));
+      update.attr = attr;
+      update.value = static_cast<ValueId>(
+          inst->rng.NextBounded(inst->table.DomainSize(attr)));
+      update.score = inst->rng.NextDouble();
+      updates.push_back(update);
+    }
+  }
+  return updates;
+}
+
+TEST_P(LearnerBatchTest, SimilarityMemoMatchesDirectSimilarity) {
+  RandomLearnerInstance inst(static_cast<std::uint64_t>(GetParam()));
+  inst.TrainAttrs({static_cast<AttrId>(0), static_cast<AttrId>(1),
+                   static_cast<AttrId>(2), static_cast<AttrId>(3)});
+  std::size_t trained = 0;
+  for (std::size_t a = 0; a < inst.table.num_attrs(); ++a) {
+    trained += inst.bank->IsTrained(static_cast<AttrId>(a)) ? 1 : 0;
+  }
+  ASSERT_GT(trained, 0u);
+  const std::vector<Update> first = RandomUpdates(&inst, 200);
+  // Cold, then warm.
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(*inst.bank, inst.table, first));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(*inst.bank, inst.table, first));
+
+  // Appends intern values the memo has never seen; old ids keep their
+  // strings.
+  for (int i = 0; i < 6; ++i) {
+    const std::string tag =
+        std::to_string(GetParam()) + "-" + std::to_string(i);
+    ASSERT_TRUE(inst.index
+                    ->AppendRow({"New St " + tag, "Newtown " + tag, "N" + tag,
+                                 "4" + tag})
+                    .ok());
+  }
+  const std::vector<Update> second = RandomUpdates(&inst, 200);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(*inst.bank, inst.table, second));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(*inst.bank, inst.table, first));
+
+  // A bank restored from the saved state starts with an empty memo and
+  // votes exactly as the warm one.
+  LearnerBank restored(&inst.table, inst.index.get(), inst.bank_options);
+  ASSERT_TRUE(restored.LoadState(inst.bank->SaveState()).ok());
+  EXPECT_EQ(restored.similarity_memo_size(), 0u);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(restored, inst.table, second));
+  std::vector<double> warm;
+  std::vector<double> cold;
+  inst.bank->Votes(first, &warm);
+  restored.Votes(first, &cold);
+  EXPECT_EQ(Bits(warm), Bits(cold));
+
+  // Past the size bound: enough distinct (attr, current, suggested)
+  // triples to clear the memo, still bitwise equal afterwards.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 300; ++i) {
+    const std::string tag = "b" + std::to_string(i);
+    rows.push_back({"Bound St " + tag, "Bound " + tag, tag, "9" + tag});
+  }
+  ASSERT_TRUE(inst.index->AppendRows(rows).ok());
+  std::size_t peak = 0;
+  bool cleared = false;
+  std::vector<Update> swept;
+  for (RowId row = 0; row < static_cast<RowId>(inst.table.num_rows()) &&
+                      !cleared;
+       row += 7) {
+    for (std::size_t a = 0; a < inst.table.num_attrs(); ++a) {
+      const AttrId attr = static_cast<AttrId>(a);
+      for (std::size_t v = 0; v < inst.table.DomainSize(attr); v += 3) {
+        Update update;
+        update.row = row;
+        update.attr = attr;
+        update.value = static_cast<ValueId>(v);
+        const std::size_t before = inst.bank->similarity_memo_size();
+        (void)inst.bank->Encode(update);
+        const std::size_t after = inst.bank->similarity_memo_size();
+        ASSERT_LE(after, LearnerBank::kSimilarityMemoLimit);
+        peak = std::max(peak, after);
+        cleared = cleared || after < before;
+        if (swept.size() < 400 && (v / 3) % 5 == 0) swept.push_back(update);
+      }
+    }
+  }
+  EXPECT_EQ(peak, LearnerBank::kSimilarityMemoLimit);
+  EXPECT_TRUE(cleared);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(*inst.bank, inst.table, swept));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMemoMatchesDirect(*inst.bank, inst.table, first));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LearnerBatchTest, ::testing::Range(1, 7));

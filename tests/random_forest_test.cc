@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "testing/forest_oracle.h"
@@ -75,6 +77,35 @@ TEST(RandomForestTest, FailedRetrainKeepsPreviousCommittee) {
   EXPECT_EQ(forest.num_trees(), 10);
   EXPECT_EQ(forest.num_classes(), 2);
   EXPECT_EQ(OracleVoteFractions(forest, {2.0, 6.5}), before);
+}
+
+// Options no committee can be trained with are rejected before the
+// committee is touched: the forest stays untrained.
+TEST(RandomForestTest, RejectsInvalidOptions) {
+  const TrainingSet set = SeparableSet(50, 9);
+  std::vector<RandomForestOptions> invalid;
+  for (int trees : {0, -1}) {
+    RandomForestOptions options;
+    options.num_trees = trees;
+    invalid.push_back(options);
+  }
+  for (double fraction :
+       {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e300}) {
+    RandomForestOptions options;
+    options.bootstrap_fraction = fraction;
+    invalid.push_back(options);
+  }
+  for (const RandomForestOptions& options : invalid) {
+    SCOPED_TRACE("num_trees " + std::to_string(options.num_trees) +
+                 ", bootstrap_fraction " +
+                 std::to_string(options.bootstrap_fraction));
+    RandomForest forest(options);
+    EXPECT_EQ(forest.Train(set).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(forest.trained());
+    EXPECT_EQ(forest.num_trees(), 0);
+  }
 }
 
 TEST(RandomForestTest, TrainsTenTreesByDefault) {

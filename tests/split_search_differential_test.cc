@@ -5,6 +5,7 @@
 // majorities (the first-max tie-break), and the Rng state left behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -302,6 +303,256 @@ TEST(SplitSearchEdgeTest, RetrainInPlaceMatchesFreshTree) {
   DecisionTree fresh;
   ASSERT_TRUE(fresh.Train(small, {}, nullptr).ok());
   ExpectSameTree(Arrays(reused), Arrays(fresh));
+}
+
+// One workspace shared by several forests, as a LearnerBank retrains its
+// attributes' forests: a forest trained after others of a larger set, more
+// levels and another class count is the oracle's, and the same forest
+// again, also after a smaller set.
+TEST(SplitSearchEdgeTest, SharedWorkspaceAcrossForestsMatchesOracle) {
+  Rng rng(5);
+  SetShape shape;
+  shape.num_features = 5;
+  shape.num_classes = 4;
+  shape.num_examples = 400;
+  shape.distinct = 40;
+  const TrainingSet large = RandomSet(&rng, shape);
+  shape.num_features = 3;
+  shape.num_classes = 3;
+  shape.num_examples = 60;
+  shape.distinct = 6;
+  const TrainingSet small = RandomSet(&rng, shape);
+  shape.num_examples = 8;
+  const TrainingSet tiny = RandomSet(&rng, shape);
+
+  RandomForestOptions options;
+  options.seed = rng.Next();
+  SplitWorkspace workspace;
+  RandomForest other(options);
+  RandomForest forest(options);
+  for (const TrainingSet* before : {&large, &tiny}) {
+    ASSERT_TRUE(other.Train(*before, &workspace).ok());
+    ASSERT_TRUE(forest.Train(small, &workspace).ok());
+    const std::vector<OracleTree> oracle = OracleTrainForest(small, options);
+    ASSERT_EQ(static_cast<std::size_t>(forest.num_trees()), oracle.size());
+    for (std::size_t t = 0; t < oracle.size(); ++t) {
+      SCOPED_TRACE("tree " + std::to_string(t));
+      ExpectSameTree(Arrays(forest.tree(t)), oracle[t]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The weighted bag and the sort-free categorical sweep, over 2, 3 (the
+// learner's feedback classes) and 4 classes.
+
+// Trains a tree on `bag` and compares it, and the Rng state it leaves, with
+// the oracle's tree over the same bag (duplicates passed as duplicates).
+void ExpectTreeMatchesOracle(const TrainingSet& set,
+                             const std::vector<std::size_t>& bag,
+                             const DecisionTreeOptions& options,
+                             std::uint64_t seed) {
+  Rng production_rng(seed);
+  Rng oracle_rng(seed);
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Train(set, bag, options, &production_rng).ok());
+  ExpectSameTree(Arrays(tree),
+                 OracleTrainTree(set, bag, options, &oracle_rng));
+  ExpectSameRngState(production_rng, oracle_rng);
+}
+
+class WeightedSplitTest : public ::testing::TestWithParam<int> {
+ protected:
+  int Classes() const { return 2 + GetParam() % 3; }
+};
+
+// A few examples drawn hundreds of times: every count, entropy and
+// min_samples_split test reads multiplicities, not distinct items.
+TEST_P(WeightedSplitTest, HeavilyDuplicatedBagMatchesOracle) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 3);
+  SetShape shape = RandomShape(&rng);
+  shape.num_classes = Classes();
+  shape.num_examples = 4 + rng.NextBounded(80);
+  const TrainingSet set = RandomSet(&rng, shape);
+  DecisionTreeOptions options = RandomTreeOptions(&rng, shape.num_features);
+  static constexpr int kMinSplits[] = {2, 20, 60, 200};
+  options.min_samples_split = kMinSplits[rng.NextBounded(4)];
+
+  const std::size_t distinct =
+      1 + rng.NextBounded(std::min<std::size_t>(set.size(), 8));
+  const std::vector<std::size_t> picks =
+      rng.SampleWithoutReplacement(set.size(), distinct);
+  std::vector<std::size_t> bag;
+  const std::size_t bag_size = 50 + rng.NextBounded(500);
+  for (std::size_t k = 0; k < bag_size; ++k) {
+    // Skewed: the first pick takes about half of the draws.
+    bag.push_back(rng.NextBounded(2) == 0 ? picks[0]
+                                          : picks[rng.NextBounded(distinct)]);
+  }
+  ExpectTreeMatchesOracle(set, bag, options, rng.Next());
+}
+
+// Many levels of one categorical feature share one class-count row while
+// their values differ (negative, tiny, large, and at most one zero of
+// either sign), added in shuffled order: their one-vs-rest gains tie
+// exactly, and the smallest value must win, as the oracle's ascending
+// sweep with a strict `>` decides. The tied levels hold `weight` items of
+// the last class, a minority; every other level holds one item of another
+// class, so isolating a tied level is the root's best split.
+TEST_P(WeightedSplitTest, SharedClassRowsPickSmallestValue) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 97531 + 17);
+  const int classes = Classes();
+  const std::size_t tied = 3 + rng.NextBounded(60);
+  const std::size_t weight = 1 + rng.NextBounded(3);
+  const std::size_t others = (tied * weight + 1) * (classes - 1) +
+                             rng.NextBounded(100);
+  std::vector<double> values;
+  const double zero = rng.NextBounded(2) == 0 ? 0.0 : -0.0;
+  values.push_back(zero);
+  while (values.size() < tied + others) {
+    const double magnitude =
+        rng.NextBounded(4) == 0 ? std::ldexp(1.0, -1000 + static_cast<int>(
+                                                          rng.NextBounded(50)))
+                                : rng.NextDouble() * 1e6;
+    const double value = rng.NextBounded(2) == 0 ? -magnitude : magnitude;
+    if (value == 0.0 ||
+        std::find(values.begin(), values.end(), value) != values.end()) {
+      continue;
+    }
+    values.push_back(value);
+  }
+  for (std::size_t i = values.size() - 1; i > 0; --i) {
+    std::swap(values[i], values[rng.NextBounded(i + 1)]);
+  }
+
+  TrainingSet set(FeatureSchema({{"level", FeatureType::kCategorical}}),
+                  classes);
+  std::vector<Example> examples;
+  for (std::size_t l = 0; l < tied; ++l) {
+    for (std::size_t w = 0; w < weight; ++w) {
+      examples.push_back({{values[l]}, classes - 1});
+    }
+  }
+  for (std::size_t l = 0; l < others; ++l) {
+    examples.push_back(
+        {{values[tied + l]}, static_cast<int>(l % (classes - 1))});
+  }
+  for (std::size_t i = examples.size() - 1; i > 0; --i) {
+    std::swap(examples[i], examples[rng.NextBounded(i + 1)]);
+  }
+  for (Example& e : examples) ASSERT_TRUE(set.Add(std::move(e)).ok());
+
+  DecisionTreeOptions options;
+  options.max_depth = 1 << 20;
+  std::vector<std::size_t> all(set.size());
+  std::iota(all.begin(), all.end(), 0);
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Train(set, all, options, nullptr).ok());
+  ExpectSameTree(Arrays(tree), OracleTrainTree(set, all, options, nullptr));
+  const double smallest =
+      *std::min_element(values.begin(), values.begin() +
+                                            static_cast<std::ptrdiff_t>(tied));
+  ASSERT_GT(tree.node_count(), 1u);
+  EXPECT_EQ(tree.node_categorical()[0], 1);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.node_thresholds()[0]),
+            std::bit_cast<std::uint64_t>(smallest));
+
+  // The same set under bootstrap bags and a forest.
+  std::vector<std::size_t> bag(set.size());
+  for (std::size_t& i : bag) i = rng.NextBounded(set.size());
+  ExpectTreeMatchesOracle(set, bag, options, rng.Next());
+  RandomForestOptions forest_options;
+  forest_options.seed = rng.Next();
+  RandomForest forest(forest_options);
+  ASSERT_TRUE(forest.Train(set).ok());
+  const std::vector<OracleTree> oracle =
+      OracleTrainForest(set, forest_options);
+  for (std::size_t t = 0; t < oracle.size(); ++t) {
+    SCOPED_TRACE("tree " + std::to_string(t));
+    ExpectSameTree(Arrays(forest.tree(t)), oracle[t]);
+  }
+}
+
+// Categorical features with 300 to 600 levels, several items per level
+// and labels drawn at random: hundreds of distinct class-count rows per
+// node.
+TEST_P(WeightedSplitTest, HighCardinalityCategoricalMatchesOracle) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 40503 + 29);
+  const int classes = Classes();
+  const std::size_t num_features = 2 + rng.NextBounded(3);
+  std::vector<FeatureDesc> descs;
+  std::vector<std::vector<double>> pools;
+  for (std::size_t f = 0; f < num_features; ++f) {
+    const bool categorical = f < 2 || rng.NextBounded(2) == 0;
+    descs.push_back({"f" + std::to_string(f),
+                     categorical ? FeatureType::kCategorical
+                                 : FeatureType::kNumeric});
+    const std::size_t levels = categorical ? 300 + rng.NextBounded(301) : 20;
+    std::vector<double> pool;
+    for (std::size_t v = 0; v < levels; ++v) {
+      pool.push_back(categorical ? static_cast<double>(v) * 3.0 - 500.0
+                                 : rng.NextDouble());
+    }
+    pools.push_back(std::move(pool));
+  }
+  TrainingSet set(FeatureSchema(descs), classes);
+  const std::size_t num_examples = 1000 + rng.NextBounded(1000);
+  for (std::size_t i = 0; i < num_examples; ++i) {
+    Example example;
+    for (std::size_t f = 0; f < num_features; ++f) {
+      example.features.push_back(pools[f][rng.NextBounded(pools[f].size())]);
+    }
+    // Level-dependent labels with noise, so rows vary across levels.
+    const std::size_t level =
+        static_cast<std::size_t>(example.features[0] + 500.0) / 3;
+    example.label = static_cast<int>(
+        (rng.NextBounded(3) == 0 ? rng.NextBounded(classes) : level % 7) %
+        static_cast<std::size_t>(classes));
+    ASSERT_TRUE(set.Add(std::move(example)).ok());
+  }
+  DecisionTreeOptions options = RandomTreeOptions(&rng, num_features);
+  std::vector<std::size_t> bag(set.size());
+  for (std::size_t& i : bag) i = rng.NextBounded(set.size());
+  ExpectTreeMatchesOracle(set, bag, options, rng.Next());
+
+  RandomForestOptions forest_options;
+  forest_options.num_trees = 3;
+  forest_options.seed = rng.Next();
+  RandomForest forest(forest_options);
+  ASSERT_TRUE(forest.Train(set).ok());
+  const std::vector<OracleTree> oracle =
+      OracleTrainForest(set, forest_options);
+  for (std::size_t t = 0; t < oracle.size(); ++t) {
+    SCOPED_TRACE("tree " + std::to_string(t));
+    ExpectSameTree(Arrays(forest.tree(t)), oracle[t]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WeightedSplitTest, ::testing::Range(0, 24));
+
+// +0.0 and -0.0 share one level, whose value is the one added first: the
+// level is the smallest of the node, so the root's threshold carries that
+// sign bit.
+TEST(SplitSearchEdgeTest, SignedZeroLevelKeepsFirstSign) {
+  for (const double first : {0.0, -0.0}) {
+    TrainingSet set(FeatureSchema({{"level", FeatureType::kCategorical}}), 3);
+    ASSERT_TRUE(set.Add({{first}, 2}).ok());
+    ASSERT_TRUE(set.Add({{-first}, 2}).ok());
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(set.Add({{1.0 + i}, i % 2}).ok());
+    }
+    // A second minority level with the zero level's row.
+    ASSERT_TRUE(set.Add({{5e-324}, 2}).ok());
+    ASSERT_TRUE(set.Add({{5e-324}, 2}).ok());
+    DecisionTree tree;
+    ASSERT_TRUE(tree.Train(set, {}, nullptr).ok());
+    std::vector<std::size_t> all(set.size());
+    std::iota(all.begin(), all.end(), 0);
+    ExpectSameTree(Arrays(tree), OracleTrainTree(set, all, {}, nullptr));
+    ASSERT_GT(tree.node_count(), 1u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.node_thresholds()[0]),
+              std::bit_cast<std::uint64_t>(first));
+  }
 }
 
 }  // namespace
