@@ -164,24 +164,6 @@ void BM_ApplyCellChange(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyCellChange);
 
-void BM_HypotheticalViolatedRuleCount(benchmark::State& state) {
-  const Dataset& dataset = SharedDataset();
-  Table table = dataset.dirty;
-  ViolationIndex index(&table, &dataset.rules);
-  AttrId zip = table.schema().FindAttr("Zip");
-  if (zip == kInvalidAttrId) zip = 0;  // generic workloads: any attr works
-  Rng rng(5);
-  for (auto _ : state) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(table.num_rows()));
-    const ValueId value =
-        static_cast<ValueId>(rng.NextBounded(table.DomainSize(zip)));
-    benchmark::DoNotOptimize(
-        index.HypotheticalViolatedRuleCount(row, zip, value));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HypotheticalViolatedRuleCount);
-
 // First variable rule of the workload's rule set (the flattened group
 // paths only exist for variable rules); kInvalidRuleId when none.
 RuleId FirstVariableRule(const RuleSet& rules) {
@@ -528,6 +510,106 @@ void BM_RerankAfterGroup(benchmark::State& state) {
   state.SetItemsProcessed(reranked);
 }
 BENCHMARK(BM_RerankAfterGroup)->Unit(benchmark::kMillisecond);
+
+// A warm re-rank with a trained learner, as a GDR session ranks after one
+// labelled round, on the shared dataset: a LearnerBank trained from
+// ground-truth answers on up to 1500 pooled updates ranks the pool once.
+// Each iteration then labels the top group's first n_s = 5 live updates
+// (the answers go to the bank and through the consistency manager),
+// retrains that attribute, regroups, and times the long-lived ranker's
+// Rank with the bank, which reuses the p̃ of the updates whose encoder
+// inputs did not move. When the pool runs dry the instance is rebuilt.
+struct LearnerRerankFixture {
+  explicit LearnerRerankFixture(const Dataset& source)
+      : table(source.dirty),
+        index(&table, &source.rules),
+        generator(&index, &table, &state),
+        manager(&index, &pool, &state, &generator),
+        bank(&table, &index),
+        ranker(&index, &weights),
+        oracle(&source.clean) {
+    manager.Initialize();
+    weights = ContextRuleWeights(index);
+    groups = GroupUpdates(pool);
+    constexpr std::size_t kMaxLabels = 1500;
+    std::size_t labels = 0;
+    for (const UpdateGroup& group : groups) {
+      for (const Update& update : group.updates) {
+        if (labels == kMaxLabels) break;
+        ++labels;
+        (void)bank.AddFeedback(update, oracle.GetFeedback(table, update));
+      }
+      if (labels == kMaxLabels) break;
+    }
+    for (std::size_t a = 0; a < table.num_attrs(); ++a) {
+      (void)bank.Retrain(static_cast<AttrId>(a));
+    }
+    ranking = ranker.Rank(groups, bank);
+  }
+
+  Table table;
+  ViolationIndex index;
+  UpdatePool pool;
+  RepairState state;
+  UpdateGenerator generator;
+  ConsistencyManager manager;
+  std::vector<double> weights;
+  LearnerBank bank;
+  VoiRanker ranker;
+  UserOracle oracle;
+  std::vector<UpdateGroup> groups;
+  VoiRanker::Ranking ranking;
+};
+
+void BM_RerankWithLearner(benchmark::State& state) {
+  auto fixture = std::make_unique<LearnerRerankFixture>(SharedDataset());
+  constexpr std::size_t kRoundLabels = 5;
+  std::int64_t reranked = 0;
+  // Updates scored and p̃ values reused by the timed passes: the counters
+  // of each fixture's ranker, less its untimed first pass.
+  std::int64_t scored = 0;
+  std::int64_t reused = 0;
+  const auto tally = [&](std::int64_t sign) {
+    const PerfCounters& perf = fixture->ranker.perf_counters();
+    scored += sign * static_cast<std::int64_t>(perf.Count(PerfPhase::kVoiProbe));
+    reused +=
+        sign * static_cast<std::int64_t>(perf.Count(PerfPhase::kLearnerReuse));
+  };
+  tally(-1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (fixture->groups.empty()) {
+      tally(1);
+      fixture = std::make_unique<LearnerRerankFixture>(SharedDataset());
+      tally(-1);
+    }
+    const UpdateGroup top = fixture->groups[fixture->ranking.order.front()];
+    std::size_t labelled = 0;
+    for (const Update& update : top.updates) {
+      if (labelled == kRoundLabels) break;
+      if (!fixture->pool.IsLive(update)) continue;
+      const Feedback feedback =
+          fixture->oracle.GetFeedback(fixture->table, update);
+      (void)fixture->bank.AddFeedback(update, feedback);
+      fixture->manager.ApplyFeedback(update, feedback);
+      ++labelled;
+    }
+    (void)fixture->bank.Retrain(top.attr);
+    fixture->groups = GroupUpdates(fixture->pool);
+    for (const UpdateGroup& group : fixture->groups) {
+      reranked += static_cast<std::int64_t>(group.size());
+    }
+    state.ResumeTiming();
+    fixture->ranking = fixture->ranker.Rank(fixture->groups, fixture->bank);
+    benchmark::DoNotOptimize(fixture->ranking.order.data());
+  }
+  tally(1);
+  state.SetItemsProcessed(reranked);
+  state.counters["p_reused"] =
+      scored > 0 ? static_cast<double>(reused) / static_cast<double>(scored)
+                 : 0.0;
+}
+BENCHMARK(BM_RerankWithLearner)->Unit(benchmark::kMillisecond);
 
 // One committee evaluation of a real candidate group, as ranking and the
 // session's within-group order run it: the engine's round-one pool on the

@@ -365,69 +365,6 @@ std::int64_t ViolationIndex::ViolatedRuleCount(RowId row) const {
   return count;
 }
 
-std::int64_t ViolationIndex::HypotheticalViolatedRuleCount(
-    RowId row, AttrId attr, ValueId value) const {
-  // Hypothetical cell accessor for this row.
-  const auto hyp_at = [&](AttrId a) {
-    return a == attr ? value : table_->id_at(row, a);
-  };
-  std::int64_t count = 0;
-  GroupKey hyp_key;  // materialized only when a rule's LHS key moves
-  ForEachCandidateRule(row, attr, value, [&](RuleId rule) {
-    const RuleStats& rs = stats_[static_cast<std::size_t>(rule)];
-
-    // Context check under the hypothetical values.
-    for (std::size_t k = 0; k < rs.lhs_attrs.size(); ++k) {
-      if (rs.lhs_consts[k] != kInvalidValueId &&
-          hyp_at(rs.lhs_attrs[k]) != rs.lhs_consts[k]) {
-        return;
-      }
-    }
-
-    if (rs.is_constant) {
-      if (hyp_at(rs.rhs_attr) != rs.rhs_const) ++count;
-      return;
-    }
-
-    // Variable rule: conflicts against the hypothetical LHS group,
-    // excluding this row's own current contribution. The key differs from
-    // the row's current key only when attr sits in X and the value moved.
-    const bool key_changed =
-        table_->id_at(row, attr) != value &&
-        rs.attr_in_lhs[static_cast<std::size_t>(attr)] != 0;
-
-    const Group* g = nullptr;
-    bool currently_member = false;
-    if (!key_changed) {
-      // Hypothetical key == current key: the dense row → GroupId mapping
-      // answers directly, and membership is implied.
-      const GroupId gid = rs.GroupIdOf(row);
-      if (gid == kNoGroup) return;  // fresh group: no partners
-      g = &rs.groups[static_cast<std::size_t>(gid)];
-      currently_member = true;
-    } else {
-      hyp_key.resize(rs.lhs_attrs.size());
-      for (std::size_t k = 0; k < rs.lhs_attrs.size(); ++k) {
-        hyp_key[k] = hyp_at(rs.lhs_attrs[k]);
-      }
-      const GroupId* git = rs.key_to_group.Find(hyp_key);
-      if (git == nullptr) return;  // fresh group
-      g = &rs.groups[static_cast<std::size_t>(*git)];
-      // The key moved, so the row cannot be a member of the target group.
-    }
-
-    const ValueId rhs_hyp = hyp_at(rs.rhs_attr);
-    std::int64_t others = g->total;
-    std::int64_t others_same = g->CountOf(rhs_hyp);
-    if (currently_member) {
-      --others;
-      if (table_->id_at(row, rs.rhs_attr) == rhs_hyp) --others_same;
-    }
-    if (others - others_same > 0) ++count;
-  });
-  return count;
-}
-
 std::int64_t ViolationIndex::GroupTotal(RowId row, RuleId rule) const {
   const RuleStats& rs = stats_[static_cast<std::size_t>(rule)];
   if (rs.is_constant) return 0;
@@ -693,6 +630,7 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
         const std::int64_t new_vio = value_ != rs.rhs_const ? 1 : 0;
         d_vio = new_vio - old_vio;
         d_vt = d_vio;
+        effect.violates_after = new_vio != 0;
       }
     } else {
       // attr sits in X (and possibly is also the RHS): both the context
@@ -709,6 +647,7 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
       d_vio = new_vio - old_vio;
       d_vt = d_vio;
       d_ctx = (new_ctx ? 1 : 0) - old_ctx;
+      effect.violates_after = new_vio != 0;
     }
   } else if (!sr.attr_in_lhs) {
     // Variable rule, attr is the RHS: the row stays in its group (if any);
@@ -728,6 +667,8 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
       const std::int64_t d_after =
           d0 - (c_old == 1 ? 1 : 0) + (c_new == 0 ? 1 : 0);
       d_vt = (d_after > 1 ? n : 0) - (d0 > 1 ? n : 0);
+      // The row's n − 1 group mates, c_new of them holding the value.
+      effect.violates_after = n - 1 - c_new > 0;
     }
   } else {
     // Variable rule, attr in X: the write moves the row's LHS key, so the
@@ -772,6 +713,7 @@ HypotheticalBatch::Effect HypotheticalBatch::Probe(std::size_t k, RowId row) {
         const std::int64_t d_after = d0 + (c == 0 ? 1 : 0);
         d_vio += 2 * (n - c);
         d_vt += (d_after > 1 ? n + 1 : 0) - (d0 > 1 ? n : 0);
+        effect.violates_after = n - c > 0;
       }
     }
   }

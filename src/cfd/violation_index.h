@@ -287,12 +287,6 @@ class ViolationIndex {
   /// Number of rules `row` currently violates.
   std::int64_t ViolatedRuleCount(RowId row) const;
 
-  /// Number of rules `row` *would* violate if cell (row, attr) held
-  /// `value` — a read-only hypothetical (no mutation, no version bump).
-  /// Used as a consistency feature by the learning component.
-  std::int64_t HypotheticalViolatedRuleCount(RowId row, AttrId attr,
-                                             ValueId value) const;
-
   /// Size of `row`'s LHS group under a variable rule (0 when the rule is
   /// constant or the row is outside the context).
   std::int64_t GroupTotal(RowId row, RuleId rule) const;
@@ -427,8 +421,7 @@ class ViolationIndex {
     // by GroupId and recycled via free_groups; key_to_group serves the
     // mutation path and hypothetical-key lookups only. It is a flat
     // open-addressing table rather than std::unordered_map because the
-    // hypothetical-key path (HypotheticalViolatedRuleCount and every
-    // batched LHS-moving probe) makes it hot:
+    // hypothetical-key path (every batched LHS-moving probe) makes it hot:
     // one contiguous probe run per lookup instead of a node chase.
     std::vector<GroupId> row_group;  // row -> GroupId, kNoGroup = no context
     std::vector<Group> groups;
@@ -632,7 +625,8 @@ class ViolationIndex {
 /// refreshed on the next call. One batch per worker thread (the key
 /// scratch makes Probe non-reentrant); copy/construct freely. VoiRanker
 /// keeps one for all its Rank calls, which is one reason a ranker must not
-/// rank concurrently. Each probe reports the groups it read, so a caller
+/// rank concurrently, and LearnerBank one for its violations_after
+/// feature. Each probe reports the groups it read, so a caller
 /// can keep its answer for as long as the change stamps of the row and of
 /// those groups stay put (VoiRanker's re-ranking cache does).
 class HypotheticalBatch {
@@ -672,13 +666,16 @@ class HypotheticalBatch {
     // not looked up).
     GroupId own_group = kNoGroup;
     GroupId key_group = kNoGroup;
+    // Whether the probed row itself violates the rule after the write.
+    bool violates_after = false;
   };
 
   /// Effect of the staged write applied at `row` on affected rule k.
   /// Requires !IsNoOp(row) (see the class contract). Everything it reads
   /// is the row, the rule's aggregates and the groups it reports, so while
   /// RowStamp(row) and the GroupStamp of each reported group stay put, a
-  /// repeat probe returns the same adjustment, d_sat and groups.
+  /// repeat probe returns the same adjustment, d_sat, groups and
+  /// violates_after.
   Effect Probe(std::size_t k, RowId row);
 
  private:

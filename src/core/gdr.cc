@@ -92,6 +92,7 @@ void GdrEngine::SyncPerfTimings() {
   timings.voi_probe_seconds = voi.Seconds(PerfPhase::kVoiProbe);
   timings.voi_probes = voi.Count(PerfPhase::kVoiProbe);
   timings.voi_reprobes = voi.Count(PerfPhase::kVoiReprobe);
+  timings.learner_reuses = voi.Count(PerfPhase::kLearnerReuse);
   const PerfCounters& generator = generator_->perf_counters();
   timings.regenerate_seconds = generator.Seconds(PerfPhase::kRegenerate);
   timings.regenerations = generator.Count(PerfPhase::kRegenerate);

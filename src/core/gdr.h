@@ -101,6 +101,8 @@ struct GdrTimings {
   /// vs forest tree walks, `learner_inferences` updates total): ranking
   /// p̃, uncertainty ordering, the displayed batch metadata, take-over,
   /// sweep and the scoring of displayed predictions against feedback;
+  /// `learner_reuses` counts the ranking p̃ values reused from the
+  /// previous ranking pass instead of evaluated;
   /// voi_probe_* covers the benefit probes (`voi_probes` updates scored,
   /// `voi_reprobes` of them probed rather than reused from the previous
   /// ranking pass).
@@ -119,6 +121,7 @@ struct GdrTimings {
   std::uint64_t learner_inferences = 0;
   std::uint64_t voi_probes = 0;
   std::uint64_t voi_reprobes = 0;
+  std::uint64_t learner_reuses = 0;
   std::uint64_t learner_trains = 0;
   std::uint64_t regenerations = 0;
 };

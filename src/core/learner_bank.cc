@@ -32,7 +32,7 @@ FeatureSchema SchemaForAttr(const Table& table) {
 
 LearnerBank::LearnerBank(const Table* table, const ViolationIndex* index,
                          LearnerBankOptions options)
-    : table_(table), index_(index), options_(options) {
+    : table_(table), index_(index), options_(options), probe_(index) {
   const std::size_t n = table_->num_attrs();
   sets_.reserve(n);
   models_.reserve(n);
@@ -131,11 +131,25 @@ void LearnerBank::EncodeIntoRaw(const Update& update, double* dst) const {
       static_cast<double>(table_->ValueCount(update.attr, current)));
   dst[num_attrs + 4] = std::log1p(
       static_cast<double>(table_->ValueCount(update.attr, update.value)));
-  dst[num_attrs + 5] =
-      static_cast<double>(index_->ViolatedRuleCount(update.row));
-  dst[num_attrs + 6] = static_cast<double>(
-      index_->HypotheticalViolatedRuleCount(update.row, update.attr,
-                                            update.value));
+  // A candidate rule the write leaves alone counts alike now and after;
+  // one outside the candidates is violated neither now nor after.
+  probe_.Stage(update.attr, update.value);
+  const bool no_op = probe_.IsNoOp(update.row);
+  double& now = dst[num_attrs + 5];
+  double& after = dst[num_attrs + 6];
+  now = after = 0.0;
+  index_->ForEachCandidateRule(
+      update.row, update.attr, update.value, [&](RuleId rule) {
+        const bool violates = index_->Violates(update.row, rule);
+        const std::int32_t k =
+            no_op ? -1 : index_->AffectedSlot(update.attr, rule);
+        const bool violates_after =
+            k < 0 ? violates
+                  : probe_.Probe(static_cast<std::size_t>(k), update.row)
+                        .violates_after;
+        now += violates ? 1.0 : 0.0;
+        after += violates_after ? 1.0 : 0.0;
+      });
 }
 
 std::vector<double> LearnerBank::Encode(const Update& update) const {

@@ -74,6 +74,12 @@ class LearnerBank {
   /// True once the attribute's model is trained and predicting.
   bool IsTrained(AttrId attr) const;
 
+  /// The training-set size at the attribute's last retrain: the forest's
+  /// generation, which grows with every retrain (0 while untrained).
+  std::size_t TrainedOn(AttrId attr) const {
+    return trained_on_[static_cast<std::size_t>(attr)];
+  }
+
   /// The one committee evaluation: fills `fractions` (updates.size() ×
   /// kNumFeedbackClasses, row-major) with each update's vote fractions.
   /// Each run of updates sharing a trained attribute (a whole UpdateGroup)
@@ -171,7 +177,10 @@ class LearnerBank {
 
   // Writes one update's features into `dst` (EncodedWidth() doubles).
   // The one canonical encoding: Encode and Votes both funnel through it,
-  // so training examples and inference rows agree bit for bit.
+  // so training examples and inference rows agree bit for bit. The
+  // violation counts come from one pass over the rules dispatched for the
+  // write; a rule the write affects reads its post-write flag from the
+  // staged probe_, the VOI ranker's evaluator.
   void EncodeIntoRaw(const Update& update, double* dst) const;
 
   // sim(t[A], v) for the attribute's current and suggested value ids,
@@ -213,6 +222,7 @@ class LearnerBank {
   mutable std::vector<double> votes_scratch_;     // the readers' Votes
   mutable FlatTable<SimilarityKey, double, SimilarityKeyHash>
       similarity_memo_;
+  mutable HypotheticalBatch probe_;  // violations_after's evaluator
   mutable PerfCounters perf_;
 };
 

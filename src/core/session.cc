@@ -267,11 +267,7 @@ Status GdrSession::StepIterationStart() {
   VoiRanker::Ranking ranking;
   if (RanksByVoi()) {
     const Stopwatch ranking_watch;
-    ranking = engine.voi_->Rank(
-        groups, [&engine](std::span<const Update> updates,
-                          std::vector<double>* out) {
-          engine.bank_->ConfirmProbabilities(updates, out);
-        });
+    ranking = engine.voi_->Rank(groups, *engine.bank_);
     engine.stats_.timings.ranking_seconds += ranking_watch.ElapsedSeconds();
     engine.SyncPerfTimings();
   }

@@ -48,6 +48,10 @@ bool PutTerm(RuleId rule, std::int64_t adjustment, std::int64_t d_sat,
   return Fits<std::int32_t>(adjustment) && Fits<std::int32_t>(d_sat);
 }
 
+// A cached p̃ block: [p̃ (two words), the update's score (two words),
+// ValueCount of the current value, ValueCount of the suggested value].
+constexpr std::size_t kConfirmWords = 6;
+
 struct CachedTerm {
   RuleId rule;
   std::int64_t adjustment;
@@ -129,6 +133,9 @@ VoiRanker::VoiRanker(const ViolationIndex* index,
       if (key_moves) ++key_reads_[a];
     }
   }
+  for (const RuleId rule : rules.AllRuleIds()) {
+    if (!rules.rule(rule).IsConstant()) all_variable_rules_.push_back(rule);
+  }
 }
 
 double VoiRanker::UpdateBenefit(const Update& update) const {
@@ -138,18 +145,19 @@ double VoiRanker::UpdateBenefit(const Update& update) const {
 
 double VoiRanker::UpdateBenefit(const Update& update,
                                 HypotheticalBatch* batch) const {
-  return ProbeBenefit(update, batch, nullptr);
+  return ProbeBenefit(update, batch, nullptr, 0);
 }
 
 double VoiRanker::ProbeBenefit(const Update& update, HypotheticalBatch* batch,
-                               std::vector<std::uint32_t>* entry) const {
+                               std::vector<std::uint32_t>* entry,
+                               std::size_t p_words) const {
   const std::vector<VariableRule>* variable = nullptr;
   if (entry != nullptr) {
     const std::size_t attr = static_cast<std::size_t>(update.attr);
     variable = &variable_rules_[attr];
-    // [row, #term words, one key group per key-moving variable rule,
-    // then the terms]; see Rank.
-    entry->assign(2 + key_reads_[attr], Word(kNoGroup));
+    // [row, #term words, one key group per key-moving variable rule, a
+    // p̃ block of all ones, then the terms]; see Rank.
+    entry->assign(2 + key_reads_[attr] + p_words, Word(kNoGroup));
     (*entry)[0] = Word(update.row);
     (*entry)[1] = 0;
   }
@@ -203,145 +211,243 @@ double VoiRanker::ProbeBenefit(const Update& update, HypotheticalBatch* batch,
   return benefit;
 }
 
+VoiRanker::Ranking VoiRanker::Rank(const std::vector<UpdateGroup>& groups,
+                                   const LearnerBank& bank) const {
+  return Rank(groups, &bank, nullptr);
+}
+
 VoiRanker::Ranking VoiRanker::Rank(
     const std::vector<UpdateGroup>& groups,
-    const ConfirmProbabilityBatchFn& confirm_probabilities) const {
+    const ConfirmProbabilityFn& confirm_probability) const {
+  return Rank(groups, nullptr, &confirm_probability);
+}
+
+VoiRanker::Ranking VoiRanker::Rank(
+    const std::vector<UpdateGroup>& groups, const LearnerBank* bank,
+    const ConfirmProbabilityFn* confirm_probability) const {
   Ranking ranking;
   ranking.scores.assign(groups.size(), 0.0);
+  const Table& table = index_->table();
 
   // cache_ holds the last pass's probes in its visiting order: per group
-  // a header [attr, value, #entries], then per update an entry [row,
-  // #term words, key groups, terms] (ProbeBenefit). This pass reads them off
-  // the front in step with `groups` — GroupUpdates' (attr, value, row)
-  // order — and appends its own behind them.
-  const auto entry_words = [this](std::size_t attr, const std::uint32_t* e) {
-    return 2 + key_reads_[attr] + static_cast<std::size_t>(e[1]);
+  // a header [attr, value, #entries, forest generation], then per update
+  // an entry [row, #term words, key groups, p̃ block (when the generation
+  // is not 0), terms] (ProbeBenefit). This pass reads them off the front
+  // in step with `groups` — GroupUpdates' (attr, value, row) order — and
+  // appends its own behind them.
+  const auto entry_words = [this](std::size_t attr, std::uint32_t generation,
+                                  const std::uint32_t* e) {
+    return 2 + key_reads_[attr] + (generation != 0 ? kConfirmWords : 0) +
+           static_cast<std::size_t>(e[1]);
   };
   const std::size_t old_groups = cached_groups_;
   std::size_t read_groups = 0;
   const auto pop_group = [&] {
     const std::uint32_t* header = cache_.Front();
     const std::size_t attr = header[0];
+    const std::uint32_t generation = header[3];
     std::uint32_t entries = header[2];
-    cache_.PopFront(3);
+    cache_.PopFront(4);
     for (; entries > 0; --entries) {
-      cache_.PopFront(entry_words(attr, cache_.Front()));
+      cache_.PopFront(entry_words(attr, generation, cache_.Front()));
     }
     ++read_groups;
+  };
+  // True when variable rule `rule`'s group slot `group` moved since the
+  // last pass.
+  const auto moved = [this](RuleId rule, GroupId group) {
+    return group != kNoGroup &&
+           index_->GroupStamp(rule, group) > cache_version_;
   };
   // True when nothing the cached probe `e` of a write into `attr` read has
   // moved since the last pass: the row, its group under every variable
   // rule mentioning attr, and the hypothetical keys' groups.
-  const auto still_valid = [this](std::size_t attr, const std::uint32_t* e) {
+  const auto still_valid = [&](std::size_t attr, const std::uint32_t* e) {
     const RowId row = Int(e[0]);
     if (index_->RowStamp(row) > cache_version_) return false;
     const std::uint32_t* key = e + 2;
     for (const VariableRule& variable : variable_rules_[attr]) {
-      const GroupId own = index_->GroupIdOf(row, variable.rule);
-      if (own != kNoGroup &&
-          index_->GroupStamp(variable.rule, own) > cache_version_) {
+      if (moved(variable.rule, index_->GroupIdOf(row, variable.rule)) ||
+          (variable.key_moves && moved(variable.rule, Int(*key++)))) {
         return false;
       }
-      if (!variable.key_moves) continue;
-      const GroupId read = Int(*key++);
-      if (read != kNoGroup &&
-          index_->GroupStamp(variable.rule, read) > cache_version_) {
-        return false;
-      }
+    }
+    return true;
+  };
+  // For the p̃ block `p` of a still valid entry: true when the rest of what
+  // the encoder reads for `update` is unchanged too — the score, the two
+  // value counts and the row's group under every variable rule (those not
+  // mentioning the attribute are the new ones).
+  const auto confirm_valid = [&](const Update& update, const std::uint32_t* p) {
+    if (std::memcmp(p + 2, &update.score, sizeof(double)) != 0 ||
+        table.ValueCount(update.attr, table.id_at(update.row, update.attr)) !=
+            p[4] ||
+        table.ValueCount(update.attr, update.value) != p[5]) {
+      return false;
+    }
+    for (const RuleId rule : all_variable_rules_) {
+      if (moved(rule, index_->GroupIdOf(update.row, rule))) return false;
     }
     return true;
   };
 
   PerfCounters perf;
   std::uint64_t reprobes = 0;
+  std::uint64_t reuses = 0;
+  probabilities_.clear();
   for (std::size_t i = 0; i < groups.size(); ++i) {
     const UpdateGroup& group = groups[i];
     const std::size_t attr = static_cast<std::size_t>(group.attr);
-    confirm_probabilities(std::span<const Update>(group.updates),
-                          &probabilities_);
+    const bool known_attr = attr < variable_rules_.size();
+    // p̃ is cached under the attribute's forest generation; 0 keeps none.
+    const std::uint32_t generation = static_cast<std::uint32_t>(
+        bank != nullptr && known_attr ? bank->TrainedOn(group.attr) : 0);
+    const std::size_t p_words = generation != 0 ? kConfirmWords : 0;
     const std::size_t n = group.updates.size();
-    ScopedPhaseTimer timer(&perf, PerfPhase::kVoiProbe, n);
-
+    benefits_.resize(n);
+    if (p_words != 0) p_blocks_.assign(n, nullptr);  // where entries keep p̃
     // Drop the cached groups ordered before this one; `remaining` counts
     // the cached entries of this group's (attr, value), if any.
     std::uint32_t remaining = 0;
-    while (read_groups < old_groups) {
-      const std::uint32_t* header = cache_.Front();
-      const AttrId cached_attr = Int(header[0]);
-      const ValueId cached_value = Int(header[1]);
-      if (cached_attr == group.attr && cached_value == group.value) {
-        remaining = header[2];
-        cache_.PopFront(3);
-        ++read_groups;
-        break;
+    std::uint32_t cached_generation = 0;
+    {
+      ScopedPhaseTimer timer(&perf, PerfPhase::kVoiProbe, n);
+      while (read_groups < old_groups) {
+        const std::uint32_t* header = cache_.Front();
+        const AttrId cached_attr = Int(header[0]);
+        const ValueId cached_value = Int(header[1]);
+        if (cached_attr == group.attr && cached_value == group.value) {
+          remaining = header[2];
+          cached_generation = header[3];
+          cache_.PopFront(4);
+          ++read_groups;
+          break;
+        }
+        if (cached_attr > group.attr ||
+            (cached_attr == group.attr && cached_value > group.value)) {
+          break;
+        }
+        pop_group();
       }
-      if (cached_attr > group.attr ||
-          (cached_attr == group.attr && cached_value > group.value)) {
-        break;
-      }
-      pop_group();
-    }
-    std::uint32_t* header = cache_.Append(3, /*fresh_chunk=*/i == 0);
-    header[0] = Word(group.attr);
-    header[1] = Word(group.value);
-    header[2] = 0;
+      std::uint32_t* header = cache_.Append(4, /*fresh_chunk=*/i == 0);
+      header[0] = Word(group.attr);
+      header[1] = Word(group.value);
+      header[2] = 0;
+      header[3] = generation;
+      // An entry cached with a p̃ block only when this pass keeps one is
+      // re-probed, so every entry this pass keeps is a copy of one layout.
+      const bool same_layout = (cached_generation != 0) == (p_words != 0);
 
+      for (std::size_t j = 0; j < n; ++j) {
+        const Update& update = group.updates[j];
+        // Only updates carrying their group's (attr, value) are cached.
+        const bool keyed = update.attr == group.attr &&
+                           update.value == group.value && known_attr;
+        while (keyed && remaining > 0 && Int(cache_.Front()[0]) < update.row) {
+          cache_.PopFront(entry_words(attr, cached_generation, cache_.Front()));
+          --remaining;
+        }
+        double benefit = 0.0;
+        const std::uint32_t* cached = nullptr;
+        if (keyed && remaining > 0 && Int(cache_.Front()[0]) == update.row) {
+          cached = cache_.Front();
+          --remaining;
+        }
+        const std::uint32_t* source = nullptr;  // the entry to keep
+        if (cached != nullptr && same_layout && still_valid(attr, cached)) {
+          source = cached;
+          const std::uint32_t* next = cached + 2 + key_reads_[attr] + p_words;
+          const std::uint32_t* end = next + cached[1];
+          while (next < end) {
+            const CachedTerm term = TakeTerm(&next);
+            const std::int64_t satisfying =
+                index_->SatisfyingCount(term.rule) + term.d_sat;
+            if (satisfying <= 0) continue;
+            benefit += Term((*weights_)[static_cast<std::size_t>(term.rule)],
+                            term.adjustment, satisfying);
+          }
+        } else {
+          benefit = ProbeBenefit(update, &batch_, keyed ? &entry_ : nullptr,
+                                 p_words);
+          ++reprobes;
+          if (keyed && !entry_.empty()) source = entry_.data();
+        }
+        const std::size_t words =
+            source != nullptr ? entry_words(attr, generation, source) : 0;
+        if (source != nullptr && words <= WordQueue::kChunkWords) {
+          std::uint32_t* entry = cache_.Append(words);
+          std::memcpy(entry, source, words * sizeof(std::uint32_t));
+          ++header[2];
+          if (p_words != 0) p_blocks_[j] = entry + 2 + key_reads_[attr];
+        }
+        if (cached != nullptr) {
+          cache_.PopFront(entry_words(attr, cached_generation, cached));
+        }
+        benefits_[j] = benefit;
+      }
+      for (; remaining > 0; --remaining) {
+        cache_.PopFront(entry_words(attr, cached_generation, cache_.Front()));
+      }
+    }
+
+    // p̃. With p̃ blocks, each update takes its cached p̃ where nothing else
+    // the encoder reads has moved (a re-probed entry's all-ones block never
+    // matches); the others, and every update of a group without blocks,
+    // are evaluated together, and their blocks filled in.
+    const std::size_t first = probabilities_.size();
+    std::span<const Update> updates(group.updates);
+    if (p_words != 0) {
+      probabilities_.resize(first + n);
+      misses_.clear();
+      miss_updates_.clear();
+      for (std::size_t j = 0; j < n; ++j) {
+        if (p_blocks_[j] != nullptr && cached_generation == generation &&
+            confirm_valid(group.updates[j], p_blocks_[j])) {
+          std::memcpy(&probabilities_[first + j], p_blocks_[j],
+                      sizeof(double));
+          ++reuses;
+        } else {
+          misses_.push_back(j);
+          miss_updates_.push_back(group.updates[j]);
+        }
+      }
+      updates = miss_updates_;
+    }
+    if (bank != nullptr) {
+      bank->ConfirmProbabilities(updates, &miss_probabilities_);
+    } else {
+      miss_probabilities_.clear();
+      for (const Update& update : updates) {
+        miss_probabilities_.push_back((*confirm_probability)(update));
+      }
+    }
+    if (p_words == 0) {
+      probabilities_.insert(probabilities_.end(), miss_probabilities_.begin(),
+                            miss_probabilities_.end());
+    }
+    double* const p_group = probabilities_.data() + first;
+    for (std::size_t k = 0; p_words != 0 && k < updates.size(); ++k) {
+      const Update& update = updates[k];
+      p_group[misses_[k]] = miss_probabilities_[k];
+      if (std::uint32_t* p = p_blocks_[misses_[k]]) {
+        std::memcpy(p, &miss_probabilities_[k], sizeof(double));
+        std::memcpy(p + 2, &update.score, sizeof(double));
+        p[4] = static_cast<std::uint32_t>(table.ValueCount(
+            update.attr, table.id_at(update.row, update.attr)));
+        p[5] = static_cast<std::uint32_t>(
+            table.ValueCount(update.attr, update.value));
+      }
+    }
     // Terms in update order, probability times benefit.
     double score = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const Update& update = group.updates[j];
-      // Only updates carrying their group's (attr, value) are cached.
-      const bool keyed = update.attr == group.attr &&
-                         update.value == group.value &&
-                         attr < variable_rules_.size();
-      while (keyed && remaining > 0 && Int(cache_.Front()[0]) < update.row) {
-        cache_.PopFront(entry_words(attr, cache_.Front()));
-        --remaining;
-      }
-      double benefit = 0.0;
-      const std::uint32_t* cached = nullptr;
-      if (keyed && remaining > 0 && Int(cache_.Front()[0]) == update.row) {
-        cached = cache_.Front();
-        --remaining;
-      }
-      const std::size_t words =
-          cached != nullptr ? entry_words(attr, cached) : 0;
-      if (cached != nullptr && still_valid(attr, cached)) {
-        const std::uint32_t* next = cached + 2 + key_reads_[attr];
-        const std::uint32_t* end = next + cached[1];
-        while (next < end) {
-          const CachedTerm term = TakeTerm(&next);
-          const std::int64_t satisfying =
-              index_->SatisfyingCount(term.rule) + term.d_sat;
-          if (satisfying <= 0) continue;
-          benefit += Term((*weights_)[static_cast<std::size_t>(term.rule)],
-                          term.adjustment, satisfying);
-        }
-        std::memcpy(cache_.Append(words), cached,
-                    words * sizeof(std::uint32_t));
-        ++header[2];
-      } else {
-        benefit = ProbeBenefit(update, &batch_, keyed ? &entry_ : nullptr);
-        ++reprobes;
-        if (keyed && !entry_.empty() &&
-            entry_.size() <= WordQueue::kChunkWords) {
-          std::memcpy(cache_.Append(entry_.size()), entry_.data(),
-                      entry_.size() * sizeof(std::uint32_t));
-          ++header[2];
-        }
-      }
-      if (cached != nullptr) cache_.PopFront(words);
-      score += probabilities_[j] * benefit;
-    }
-    for (; remaining > 0; --remaining) {
-      cache_.PopFront(entry_words(attr, cache_.Front()));
-    }
+    for (std::size_t j = 0; j < n; ++j) score += p_group[j] * benefits_[j];
     ranking.scores[i] = score;
   }
   while (read_groups < old_groups) pop_group();
   cached_groups_ = groups.size();
   cache_version_ = index_->version();
   perf.Add(PerfPhase::kVoiReprobe, 0, reprobes);
+  perf.Add(PerfPhase::kLearnerReuse, 0, reuses);
   perf_.MergeFrom(perf);
 
   ranking.order.resize(groups.size());
@@ -351,18 +457,6 @@ VoiRanker::Ranking VoiRanker::Rank(
                      return ranking.scores[a] > ranking.scores[b];
                    });
   return ranking;
-}
-
-VoiRanker::Ranking VoiRanker::Rank(
-    const std::vector<UpdateGroup>& groups,
-    const ConfirmProbabilityFn& confirm_probability) const {
-  return Rank(groups, [&confirm_probability](std::span<const Update> updates,
-                                             std::vector<double>* out) {
-    out->clear();
-    for (const Update& update : updates) {
-      out->push_back(confirm_probability(update));
-    }
-  });
 }
 
 }  // namespace gdr

@@ -9,6 +9,7 @@
 
 #include "cfd/violation_index.h"
 #include "core/grouping.h"
+#include "core/learner_bank.h"
 #include "util/perf_counters.h"
 
 namespace gdr {
@@ -18,13 +19,6 @@ namespace gdr {
 /// the repair score s_j before any feedback exists (Section 4.1, "User
 /// Model"). Tests and benches pass the repair score itself.
 using ConfirmProbabilityFn = std::function<double(const Update&)>;
-
-/// Group-batched form of the same contract: fills `out` (resized to the
-/// span's length) with each update's p̃_j. The session passes
-/// LearnerBank::ConfirmProbabilities, which the learner_batch suite pins
-/// bit-identical to a per-update committee oracle.
-using ConfirmProbabilityBatchFn =
-    std::function<void(std::span<const Update>, std::vector<double>*)>;
 
 /// The VOI-based group ranking of Section 4.1. Computes the estimated
 /// update benefit of acquiring feedback on a group c (Eq. 6):
@@ -42,7 +36,9 @@ using ConfirmProbabilityBatchFn =
 /// whose pattern the row matches neither before nor after the write (rule
 /// dispatch, see ViolationIndex::ForEachCandidateRule).
 ///
-/// p̃_j comes from the function passed to Rank, evaluated once per group.
+/// p̃_j comes from the LearnerBank passed to Rank (tests and benches may
+/// pass a per-update function); a group's p̃ not reused (below) is
+/// evaluated by one ConfirmProbabilities call, outside the kVoiProbe timer.
 ///
 /// Re-ranking is incremental. Eq. 6's terms read only the update's row,
 /// its LHS groups and the group its write would join, so Rank keeps each
@@ -54,13 +50,19 @@ using ConfirmProbabilityBatchFn =
 /// from the current aggregates — satisfying = SatisfyingCount(φ) + d_sat,
 /// summed as w_φ·(−adjustment)/satisfying in ascending RuleId order, the
 /// order a probe sums in — so scores, order and picks are bit-identical
-/// to probing every update afresh. The cache is derived state: a new
-/// ranker starts empty, UpdateBenefit never reads it, and a Rank keeps
-/// only the updates it visited. It follows GroupUpdates' order, (attr,
+/// to probing every update afresh. With a trained forest, an entry also
+/// keeps p̃, the update's score and the value counts of its current and
+/// suggested values, under the group's forest generation (TrainedOn). A
+/// reused entry reuses p̃ too when those are unchanged and the row's group
+/// under no variable rule moved (violations_now reads those of the rules
+/// not mentioning the attribute): the encoder reads nothing else. A
+/// ranker ranks for one bank; the per-update overload keeps no p̃. The
+/// cache is derived state: a new ranker starts empty, UpdateBenefit never
+/// reads it, and a Rank keeps only the updates it visited. It follows GroupUpdates' order, (attr,
 /// value, row); updates out of that order simply re-probe.
 ///
 /// Ranking is serial, and Rank is stateful: it updates the cache, the
-/// reused HypotheticalBatch and probability buffer and the counters, so
+/// reused HypotheticalBatch and p̃ buffers and the counters, so
 /// Rank must not run concurrently on one ranker (each engine owns its
 /// ranker). Parallelism lives where the work is coarse: concurrent
 /// sessions (SessionManager).
@@ -85,25 +87,33 @@ class VoiRanker {
   /// Scores all groups; returns indices into `groups` sorted by descending
   /// benefit (ties by ascending index), plus the scores themselves. Each
   /// group's score sums p̃_j times UpdateBenefit in update order, reusing
-  /// the previous Rank's probes where nothing they read has moved.
+  /// the previous Rank's probes, and p̃ values, where nothing they read has
+  /// moved. p̃_j is bank.ConfirmProbabilities' value.
   struct Ranking {
     std::vector<std::size_t> order;  // group indices, best first
     std::vector<double> scores;      // aligned with `groups`
   };
   Ranking Rank(const std::vector<UpdateGroup>& groups,
-               const ConfirmProbabilityBatchFn& confirm_probabilities) const;
-  /// Adapter for a per-update p̃: bit-identical to the batched overload fed
-  /// the same values.
+               const LearnerBank& bank) const;
+  /// The same ranking with p̃_j = confirm_probability(update), called for
+  /// every update on every pass.
   Ranking Rank(const std::vector<UpdateGroup>& groups,
                const ConfirmProbabilityFn& confirm_probability) const;
 
   /// Cumulative probe-phase counters, merged in after each ranking pass:
   /// kVoiProbe is the scoring loop's ns and the number of updates scored,
   /// kVoiReprobe (count only) the updates actually probed rather than
-  /// reused. Not thread-safe w.r.t. concurrent Rank calls on the *same*
+  /// reused, kLearnerReuse (count only) the p̃ values reused rather than
+  /// evaluated. Not thread-safe w.r.t. concurrent Rank calls on the *same*
   /// ranker — each engine owns its ranker, so that never happens.
   const PerfCounters& perf_counters() const { return perf_; }
   void ResetPerfCounters() { perf_.Reset(); }
+
+  /// The p̃ the last Rank scored each update with, group by group in
+  /// update order.
+  std::span<const double> confirm_probabilities() const {
+    return probabilities_;
+  }
 
  private:
   // A FIFO of 32-bit words in fixed-size chunks recycled through a free
@@ -146,10 +156,16 @@ class VoiRanker {
   };
 
   // UpdateBenefit's probe. With `entry` set it also writes the update's
-  // cache entry there (see Rank), or leaves it empty when the probe's
-  // integers do not fit the entry's 32-bit words.
+  // cache entry there (see Rank), with `p_words` words of p̃ block, or
+  // leaves it empty when the probe's integers do not fit the entry's
+  // 32-bit words.
   double ProbeBenefit(const Update& update, HypotheticalBatch* batch,
-                      std::vector<std::uint32_t>* entry) const;
+                      std::vector<std::uint32_t>* entry,
+                      std::size_t p_words) const;
+
+  // Both Rank overloads: p̃ from `bank` when set, else from the function.
+  Ranking Rank(const std::vector<UpdateGroup>& groups, const LearnerBank* bank,
+               const ConfirmProbabilityFn* confirm_probability) const;
 
   const ViolationIndex* index_;
   const std::vector<double>* weights_;
@@ -157,12 +173,19 @@ class VoiRanker {
   // and how many of them move their key.
   std::vector<std::vector<VariableRule>> variable_rules_;
   std::vector<std::size_t> key_reads_;
+  std::vector<RuleId> all_variable_rules_;
   mutable PerfCounters perf_;
   // Rank's reused working state (see the class comment): the batch, the
-  // p̃ buffer, the cached entries of the last pass (cached_groups_ groups,
-  // valid at index version cache_version_) and one entry's scratch.
+  // pass's p̃, one group's benefits, cached p̃ blocks and p̃ misses, the
+  // cached entries of the last pass (cached_groups_ groups, valid at index
+  // version cache_version_) and one entry's scratch.
   mutable HypotheticalBatch batch_;
   mutable std::vector<double> probabilities_;
+  mutable std::vector<double> benefits_;
+  mutable std::vector<std::uint32_t*> p_blocks_;
+  mutable std::vector<std::size_t> misses_;
+  mutable std::vector<Update> miss_updates_;
+  mutable std::vector<double> miss_probabilities_;
   mutable WordQueue cache_;
   mutable std::size_t cached_groups_ = 0;
   mutable std::uint64_t cache_version_ = 0;

@@ -91,7 +91,7 @@ struct WireServerStats {
   /// Hot-path phase counters aggregated over the resident sessions
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
   /// benefit-probe seconds, updates scored and updates actually probed,
-  /// forest-retrain seconds and examples trained on, update-regeneration
+  /// ranking p̃ values reused rather than evaluated, forest-retrain seconds and examples trained on, update-regeneration
   /// seconds and UpdateAttributeTuple calls, pool-grouping seconds).
   /// An evicted session's time is not carried over: a rehydrated
   /// session's timings count from its restore, like every other timing.
@@ -100,6 +100,7 @@ struct WireServerStats {
   double voi_probe_seconds = 0.0;
   std::uint64_t voi_probes = 0;
   std::uint64_t voi_reprobes = 0;
+  std::uint64_t learner_reuses = 0;
   double learner_train_seconds = 0.0;
   std::uint64_t learner_trains = 0;
   double regenerate_seconds = 0.0;

@@ -145,6 +145,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         << " voi-probe-s=" << stats.voi_probe_seconds
         << " voi-probes=" << stats.voi_probes
         << " voi-reprobes=" << stats.voi_reprobes
+        << " p-reuses=" << stats.learner_reuses
         << " learner-train-s=" << stats.learner_train_seconds
         << " learner-trains=" << stats.learner_trains
         << " regenerate-s=" << stats.regenerate_seconds

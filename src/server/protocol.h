@@ -41,7 +41,7 @@ namespace gdr::server {
 ///                                          learner-encode-s=X
 ///                                          learner-treewalk-s=X
 ///                                          voi-probe-s=X voi-probes=N
-///                                          voi-reprobes=N
+///                                          voi-reprobes=N p-reuses=N
 ///                                          learner-train-s=X
 ///                                          learner-trains=N
 ///                                          regenerate-s=X

@@ -463,6 +463,7 @@ WireServerStats SessionManager::Stats() const {
     stats.voi_probe_seconds += timings.voi_probe_seconds;
     stats.voi_probes += timings.voi_probes;
     stats.voi_reprobes += timings.voi_reprobes;
+    stats.learner_reuses += timings.learner_reuses;
     stats.learner_train_seconds += timings.learner_train_seconds;
     stats.learner_trains += timings.learner_trains;
     stats.regenerate_seconds += timings.regenerate_seconds;

@@ -1,5 +1,6 @@
 #include "sim/dataset1.h"
 
+#include <cmath>
 #include <vector>
 
 #include "sim/error_injector.h"
@@ -28,6 +29,11 @@ constexpr const char* kStateTypos[] = {"IND", "In", "Ind.", "IN "};
 }  // namespace
 
 Result<Dataset> GenerateDataset1(const Dataset1Options& options) {
+  // Every row is drawn from a hospital by its volume weight.
+  if (options.num_hospitals == 0 || !std::isfinite(options.volume_skew)) {
+    return Status::InvalidArgument(
+        "dataset1: needs hospitals >= 1 and a finite volume_skew");
+  }
   GDR_ASSIGN_OR_RETURN(
       Schema schema,
       Schema::Make({"PatientID", "Age", "Sex", "Classification", "Complaint",

@@ -38,6 +38,7 @@ struct Dataset1Options {
 ///  * Rules: one constant CFD "Zip=z → City=c; State=IN" per directory
 ///    zip, plus the variable CFD "StreetAddress, City → Zip" (the paper's
 ///    Figure 1 rule family).
+/// Fails with InvalidArgument on zero hospitals or a non-finite skew.
 Result<Dataset> GenerateDataset1(const Dataset1Options& options = {});
 
 }  // namespace gdr

@@ -25,9 +25,12 @@ enum class PerfPhase : std::size_t {
   /// VOI benefit probes actually run, i.e. not reused from the previous
   /// ranking pass; count only (their time is inside kVoiProbe).
   kVoiReprobe,
+  /// p̃ values the VOI ranker reused from the previous ranking pass rather
+  /// than evaluated with the learner; count only.
+  kLearnerReuse,
 };
 
-inline constexpr std::size_t kNumPerfPhases = 6;
+inline constexpr std::size_t kNumPerfPhases = 7;
 
 /// Alloc-free cumulative phase counters: wall nanoseconds plus an item
 /// count per phase (updates encoded, rows walked, updates probed, examples

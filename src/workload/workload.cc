@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/strings.h"
@@ -137,10 +138,12 @@ Result<double> WorkloadSpec::GetDouble(std::string_view key,
   if (value == nullptr) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(value->c_str(), &end);
-  if (value->empty() || end != value->c_str() + value->size()) {
+  if (value->empty() || end != value->c_str() + value->size() ||
+      !std::isfinite(parsed)) {
     return Status::InvalidArgument("workload '" + name + "': parameter '" +
                                    std::string(key) +
-                                   "' expects a number, got '" + *value + "'");
+                                   "' expects a finite number, got '" +
+                                   *value + "'");
   }
   return parsed;
 }

@@ -60,7 +60,7 @@ struct WorkloadSpec {
 
   /// Typed parameter accessors. Each returns `fallback` when the key is
   /// absent and an InvalidArgument naming the workload, key, and raw value
-  /// when present but malformed.
+  /// when present but malformed (for GetDouble, also nan and inf).
   Result<std::string> GetString(std::string_view key,
                                 std::string_view fallback) const;
   Result<std::size_t> GetSize(std::string_view key, std::size_t fallback) const;

@@ -82,6 +82,7 @@ void ExpectSameProbe(const Sample& then, const Sample& now, Tally* tally) {
     EXPECT_EQ(a.d_sat, b.d_sat);
     EXPECT_EQ(a.own_group, b.own_group);
     EXPECT_EQ(a.key_group, b.key_group);
+    EXPECT_EQ(a.violates_after, b.violates_after);
     absent = absent || a.key_group == kAbsentGroup;
   }
   if (absent) ++tally->absent_keys;

@@ -312,9 +312,9 @@ TEST_P(LearnerBatchTest, MixedAttrSpanMatchesOracle) {
   }
 }
 
-// Rank fed the bank's batch p̃ function (the session's call) is
-// bit-identical — scores AND order — to Rank calling the per-update
-// oracle, with trained models in the loop.
+// Rank fed the bank (the session's call) is bit-identical — scores AND
+// order — to Rank calling the per-update oracle, with trained models in
+// the loop, on a cold pass and on a warm one that reuses p̃.
 TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalToScalar) {
   RandomLearnerInstance inst(static_cast<std::uint64_t>(GetParam()));
   inst.TrainAttrs({static_cast<AttrId>(0), static_cast<AttrId>(2)});
@@ -322,18 +322,17 @@ TEST_P(LearnerBatchTest, BatchedInferenceRankingBitIdenticalToScalar) {
   const ConfirmProbabilityFn scalar = [&inst](const Update& update) {
     return OracleConfirmProbability(*inst.bank, update);
   };
-  const ConfirmProbabilityBatchFn batch_fn =
-      [&inst](std::span<const Update> updates, std::vector<double>* out) {
-        inst.bank->ConfirmProbabilities(updates, out);
-      };
 
   const VoiRanker ranker(inst.index.get(), &inst.weights);
   const VoiRanker::Ranking reference = ranker.Rank(inst.groups, scalar);
   ASSERT_EQ(reference.scores.size(), inst.groups.size());
 
-  const VoiRanker::Ranking ranking = ranker.Rank(inst.groups, batch_fn);
-  EXPECT_EQ(ranking.scores, reference.scores);
-  EXPECT_EQ(ranking.order, reference.order);
+  for (int pass = 0; pass < 2; ++pass) {
+    const VoiRanker::Ranking ranking = ranker.Rank(inst.groups, *inst.bank);
+    EXPECT_EQ(ranking.scores, reference.scores) << "pass " << pass;
+    EXPECT_EQ(ranking.order, reference.order) << "pass " << pass;
+  }
+  EXPECT_GT(ranker.perf_counters().Count(PerfPhase::kLearnerReuse), 0u);
 }
 
 // Batched inference accumulates perf counters (encode + tree walk with

@@ -6,10 +6,12 @@
 // run over Dataset 1, Dataset 2 and a hand-built rule set. After every
 // step each dispatched query must equal the all-rules scan of
 // tests/testing/rule_scan_oracle.h — ViolatedRuleCount, ViolatedRules,
-// IsDirty, HypotheticalViolatedRuleCount over every row × attribute ×
-// sampled value, UpdateBenefit bit for bit — the candidate lists must be
-// ascending and cover every rule whose context can hold, and the index
-// aggregates must equal a rebuild over the same table.
+// IsDirty, and over every row × attribute × value (sampled values on the
+// generated datasets) UpdateBenefit bit for bit and the learner encoder's
+// violations_now / violations_after, which it derives from the staged
+// probe — the candidate lists must be ascending and cover every rule whose
+// context can hold, and the index aggregates must equal a rebuild over the
+// same table.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cfd/violation_index.h"
+#include "core/learner_bank.h"
 #include "core/voi.h"
 #include "sim/dataset1.h"
 #include "sim/dataset2.h"
@@ -84,10 +87,14 @@ void ExpectMatchesRebuild(const ViolationIndex& index) {
   ASSERT_EQ(index.DirtyRows(), rebuilt.DirtyRows());
 }
 
+// `samples` asking for every value of the attribute's domain.
+constexpr int kEveryValue = -1;
+
 // Dispatched queries against the all-rules scan, for every row; the
 // hypothetical ones for every attribute in `attrs` at the row's own value
-// plus `samples` values drawn from the attribute's domain (rule constants,
-// data values and values only ever written by the walk alike).
+// (a no-op write) plus `samples` values drawn from the attribute's domain
+// (rule constants, data values and values only ever written by the walk
+// alike), or plus every value of it.
 void ExpectMatchesScan(const ViolationIndex& index,
                        const std::vector<double>& weights,
                        const std::vector<AttrId>& attrs, int samples,
@@ -95,6 +102,8 @@ void ExpectMatchesScan(const ViolationIndex& index,
   const Table& table = index.table();
   const RuleScanOracle oracle(table, index.rules());
   const VoiRanker ranker(&index, &weights);
+  const LearnerBank encoder(&table, &index);
+  const std::size_t now_feature = table.num_attrs() + 5;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     const RowId row = static_cast<RowId>(r);
     CheckedCandidates(index, oracle, row, kInvalidAttrId, kInvalidValueId);
@@ -105,16 +114,26 @@ void ExpectMatchesScan(const ViolationIndex& index,
     ASSERT_EQ(index.IsDirty(row), oracle.IsDirty(row)) << "row " << r;
     for (const AttrId attr : attrs) {
       std::vector<ValueId> values = {table.id_at(row, attr)};
+      if (samples == kEveryValue) {
+        for (std::size_t v = 0; v < table.DomainSize(attr); ++v) {
+          values.push_back(static_cast<ValueId>(v));
+        }
+      }
       for (int s = 0; s < samples; ++s) {
         values.push_back(
             static_cast<ValueId>(rng->NextBounded(table.DomainSize(attr))));
       }
       for (const ValueId value : values) {
         CheckedCandidates(index, oracle, row, attr, value);
-        ASSERT_EQ(index.HypotheticalViolatedRuleCount(row, attr, value),
-                  oracle.HypotheticalViolatedRuleCount(row, attr, value))
-            << "row " << r << " attr " << attr << " value " << value;
         const Update update{row, attr, value, 0.5};
+        const std::vector<double> features = encoder.Encode(update);
+        ASSERT_EQ(features[now_feature],
+                  static_cast<double>(oracle.ViolatedRuleCount(row)))
+            << "row " << r << " attr " << attr << " value " << value;
+        ASSERT_EQ(features[now_feature + 1],
+                  static_cast<double>(
+                      oracle.HypotheticalViolatedRuleCount(row, attr, value)))
+            << "row " << r << " attr " << attr << " value " << value;
         ASSERT_EQ(std::bit_cast<std::uint64_t>(ranker.UpdateBenefit(update)),
                   std::bit_cast<std::uint64_t>(
                       ScanBenefit(index, weights, update)))
@@ -286,7 +305,7 @@ TEST(RuleDispatchDifferentialTest, HandBuiltRandomWalks) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Table table = HandTable(seed);
     RandomWalk(&table, rules, {0, 1, 2, 3, 4}, seed, /*steps=*/60,
-               /*samples=*/3, HandValue, HandRow);
+               kEveryValue, HandValue, HandRow);
   }
 }
 

@@ -320,7 +320,8 @@ TEST(ProtocolTest, StatsReplyCarriesVoiReprobes) {
       "quit\n",
       "gdr_spill_protocol_reprobes");
   ASSERT_GE(lines.size(), 4u);
-  EXPECT_NE(lines.front().find(" voi-probes=0 voi-reprobes=0 learner-train-s="),
+  EXPECT_NE(lines.front().find(
+                " voi-probes=0 voi-reprobes=0 p-reuses=0 learner-train-s="),
             std::string::npos)
       << lines.front();
   // The pull ranked the session's pool once, probing every update.
@@ -333,6 +334,51 @@ TEST(ProtocolTest, StatsReplyCarriesVoiReprobes) {
   EXPECT_EQ(std::stoull(after_pull.substr(reprobes + 14)),
             std::stoull(after_pull.substr(probes + 12)))
       << after_pull;
+}
+
+// A GDR session on Dataset 1 trains its learner and keeps re-ranking; the
+// ranking p̃ values it reuses rather than evaluates show in `stats`,
+// between voi-reprobes= and learner-train-s=.
+TEST(ProtocolTest, StatsReplyCarriesPReuses) {
+  SessionManager manager(TestOptions("gdr_spill_protocol_preuses"));
+  const Backend backend = MakeSessionManagerBackend(&manager);
+  const SessionKey key{"acme", "s1"};
+  OpenConfig config;
+  config.workload_spec = "dataset1:records=300";
+  config.strategy = "GDR";
+  config.feedback_budget = 150;
+  config.seed = 7;
+  ASSERT_TRUE(manager.Open(key, config).ok());
+  ASSERT_NO_FATAL_FAILURE(DriveToDone(backend, key, /*evict_between=*/false));
+  std::string reply;
+  HandleCommand(backend, "stats", &reply);
+  const std::size_t reprobes = reply.find(" voi-reprobes=");
+  const std::size_t reuses = reply.find(" p-reuses=");
+  const std::size_t trains = reply.find(" learner-train-s=");
+  ASSERT_NE(reuses, std::string::npos) << reply;
+  EXPECT_LT(reprobes, reuses) << reply;
+  EXPECT_LT(reuses, trains) << reply;
+  EXPECT_GT(std::stoull(reply.substr(reuses + 10)), 0u) << reply;
+}
+
+// A workload spec the generator cannot serve is an error reply, and the
+// server goes on serving: zero hospitals used to crash Dataset 1's
+// generator, and a non-finite volume skew put every row in one hospital.
+TEST(ProtocolTest, OpenRejectsUnservableDataset1Specs) {
+  const auto lines = RunScript(
+      "open acme s1 dataset1:records=50,hospitals=0\n"
+      "open acme s2 dataset1:records=50,volume_skew=nan\n"
+      "open acme s3 figure1 seed=7 budget=40\n"
+      "next acme s3\n"
+      "quit\n",
+      "gdr_spill_protocol_bad_spec");
+  ASSERT_GE(lines.size(), 4u);
+  EXPECT_EQ(lines[0].rfind("ERR InvalidArgument", 0), 0u) << lines[0];
+  EXPECT_NE(lines[0].find("hospitals"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1].rfind("ERR InvalidArgument", 0), 0u) << lines[1];
+  EXPECT_NE(lines[1].find("volume_skew"), std::string::npos) << lines[1];
+  EXPECT_EQ(lines[2].rfind("OK", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[3].rfind("OK", 0), 0u) << lines[3];
 }
 
 TEST(ProtocolTest, StatsReplyEndsWithGroupingTime) {

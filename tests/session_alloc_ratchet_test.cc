@@ -109,9 +109,9 @@ PullAllocations RunSession(const std::string& spec) {
 }
 
 // Measured when the ceiling was set (GCC 12, libstdc++): 182 calls, 566
-// labels, 210.7 allocations per call. The ceiling leaves 10% headroom for
+// labels, 159.2 allocations per call. The ceiling leaves 10% headroom for
 // container growth policies of other standard library builds.
-constexpr double kMaxAllocationsPerNextBatch = 232.0;
+constexpr double kMaxAllocationsPerNextBatch = 176.0;
 
 TEST(SessionAllocRatchetTest, NextBatchAllocationsStayUnderCeiling) {
   const PullAllocations counted = RunSession("dataset1:records=1000");

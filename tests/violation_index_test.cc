@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/learner_bank.h"
+#include "testing/rule_scan_oracle.h"
 #include "util/rng.h"
 
 namespace gdr {
@@ -188,19 +190,34 @@ TEST_F(Figure1Fixture, VersionAdvancesOnEffectiveChangesOnly) {
   EXPECT_GT(index_->version(), v0);
 }
 
-TEST_F(Figure1Fixture, HypotheticalMatchesActualApply) {
-  const AttrId zip = schema_.FindAttr("ZIP");
-  const AttrId ct = schema_.FindAttr("CT");
-  for (RowId row : {RowId{0}, RowId{1}, RowId{5}}) {
-    for (AttrId attr : {zip, ct}) {
+// The learner encoder's violations_after, which it derives from the staged
+// HypotheticalBatch probe, equals both applying the write and counting and
+// the all-rules scan of tests/testing/rule_scan_oracle.h, over every row ×
+// attribute × value: no-op writes and an appended row included.
+TEST_F(Figure1Fixture, ProbedViolationsAfterMatchesApplyAndScan) {
+  ASSERT_TRUE(index_
+                  ->AppendRow({"g", "H5", "Sherden Rd", "Fort Wayne", "IN",
+                               "46774"})
+                  .ok());
+  const LearnerBank encoder(&table_, index_.get());
+  const rule_scan_testing::RuleScanOracle oracle(table_, rules_);
+  const std::size_t after_feature = table_.num_attrs() + 6;
+  for (std::size_t r = 0; r < table_.num_rows(); ++r) {
+    const RowId row = static_cast<RowId>(r);
+    for (std::size_t a = 0; a < table_.num_attrs(); ++a) {
+      const AttrId attr = static_cast<AttrId>(a);
       for (std::size_t v = 0; v < table_.DomainSize(attr); ++v) {
         const ValueId value = static_cast<ValueId>(v);
-        const std::int64_t hypothetical =
-            index_->HypotheticalViolatedRuleCount(row, attr, value);
+        const double probed =
+            encoder.Encode(Update{row, attr, value, 0.5})[after_feature];
+        EXPECT_EQ(probed, static_cast<double>(
+                              oracle.HypotheticalViolatedRuleCount(row, attr,
+                                                                   value)))
+            << "row " << row << " attr " << attr << " value " << v;
         const ValueId old_value = index_->ApplyCellChange(row, attr, value);
         const std::int64_t actual = index_->ViolatedRuleCount(row);
         index_->ApplyCellChange(row, attr, old_value);
-        EXPECT_EQ(hypothetical, actual)
+        EXPECT_EQ(probed, static_cast<double>(actual))
             << "row " << row << " attr " << attr << " value " << v;
       }
     }

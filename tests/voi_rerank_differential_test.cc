@@ -4,7 +4,9 @@
 // ranked after every step three ways: by one long-lived VoiRanker, whose
 // cache reuses the probes whose reads did not move, by a fresh ranker, and
 // by the brute-force oracle of tests/testing/voi_oracle.h. Scores must be
-// bitwise equal and the orders identical.
+// bitwise equal and the orders identical. A learner walk ranks with a
+// trained LearnerBank, whose p̃ the long-lived ranker reuses, and compares
+// every p̃ bitwise as well.
 //
 // The binary also counts allocations (operator new is replaced below, as
 // perfbench/alloc_count.cc does) to pin that a warm re-rank allocates
@@ -15,11 +17,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/gdr.h"
 #include "core/grouping.h"
+#include "core/learner_bank.h"
 #include "core/voi.h"
 #include "repair/update_pool.h"
 #include "testing/index_walk.h"
@@ -187,6 +191,145 @@ TEST(VoiRerankDifferentialTest, Dataset2RandomWalks) {
         RunWalk(walk_testing::Dataset2Walk(), seed, 25, 40, &counts));
   }
   ExpectReuse(counts);
+}
+
+// p̃ reuse with a real learner: over the hand-built walk, a long-lived
+// ranker ranks with a LearnerBank after every step and is checked against
+// a fresh ranker, scores and every p̃ bitwise. Labels follow the features
+// the reuse checks guard (the violation counts before and after, the
+// value supports), so the forests split on them. Besides the walk's own
+// steps, each step may label and retrain, write the attribute of a pooled
+// update elsewhere (only value counts move for it), write the RHS of a
+// group mate of a pooled update's row under a variable rule not
+// mentioning its attribute (only that group moves), or re-score a pooled
+// update.
+struct LearnerCounts {
+  std::uint64_t scored = 0;
+  std::uint64_t reused = 0;
+};
+
+Feedback LabelFor(const LearnerBank& bank, const Table& table,
+                  const Update& update) {
+  const std::vector<double> features = bank.Encode(update);
+  const std::size_t width = table.num_attrs();
+  if (features[width + 6] < features[width + 5]) return Feedback::kConfirm;
+  if (features[width + 3] >= features[width + 4]) return Feedback::kRetain;
+  return Feedback::kReject;
+}
+
+void RunLearnerWalk(std::uint64_t seed, int steps, LearnerCounts* counts) {
+  Walk walk = walk_testing::HandWalk(seed);
+  ViolationIndex index(&walk.table, &walk.rules());
+  Rng rng(seed);
+  std::vector<double> weights(walk.rules().size());
+  for (double& w : weights) w = 0.05 + 0.95 * rng.NextDouble();
+  LearnerBankOptions options;
+  options.min_training_examples = 12;
+  LearnerBank bank(&walk.table, &index, options);
+  const auto label = [&](int labels) {
+    for (int i = 0; i < labels; ++i) {
+      const Update update =
+          walk_testing::RandomHypothetical(walk, walk.table, &rng);
+      ASSERT_TRUE(
+          bank.AddFeedback(update, LabelFor(bank, walk.table, update)).ok());
+      ASSERT_TRUE(bank.Retrain(update.attr).ok());
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(label(100));
+  const VoiRanker live(&index, &weights);
+  UpdatePool pool;
+  const auto pooled = [&pool, &rng] {
+    const std::vector<Update> all = pool.All();
+    return all[rng.NextBounded(all.size())];
+  };
+  for (int step = 0; step <= steps; ++step) {
+    SCOPED_TRACE("learner seed " + std::to_string(seed) + " step " +
+                 std::to_string(step));
+    if (step > 0) {
+      switch (rng.NextBounded(5)) {
+        case 0:
+          walk_testing::Step(walk, &index, &rng);
+          if (::testing::Test::HasFatalFailure()) return;
+          break;
+        case 1:
+          ASSERT_NO_FATAL_FAILURE(label(2));
+          break;
+        case 2: {
+          const Update update = pooled();
+          const RowId other = static_cast<RowId>(
+              rng.NextBounded(walk.table.num_rows()));
+          if (other != update.row) {
+            index.ApplyCellChange(other, update.attr, update.value);
+          }
+          break;
+        }
+        case 3: {
+          const Update update = pooled();
+          const RuleSet& rules = walk.rules();
+          std::vector<RuleId> others;  // with a group mate for the row
+          for (std::size_t r = 0; r < rules.size(); ++r) {
+            const RuleId rule = static_cast<RuleId>(r);
+            if (rules.rule(rule).IsVariable() &&
+                index.AffectedSlot(update.attr, rule) < 0 &&
+                index.GroupMembers(update.row, rule).size() > 1) {
+              others.push_back(rule);
+            }
+          }
+          if (others.empty()) break;
+          const RuleId rule = others[rng.NextBounded(others.size())];
+          const std::vector<RowId> mates = index.GroupMembers(update.row, rule);
+          RowId mate = mates[rng.NextBounded(mates.size())];
+          if (mate == update.row) mate = mates[mate == mates[0] ? 1 : 0];
+          const AttrId rhs = rules.rule(rule).rhs().attr;
+          index.ApplyCellChange(mate, rhs,
+                                std::string_view(walk.value(rhs, &rng)));
+          break;
+        }
+        case 4: {
+          Update update = pooled();
+          update.score = rng.NextDouble();
+          pool.Upsert(update);
+          break;
+        }
+      }
+    }
+    for (const Update& update : pool.All()) {
+      if (rng.NextBounded(8) == 0) pool.Remove(update.cell());
+    }
+    while (pool.size() < 40) {
+      pool.Upsert(walk_testing::RandomHypothetical(walk, walk.table, &rng));
+    }
+    const std::vector<UpdateGroup> groups = GroupUpdates(pool);
+    const VoiRanker::Ranking reused = live.Rank(groups, bank);
+    const VoiRanker fresh_ranker(&index, &weights);
+    const VoiRanker::Ranking fresh = fresh_ranker.Rank(groups, bank);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameScores(fresh.scores, reused.scores, "long-lived ranker"));
+    ASSERT_EQ(fresh.order, reused.order);
+    const std::span<const double> expected =
+        fresh_ranker.confirm_probabilities();
+    const std::span<const double> actual = live.confirm_probabilities();
+    ASSERT_EQ(expected.size(), actual.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(expected[k]),
+                std::bit_cast<std::uint64_t>(actual[k]))
+          << "p̃ of update " << k << ": " << expected[k] << " vs "
+          << actual[k];
+    }
+  }
+  const PerfCounters& perf = live.perf_counters();
+  counts->scored += perf.Count(PerfPhase::kVoiProbe);
+  counts->reused += perf.Count(PerfPhase::kLearnerReuse);
+}
+
+TEST(VoiRerankDifferentialTest, LearnerRandomWalksReuseExactP) {
+  LearnerCounts counts;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    ASSERT_NO_FATAL_FAILURE(RunLearnerWalk(seed, 80, &counts));
+  }
+  // Reuse happened, and so did re-evaluation.
+  EXPECT_GT(counts.reused, 0u);
+  EXPECT_LT(counts.reused, counts.scored);
 }
 
 // Updates out of GroupUpdates' order, or not carrying their group's

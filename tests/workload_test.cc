@@ -85,6 +85,23 @@ TEST(WorkloadSpecTest, TypedGettersParseAndReportOffendingValue) {
   EXPECT_NE(bad.status().message().find("'xyz'"), std::string::npos);
 }
 
+// strtod accepts nan and inf spellings; a workload parameter must be a
+// finite number.
+TEST(WorkloadSpecTest, GetDoubleRejectsNonFiniteValues) {
+  const auto spec =
+      WorkloadSpec::Parse("w:a=nan,b=inf,c=-infinity,d=NAN,e=1e999,f=-0.5");
+  ASSERT_TRUE(spec.ok());
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    const auto value = spec->GetDouble(key, 0.0);
+    ASSERT_FALSE(value.ok()) << key;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(value.status().message().find(std::string("'") + key + "'"),
+              std::string::npos)
+        << value.status().message();
+  }
+  EXPECT_DOUBLE_EQ(*spec->GetDouble("f", 0.0), -0.5);
+}
+
 TEST(WorkloadSpecTest, RejectUnknownKeysNamesOffenderAndAcceptedSet) {
   const auto spec = WorkloadSpec::Parse("w:records=4,recrods=5");
   ASSERT_TRUE(spec.ok());
@@ -139,6 +156,23 @@ TEST(WorkloadRegistryTest, UnknownParameterRejectedByBuiltins) {
       WorkloadRegistry::Global().Resolve("figure1:records=2").ok());
   EXPECT_FALSE(
       WorkloadRegistry::Global().Resolve("dataset2:hospitals=3").ok());
+}
+
+// Dataset 1 needs a hospital to put its rows in, and finite parameters:
+// zero hospitals used to index past an empty fleet, and a nan skew put
+// every row in the last hospital.
+TEST(WorkloadRegistryTest, Dataset1RejectsUnservableParameters) {
+  for (const char* spec :
+       {"dataset1:records=50,hospitals=0", "dataset1:records=50,volume_skew=nan",
+        "dataset1:records=50,volume_skew=inf",
+        "dataset1:records=50,error_scale=nan"}) {
+    const auto resolved = WorkloadRegistry::Global().Resolve(spec);
+    ASSERT_FALSE(resolved.ok()) << spec;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_TRUE(
+      WorkloadRegistry::Global().Resolve("dataset1:records=50,hospitals=1").ok());
+  EXPECT_FALSE(GenerateDataset1({.num_records = 50, .num_hospitals = 0}).ok());
 }
 
 void ExpectSameDataset(const Dataset& a, const Dataset& b) {
